@@ -29,6 +29,7 @@ WEB_SIZES = (2_000, 10_000) if not full_sweep() else (2_000, 10_000, 50_000)
 COLUMNS = [
     "size",
     "dirty_region",
+    "recomputed",
     "incremental_seconds",
     "full_resolve_seconds",
     "delta_apply_seconds",

@@ -56,7 +56,6 @@ deep chains into far fewer, larger regions.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -140,20 +139,22 @@ class CompiledRegion:
 
     @property
     def fingerprint(self) -> "str | None":
-        """Content hash keying the per-store compiled-statement cache.
+        """Content key of the per-store compiled-statement cache.
 
         Two regions with equal kind/edges/pairs/blocked render identical
         SQL and parameters, so the rendered statement of one can serve the
         other — that is what lets repeated runs and incremental re-applies
         skip re-rendering the compiled CTEs.  ``replay`` regions return
         ``None``: they carry opaque step objects, not statement inputs,
-        and are never cached.  SHA-1 (not a 32-bit checksum) because a
-        collision here would execute the *wrong cached SQL*.
+        and are never cached.  The key is the full rendering of those
+        inputs, not a digest of it: two regions can share a key only when
+        they render the same SQL, so the cache can never execute the
+        *wrong* statement.  (A digest would also load ``hashlib``, whose
+        OpenSSL binding costs a session process about 3.5 MB.)
         """
         if self.kind == "replay":
             return None
-        payload = repr((self.kind, self.edges, self.pairs, self.blocked))
-        return hashlib.sha1(payload.encode("utf-8")).hexdigest()
+        return repr((self.kind, self.edges, self.pairs, self.blocked))
 
     def closed_users(self) -> FrozenSet[str]:
         """Every user this region closes (derives the rows of).

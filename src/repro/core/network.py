@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.core.beliefs import Belief, BeliefSet, Value
+from repro.core.condensation import Condensation
 from repro.core.errors import NetworkError, NotBinaryError
+from repro.core.gcpause import paused_gc
 
 if TYPE_CHECKING:
     import networkx as nx  # imported where used: large, and resolution never needs it
@@ -87,7 +89,13 @@ class TrustNetwork:
         explicit_beliefs: Optional[Mapping[User, object]] = None,
     ) -> None:
         self._users: Set[User] = set(users)
-        self._mappings: List[TrustMapping] = []
+        # The mappings in insertion order (None marks a removed one), and
+        # the slot of each mapping's first live copy, built at the first
+        # removal or priority change: from then on both are O(1).  The
+        # removed slots are compacted away once they outnumber the live ones.
+        self._mappings: List[Optional[TrustMapping]] = []
+        self._slot: Optional[Dict[TrustMapping, int]] = None
+        self._removed = 0
         self._incoming: Dict[User, List[TrustMapping]] = {}
         self._outgoing: Dict[User, List[TrustMapping]] = {}
         self._beliefs: Dict[User, BeliefSet] = {}
@@ -106,6 +114,9 @@ class TrustNetwork:
         # cheaply detect that the network moved underneath it.
         self._structure_version = 0
         self._belief_version = 0
+        # The SCC condensation, built on first request and from then on
+        # patched by every structural mutator (repro.core.condensation).
+        self._condensation: Optional[Condensation] = None
 
         for mapping in mappings:
             if not isinstance(mapping, TrustMapping):
@@ -127,6 +138,8 @@ class TrustNetwork:
             # binary caches stay valid, only the preferred map gains a slot.
             if self._preferred_cache is not None:
                 self._preferred_cache[user] = None
+            if self._condensation is not None:
+                self._condensation.add_user(user)
 
     def add_mapping(
         self, mapping: TrustMapping | Tuple[User, int, User]
@@ -138,11 +151,15 @@ class TrustNetwork:
             raise NetworkError(f"self-trust mapping is not allowed: {mapping}")
         self.add_user(mapping.parent)
         self.add_user(mapping.child)
+        if self._slot is not None:
+            self._slot.setdefault(mapping, len(self._mappings))
         self._mappings.append(mapping)
         self._incoming.setdefault(mapping.child, []).append(mapping)
         self._outgoing.setdefault(mapping.parent, []).append(mapping)
         self._structure_version += 1
         self._patch_structure_caches(mapping.parent, mapping.child)
+        if self._condensation is not None:
+            self._condensation.add_edge(mapping.parent, mapping.child)
         return mapping
 
     def _invalidate_structure_caches(self) -> None:
@@ -192,21 +209,53 @@ class TrustNetwork:
         Endpoints stay in the network even when they lose their last edge
         (use :meth:`remove_user` to drop a user entirely).
         """
+        mapping = self._unlink(mapping)
+        if self._condensation is not None:
+            self._condensation.remove_edge(mapping.parent, mapping.child)
+        return mapping
+
+    def _unlink(self, mapping: TrustMapping | Tuple[User, int, User]) -> TrustMapping:
+        """:meth:`remove_mapping` without the condensation patch."""
         if not isinstance(mapping, TrustMapping):
             mapping = TrustMapping(*mapping)
-        try:
-            self._mappings.remove(mapping)
-        except ValueError:
-            raise NetworkError(f"no such mapping: {mapping}") from None
-        self._incoming[mapping.child].remove(mapping)
-        if not self._incoming[mapping.child]:
+        index = self._slot_index()
+        slot = index.pop(mapping, None)
+        if slot is None:
+            raise NetworkError(f"no such mapping: {mapping}")
+        self._mappings[slot] = None
+        self._removed += 1
+        incoming = self._incoming[mapping.child]
+        incoming.remove(mapping)
+        if mapping in incoming:
+            # An equal parallel mapping survives: index its next copy.
+            index[mapping] = self._mappings.index(mapping, slot + 1)
+        if not incoming:
             del self._incoming[mapping.child]
         self._outgoing[mapping.parent].remove(mapping)
         if not self._outgoing[mapping.parent]:
             del self._outgoing[mapping.parent]
         self._structure_version += 1
         self._patch_structure_caches(mapping.parent, mapping.child)
+        if self._removed > len(self._mappings) // 2:
+            self._compact_mappings()
         return mapping
+
+    def _compact_mappings(self) -> None:
+        """Drop the removed slots (amortized O(1) per removal)."""
+        self._mappings = list(filter(None, self._mappings))
+        self._slot = None
+        self._removed = 0
+
+    def _slot_index(self) -> Dict[TrustMapping, int]:
+        """``mapping -> slot of its first live copy``, built on first use."""
+        index = self._slot
+        if index is None:
+            index = {}
+            for slot, mapping in enumerate(self._mappings):
+                if mapping is not None:
+                    index.setdefault(mapping, slot)
+            self._slot = index
+        return index
 
     def remove_trust(self, child: User, parent: User) -> Tuple[TrustMapping, ...]:
         """Remove every mapping ``parent -> child`` (any priority).
@@ -220,7 +269,9 @@ class TrustNetwork:
         if not doomed:
             raise NetworkError(f"{child!r} does not trust {parent!r}")
         for edge in doomed:
-            self.remove_mapping(edge)
+            self._unlink(edge)
+        if self._condensation is not None:
+            self._condensation.remove_edge(parent, child)
         return doomed
 
     def set_priority(self, child: User, parent: User, priority: int) -> TrustMapping:
@@ -245,7 +296,11 @@ class TrustNetwork:
         if old.priority == priority:
             return old
         new = TrustMapping(parent, priority, child)
-        self._mappings[self._mappings.index(old)] = new
+        # The edge is unique, so its mapping holds exactly one slot.
+        index = self._slot_index()
+        slot = index.pop(old)
+        self._mappings[slot] = new
+        index[new] = slot
         incoming = self._incoming[child]
         incoming[incoming.index(old)] = new
         outgoing = self._outgoing[parent]
@@ -261,11 +316,14 @@ class TrustNetwork:
         """
         if user not in self._users:
             raise NetworkError(f"unknown user: {user!r}")
+        # One condensation patch for the whole user, not one per edge.
         for edge in tuple(self._incoming.get(user, ())):
-            self.remove_mapping(edge)
+            self._unlink(edge)
         for edge in tuple(self._outgoing.get(user, ())):
-            self.remove_mapping(edge)
+            self._unlink(edge)
         self._users.discard(user)
+        if self._condensation is not None:
+            self._condensation.remove_user(user)
         if self._beliefs.pop(user, None) is not None:
             self._belief_version += 1
         self._structure_version += 1
@@ -301,12 +359,27 @@ class TrustNetwork:
     @property
     def mappings(self) -> Tuple[TrustMapping, ...]:
         """The set of priority trust mappings ``E`` (in insertion order)."""
-        return tuple(self._mappings)
+        return tuple(filter(None, self._mappings))
+
+    def condensation(self) -> Condensation:
+        """The SCC condensation with topological ranks (read-only).
+
+        Built on the first call with one Tarjan pass; from then on every
+        structural mutator patches it in time bounded by the components
+        the mutation involves (see :mod:`repro.core.condensation`), so
+        holders such as the delta resolver always read the current one.
+        """
+        if self._condensation is None:
+            # A batch build like resolve(): pausing the collector keeps its
+            # short-lived lists from triggering a run of collections.
+            with paused_gc():
+                self._condensation = Condensation(self)
+        return self._condensation
 
     @property
     def size(self) -> int:
         """``|U| + |E|`` — the size measure used throughout the paper's plots."""
-        return len(self._users) + len(self._mappings)
+        return len(self._users) + len(self._mappings) - self._removed
 
     @property
     def structure_version(self) -> int:
@@ -465,7 +538,7 @@ class TrustNetwork:
                 if edge.parent == parent:
                     preferred.add(edge)
                     break
-        return [edge for edge in self._mappings if edge not in preferred]
+        return [edge for edge in filter(None, self._mappings) if edge not in preferred]
 
     def is_binary(self) -> bool:
         """True iff every node has at most two incoming edges and explicit
@@ -494,7 +567,7 @@ class TrustNetwork:
 
         graph = nx.DiGraph()
         graph.add_nodes_from(self._users)
-        for mapping in self._mappings:
+        for mapping in filter(None, self._mappings):
             graph.add_edge(mapping.parent, mapping.child, priority=mapping.priority)
         return graph
 
@@ -514,17 +587,38 @@ class TrustNetwork:
         clone = type(self).__new__(type(self))
         TrustNetwork.__init__(clone)
         clone._users = set(self._users)
-        clone._mappings = list(self._mappings)
+        clone._mappings = list(filter(None, self._mappings))
         clone._incoming = {u: list(edges) for u, edges in self._incoming.items()}
         clone._outgoing = {u: list(edges) for u, edges in self._outgoing.items()}
         clone._beliefs = dict(self._beliefs)
         clone._invalidate_structure_caches()
         return clone
 
+    def _with_beliefs(self, beliefs: Mapping[User, object]) -> "TrustNetwork":
+        """This network's structure under other explicit beliefs, to read once.
+
+        The result shares the users, the mappings and the adjacency cache
+        with this network instead of copying them, so building it costs
+        ``O(|beliefs|)``.  Read it (e.g. :func:`~repro.core.resolution.resolve`
+        it) and drop it; never mutate it, nor this network while it lives.
+        """
+        view = type(self).__new__(type(self))
+        TrustNetwork.__init__(view)
+        view._users = self._users
+        view._mappings = self._mappings
+        view._removed = self._removed
+        view._incoming = self._incoming
+        view._outgoing = self._outgoing
+        view._adjacency_cache = self._adjacency()
+        view._beliefs = {
+            user: _coerce_explicit_belief(belief) for user, belief in beliefs.items()
+        }
+        return view
+
     def __repr__(self) -> str:  # pragma: no cover - repr convenience
         return (
-            f"{type(self).__name__}(|U|={len(self._users)}, |E|={len(self._mappings)}, "
-            f"|b0|={len(self._beliefs)})"
+            f"{type(self).__name__}(|U|={len(self._users)}, "
+            f"|E|={len(self._mappings) - self._removed}, |b0|={len(self._beliefs)})"
         )
 
 

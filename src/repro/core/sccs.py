@@ -44,9 +44,11 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Sequence,
     Set,
+    Tuple,
 )
 
 from repro.core.errors import NetworkError
@@ -138,48 +140,40 @@ def _tarjan_indexed(
         counter += 1
         stack.append(root)
         on_stack[root] = 1
-        work: List[List[int]] = [[root, 0]]
+        # Each frame holds a node and the iterator over its successors, so
+        # a resumed frame continues where its descent left off.
+        work: List[Tuple[int, Iterator[int]]] = [(root, iter(successors[root]))]
         while work:
-            top = work[-1]
-            node = top[0]
-            children = successors[node]
-            pos = top[1]
-            advanced = False
-            limit = len(children)
-            while pos < limit:
-                child = children[pos]
-                pos += 1
+            node, children = work[-1]
+            for child in children:
                 if not admit[child]:
                     continue
                 child_index = index[child]
                 if child_index == UNSEEN:
-                    top[1] = pos
                     index[child] = lowlink[child] = counter
                     counter += 1
                     stack.append(child)
                     on_stack[child] = 1
-                    work.append([child, 0])
-                    advanced = True
+                    work.append((child, iter(successors[child])))
                     break
                 if on_stack[child] and child_index < lowlink[node]:
                     lowlink[node] = child_index
-            if advanced:
-                continue
-            work.pop()
-            node_low = lowlink[node]
-            if work:
-                parent = work[-1][0]
-                if node_low < lowlink[parent]:
-                    lowlink[parent] = node_low
-            if node_low == index[node]:
-                component: List[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = 0
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
+            else:
+                work.pop()
+                node_low = lowlink[node]
+                if work:
+                    parent = work[-1][0]
+                    if node_low < lowlink[parent]:
+                        lowlink[parent] = node_low
+                if node_low == index[node]:
+                    component: List[int] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = 0
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
     return components
 
 

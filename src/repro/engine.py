@@ -140,6 +140,9 @@ class EngineReport:
     coalesced_from: int = 0
     users_changed: int = 0
     rows_deleted: int = 0
+    #: Users the per-key recomputations visited, summed over keys; the
+    #: change-driven walk visits only what it recomputes, so this equals
+    #: ``recomputed`` and ``pruned`` is 0 (see ``DeltaLog``).
     dirty_region: int = 0
     recomputed: int = 0
     pruned: int = 0

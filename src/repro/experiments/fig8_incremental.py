@@ -10,13 +10,15 @@ state, :class:`~repro.incremental.session.IncrementalSession` + delta
 :func:`~repro.core.resolution.resolve` + full store reload).
 
 Per sweep point the rows record both costs, the dirty-region size the
-update actually reached, and a ``byte_identical`` flag asserting the
-incremental result equals the from-scratch one — the correctness contract
-of the engine.  On the many-cycle family (Figure 8a) an update touches one
-oscillator cluster, so the dirty region is constant while the network
-grows; on the sampled web family (Figure 8b) the experiment updates the
-belief root with the smallest descendant region (the locality a real
-per-user update exhibits), reported explicitly as ``dirty_region``.
+update could reach (``dirty_region``, its descendant count), how many of
+those users the resolver actually recomputed (``recomputed``), and a
+``byte_identical`` flag asserting the incremental result equals the
+from-scratch one — the correctness contract of the engine.  On the
+many-cycle family (Figure 8a) an update touches one oscillator cluster, so
+the dirty region is constant while the network grows; on the sampled web
+family (Figure 8b) the experiment updates the belief root with the
+smallest descendant region (the locality a real per-user update exhibits),
+reported explicitly as ``dirty_region``.
 
 Besides the single-update sweep, :func:`run_batch_sweep` measures the
 engine path (:class:`repro.engine.ResolutionEngine`): a burst of updates
@@ -120,6 +122,7 @@ def run(
         # In-memory path: one belief update through the delta resolver vs.
         # a from-scratch resolve of the (already mutated) network.
         resolver = DeltaResolver(network)
+        descendants = _descendant_count(network, target)
         started = time.perf_counter()
         log = resolver.apply(SetBelief(target, new_value))
         incremental_seconds = time.perf_counter() - started
@@ -153,8 +156,9 @@ def run(
             {
                 "workload": workload,
                 "size": network.size,
-                "dirty_region": log.dirty_region,
-                "pruned": log.pruned,
+                "dirty_region": descendants,
+                "recomputed": log.recomputed,
+                "pruned": descendants - log.recomputed,
                 "incremental_seconds": incremental_seconds,
                 "full_resolve_seconds": full_resolve_seconds,
                 "delta_apply_seconds": report.seconds,
@@ -352,6 +356,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
                     columns=[
                         "size",
                         "dirty_region",
+                        "recomputed",
                         "incremental_seconds",
                         "full_resolve_seconds",
                         "delta_apply_seconds",

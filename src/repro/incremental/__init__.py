@@ -9,11 +9,13 @@ network under a stream of deltas instead:
   (``SetBelief`` / ``RemoveBelief``, ``AddTrust`` / ``RemoveTrust``,
   ``SetPriority``, ``RemoveUser``) and the row-level :class:`DeltaLog`;
 * :mod:`repro.incremental.resolver` — :class:`DeltaResolver`, which
-  re-runs Algorithm 1 locally on the dirty region (descendants of the
-  touched users, pruned where recomputed closed values equal the old
-  ones);
+  re-runs Algorithm 1 locally on the components whose inputs changed,
+  walking the network's maintained condensation in rank order from the
+  touched users;
 * :mod:`repro.incremental.skeptic` — :class:`SkepticDeltaResolver`, the
-  same for Algorithm 2's representations;
+  same for Algorithm 2's representations over the dirty region
+  (descendants of the touched users, pruned where recomputed closed
+  values equal the old ones);
 * :mod:`repro.incremental.session` — :class:`IncrementalSession`, which
   applies delta logs to a ``POSS`` store as delta ``DELETE``/``INSERT``
   statements inside one (per-shard) transaction instead of a full reload;

@@ -141,11 +141,14 @@ class DeltaLog:
 
     ``changes`` lists every user whose possible-value set actually changed
     (users recomputed to their old value do not appear).  The three counters
-    expose the incremental engine's cost model: ``dirty_region`` is the size
-    of the descendant region the delta could reach, ``recomputed`` how many
-    of those users were actually re-resolved, and ``pruned`` how many were
-    skipped because every input to their component kept its old closed
-    value.
+    expose the incremental engine's cost model: ``dirty_region`` counts the
+    users the recomputation visited, ``recomputed`` how many of them were
+    re-resolved, and ``pruned`` how many it visited but skipped.
+    :class:`~repro.incremental.resolver.DeltaResolver` (Algorithm 1) walks
+    only the components whose inputs changed, so there ``dirty_region ==
+    recomputed`` and ``pruned == 0``; descendants that keep their values
+    are never visited.  The descendant count of a delta is
+    :func:`repro.incremental.region.dirty_region`.
     """
 
     delta: Delta

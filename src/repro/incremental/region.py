@@ -1,11 +1,10 @@
 """The dirty region of a delta: touched users and everything downstream.
 
 Influence only flows parent → child, so a delta touching users ``T`` can
-change at most the descendants of ``T``.  Both delta resolvers (Algorithm 1
-in :mod:`repro.incremental.resolver`, Algorithm 2 in
-:mod:`repro.incremental.skeptic`) and the incremental experiment share this
-single definition of that region, indexed and ready for the SCC
-condensation walk.
+change at most the descendants of ``T``.  The Algorithm 2 delta resolver
+(:mod:`repro.incremental.skeptic`) walks this region, and the incremental
+experiment reports its size; the Algorithm 1 resolver visits only the
+components whose inputs changed and never builds it.
 """
 
 from __future__ import annotations

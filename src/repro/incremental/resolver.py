@@ -4,29 +4,29 @@
 binary trust network consistent while the network changes, without full
 re-resolution.  The key observations:
 
-* Influence only flows parent → child, so a delta touching users ``T`` can
-  only change the possible values of the *descendants* of ``T`` — the dirty
-  region.  The region is successor-closed by construction: no edge leaves
-  it, every edge crossing its boundary comes in from a node whose value is
-  already final.
-* Within the region, resolution is modular over the SCC condensation: the
-  possible values of a component are a function of its members' structure
-  and of the possible values of its external parents (Algorithm 1 closes a
-  minimal component only when all its inputs are final, so the function is
-  well defined and order-independent).  The region is therefore recomputed
-  component by component in topological order, each component by a
-  *localized* Algorithm 1 run whose closed boundary is the current possible
-  map — using the same :class:`~repro.core.sccs.CondensationEngine` that
-  powers the batch resolvers.
-* A component none of whose inputs changed — no structurally touched
-  member, every external parent recomputed (or kept) equal to its old
-  closed value — keeps its old values and is **pruned**: its members are
-  never re-resolved, so the expensive work is proportional to the actually
-  affected region, not to ``|U| + |E|``.  The network mutators patch the
-  structure caches surgically so structural deltas stay in the same cost
-  class; the one residual non-regional term is the ``O(|E|)`` ordered-list
-  maintenance inside ``remove_mapping``/``set_priority`` — a plain scan,
-  cheap in absolute terms and paid by structural deltas only.
+* Resolution is modular over the SCC condensation: the possible values of
+  a component are a function of its members' structure and of the possible
+  values of its external parents (Algorithm 1 closes a minimal component
+  only when all its inputs are final, so the function is well defined and
+  order-independent).  A component is recomputed by a *localized*
+  Algorithm 1 run whose closed boundary is the current possible map —
+  using the same :class:`~repro.core.sccs.CondensationEngine` that powers
+  the batch resolvers.
+* The network keeps its condensation current under mutation
+  (:meth:`TrustNetwork.condensation <repro.core.network.TrustNetwork.condensation>`,
+  built when the first resolver on the network is constructed and shared
+  by every resolver on it), and its components carry topological ranks.
+* The recomputation is **change-driven**: a heap keyed by rank starts with
+  the components of the touched users; each popped component is
+  recomputed, and only the members whose value changed push their
+  children's components.  Influence flows parent → child and ranks grow
+  along edges, so every component is popped after all of its parents that
+  could still change.  A component whose inputs all kept their old values
+  is never reached, so the work is proportional to the components actually
+  recomputed — not to the descendants of the touched users, and not to
+  ``|U| + |E|``.  The network mutators patch the structure caches, the
+  edge index and the condensation in time bounded by what they touch, so
+  structural deltas stay in the same cost class.
 
 Equivalence to from-scratch resolution (``resolve`` on the mutated network)
 is locked by the property suite in ``tests/incremental``: every update
@@ -40,6 +40,7 @@ the surviving edges.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.beliefs import Value
@@ -47,7 +48,7 @@ from repro.core.errors import NetworkError
 from repro.core.gcpause import paused_gc
 from repro.core.network import TrustNetwork, User, _coerce_explicit_belief
 from repro.core.resolution import ResolutionResult, resolve
-from repro.core.sccs import CondensationEngine, strongly_connected_components
+from repro.core.sccs import CondensationEngine
 from repro.incremental.deltas import (
     AddTrust,
     Delta,
@@ -59,7 +60,6 @@ from repro.incremental.deltas import (
     SetBelief,
     SetPriority,
 )
-from repro.incremental.region import dirty_region
 
 _EMPTY: FrozenSet[Value] = frozenset()
 
@@ -108,16 +108,13 @@ class DeltaResolver:
                     f"belief override names unknown users: {sorted(map(str, unknown))}"
                 )
         self._validate_binary()
-        if self._owns_beliefs:
-            # self.beliefs is exactly the network's positive assignment, so
-            # the network resolves to the same map — no throwaway copy.
-            source = network
-        else:
-            source = TrustNetwork(
-                users=network.users,
-                mappings=network.mappings,
-                explicit_beliefs=dict(self.beliefs),
-            )
+        # Built here, not in the first apply, and shared by every resolver
+        # on this network.
+        network.condensation()
+        # self.beliefs is exactly the network's positive assignment when the
+        # resolver owns it; otherwise resolve the shared structure under
+        # this resolver's beliefs, without copying it.
+        source = network if self._owns_beliefs else network._with_beliefs(self.beliefs)
         self.possible: Dict[User, FrozenSet[Value]] = dict(resolve(source).possible)
 
     # ------------------------------------------------------------------ #
@@ -209,13 +206,13 @@ class DeltaResolver:
         touched_overrides: Optional[Sequence[Optional[Tuple[User, ...]]]] = None,
         record_touched: Optional[List[Tuple[User, ...]]] = None,
     ) -> DeltaLog:
-        """Apply several deltas with **one** regional recomputation.
+        """Apply several deltas with **one** recomputation.
 
-        All mutations are applied first; the dirty regions they touch are
-        then recomputed together — overlapping regions merge, so a batch of
-        *k* updates inside one subtree costs one regional re-resolution
-        instead of *k* (the delta-batching half of the coalescing design;
-        pair with :func:`~repro.incremental.coalesce.coalesce` to also
+        All mutations are applied first; one change-driven walk seeded with
+        every touched user then recomputes them together, so a batch of *k*
+        updates inside one subtree recomputes each affected component once
+        instead of *k* times (the delta-batching half of the coalescing
+        design; pair with :func:`~repro.incremental.coalesce.coalesce` to also
         dedupe the deltas themselves).  The returned log's ``delta`` field
         holds the tuple of applied deltas and its ``changes`` the *net*
         row-level effect of the whole batch.
@@ -283,11 +280,7 @@ class DeltaResolver:
                 for user, value in self.beliefs.items()
                 if user in self.network
             }
-            source = TrustNetwork(
-                users=self.network.users,
-                mappings=self.network.mappings,
-                explicit_beliefs=dict(self.beliefs),
-            )
+            source = self.network._with_beliefs(self.beliefs)
         self.possible = dict(resolve(source).possible)
 
     def resolution(self) -> ResolutionResult:
@@ -364,7 +357,7 @@ class DeltaResolver:
         raise NetworkError(f"unknown delta {delta!r}")
 
     # ------------------------------------------------------------------ #
-    # dirty-region recomputation                                          #
+    # change-driven recomputation                                         #
     # ------------------------------------------------------------------ #
 
     def _recompute(
@@ -379,52 +372,48 @@ class DeltaResolver:
         network = self.network
         touched_live = sorted((u for u in touched if u in network), key=str)
 
-        region, _pos, successors = dirty_region(network, touched_live)
-        n = len(region)
-
-        # SCCs of the region in reverse topological order; walking them in
-        # topological order guarantees every component sees its (region)
-        # parents' final values before it decides whether it is dirty.
-        components = strongly_connected_components(range(n), successors.__getitem__)
-
-        incoming = network.incoming_map()
-        forced = set(touched_live)
-        changed: Set[User] = set()
-        recomputed = pruned = 0
-        for component in reversed(components):
-            members = [region[i] for i in component]
-            dirty = any(member in forced for member in members)
-            if not dirty:
-                member_set = set(members)
-                for member in members:
-                    for edge in incoming.get(member, ()):
-                        if edge.parent not in member_set and edge.parent in changed:
-                            dirty = True
-                            break
-                    if dirty:
-                        break
-            if not dirty:
-                # Value-equality pruning: every input kept its old closed
-                # value, so the component's values are provably unchanged.
-                pruned += len(members)
-                continue
+        condensation = network.condensation()
+        component = condensation.component
+        component_members = condensation.members
+        rank = condensation.rank
+        outgoing = network.outgoing_map()
+        possible = self.possible
+        # Components keyed by rank: every edge between two components runs
+        # to a higher rank, so popping in rank order recomputes a component
+        # only after every parent that could still change.
+        heap: List[Tuple[Tuple[int, ...], int]] = []
+        queued: Set[int] = set()
+        for user in touched_live:
+            cid = component[user]
+            if cid not in queued:
+                queued.add(cid)
+                heap.append((rank[cid], cid))
+        heapq.heapify(heap)
+        recomputed = 0
+        while heap:
+            _rank, cid = heapq.heappop(heap)
+            members = component_members[cid]
             recomputed += len(members)
             new_values = self._recompute_component(members)
             for member in members:
-                old = self.possible.get(member, _EMPTY)
+                old = possible.get(member, _EMPTY)
                 new = new_values[member]
-                if new != old:
-                    self.possible[member] = new
-                    changed.add(member)
-                    changes.append(RowChange(member, old, new))
+                if new == old:
+                    continue
+                possible[member] = new
+                changes.append(RowChange(member, old, new))
+                for edge in outgoing.get(member, ()):
+                    child = component[edge.child]
+                    if child not in queued:
+                        queued.add(child)
+                        heapq.heappush(heap, (rank[child], child))
 
         return DeltaLog(
             delta=delta,
             changes=tuple(changes),
             touched=tuple(touched_live),
-            dirty_region=n,
+            dirty_region=recomputed,
             recomputed=recomputed,
-            pruned=pruned,
         )
 
     def _recompute_component(

@@ -64,9 +64,13 @@ class DeltaApplyReport:
 
     The counters mirror :class:`~repro.bulk.executor.BulkRunReport` where
     they overlap (``transactions``, ``backend``) and add the incremental
-    engine's cost model: how large the dirty region was across all
-    resolvers, how much of it the value-equality pruning skipped, and how
-    few rows/statements the delta path moved compared to a full reload.
+    engine's cost model: ``dirty_region``, ``recomputed`` and ``pruned``
+    sum the resolvers' :class:`~repro.incremental.deltas.DeltaLog`
+    counters (users visited, users re-resolved, users visited but skipped;
+    the change-driven walk visits only what it recomputes, so
+    ``dirty_region == recomputed`` and ``pruned == 0``), and the row and
+    statement counters show how little the delta path moved compared to a
+    full reload.
     """
 
     deltas: int

@@ -5,9 +5,11 @@
 representations computed by :func:`repro.core.skeptic.resolve_skeptic`
 consistent while the network changes, recomputing only the dirty region.
 
-The machinery mirrors the Algorithm-1 resolver — descendants of the touched
-users, SCC condensation of the region, topological walk with value-equality
-pruning — with two Skeptic-specific twists:
+It walks the dirty region — descendants of the touched users, SCC
+condensation of the region, topological walk with value-equality pruning.
+(The Algorithm-1 resolver instead walks the network's maintained
+condensation from the touched users; this one keeps the region because its
+``prefNeg`` phase is scoped to it.)  Two Skeptic-specific twists:
 
 * ``prefNeg`` (the negatives forced along preferred chains, phase P of
   Algorithm 2) is itself recomputed over the region first, seeded from the

@@ -1,11 +1,15 @@
-"""Unit tests for the Algorithm-1 delta resolver (dirty-region recompute)."""
+"""Unit tests for the Algorithm-1 delta resolver (change-driven recompute)."""
 
 from __future__ import annotations
 
 import gc
+import random
 
 import pytest
 
+from repro.bulk.store import PossStore
+from repro.core import condensation as condensation_module
+from repro.core import sccs as sccs_module
 from repro.core.errors import NetworkError
 from repro.core.network import TrustNetwork
 from repro.core.resolution import resolve
@@ -17,7 +21,11 @@ from repro.incremental.deltas import (
     SetBelief,
     SetPriority,
 )
+from repro.incremental import region as region_module
+from repro.incremental.region import dirty_region
+from repro.incremental import resolver as resolver_module
 from repro.incremental.resolver import DeltaResolver
+from repro.incremental.session import IncrementalSession
 from repro.workloads.oscillators import oscillator_network
 
 
@@ -121,14 +129,24 @@ class TestStructuralDeltas:
             resolver.apply(RemoveUser("nope"))
 
 
+def descendant_count(network, user) -> int:
+    """How many users a delta on ``user`` could reach (itself included)."""
+    return len(dirty_region(network, (user,))[0])
+
+
 class TestPruning:
+    """The walk recomputes what changes; descendants that keep their
+    values are never visited, so ``dirty_region == recomputed`` and
+    ``pruned == 0``, and the descendant counts come from ``dirty_region()``."""
+
     def test_disconnected_clusters_are_never_visited(self):
         network = oscillator_network(50)
         resolver = DeltaResolver(network)
-        log = resolver.apply(SetBelief("c0.x3", "fresh"))
         # The dirty region is one cluster's reachable half, not the network.
-        assert log.dirty_region == 3
+        assert descendant_count(network, "c0.x3") == 3
+        log = resolver.apply(SetBelief("c0.x3", "fresh"))
         assert log.recomputed <= 3
+        assert (log.dirty_region, log.pruned) == (log.recomputed, 0)
         assert_matches_full(resolver)
 
     def test_equal_value_recompute_prunes_descendants(self):
@@ -142,9 +160,10 @@ class TestPruning:
         log = resolver.apply(SetBelief("a", "v"))
         # a is recomputed (touched), but its value is unchanged, so the
         # three downstream users are pruned without recomputation.
-        assert log.dirty_region == 4
+        assert descendant_count(tn, "a") == 4
         assert log.recomputed == 1
-        assert log.pruned == 3
+        assert descendant_count(tn, "a") - log.recomputed == 3
+        assert (log.dirty_region, log.pruned) == (1, 0)
         assert log.is_empty
 
     def test_partial_pruning_stops_at_stable_values(self):
@@ -162,7 +181,8 @@ class TestPruning:
         # their values: only lo and m are recomputed, tail is pruned.
         assert resolver.possible["m"] == frozenset({"v"})
         assert log.recomputed == 2
-        assert log.pruned == 1
+        assert descendant_count(tn, "lo") - log.recomputed == 1
+        assert (log.dirty_region, log.pruned) == (2, 0)
         assert_matches_full(resolver)
 
 
@@ -197,3 +217,127 @@ class TestResolverState:
         assert gc.isenabled()
         resolver.apply(SetBelief("x4", "v"))
         assert gc.isenabled()
+
+
+def _raise(*_args, **_kwargs):
+    raise AssertionError("the change-driven walk must not condense a region")
+
+
+def forbid(monkeypatch, *targets) -> None:
+    """Make ``module.name`` raise, wherever a module imported the name."""
+    for module, name in targets:
+        original = getattr(module, name)
+        for holder in (module, resolver_module):
+            if getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, _raise)
+
+
+def layered_dag(n_users: int = 300, roots: int = 12) -> TrustNetwork:
+    """A binary DAG: every non-root trusts one or two earlier users."""
+    rng = random.Random(5)
+    network = TrustNetwork()
+    for user in range(roots):
+        network.set_explicit_belief(f"u{user}", f"v{user % 3}")
+    for user in range(roots, n_users):
+        for parent in rng.sample(range(user), min(user, rng.choice((1, 2)))):
+            network.add_trust(f"u{user}", f"u{parent}", rng.randint(1, 3))
+    return network
+
+
+class TestMaintainedCondensation:
+    KEYS = tuple(f"k{i}" for i in range(50))
+
+    def session(self, network: TrustNetwork, believers) -> IncrementalSession:
+        return IncrementalSession(
+            network,
+            store=PossStore(),
+            keys=self.KEYS,
+            beliefs_by_key={
+                key: {user: f"{key}-{i % 4}" for i, user in enumerate(believers)}
+                for key in self.KEYS
+            },
+        )
+
+    def value_only_batch(self, believers):
+        return [
+            SetBelief(user, f"new{i}", key=self.KEYS[(7 * i) % len(self.KEYS)])
+            for i, user in enumerate(believers[:5])
+        ]
+
+    def assert_matches_fresh(self, session: IncrementalSession) -> None:
+        for key in self.KEYS:
+            resolver = session.resolver(key)
+            fresh = TrustNetwork(
+                users=session.network.users,
+                mappings=session.network.mappings,
+                explicit_beliefs=dict(resolver.beliefs),
+            )
+            assert resolver.possible == resolve(fresh).possible, key
+
+    def test_value_only_batch_runs_no_tarjan_at_all(self, monkeypatch):
+        network = layered_dag()
+        believers = sorted(network.explicit_beliefs, key=str)
+        session = self.session(network, believers)
+        forbid(
+            monkeypatch,
+            (region_module, "dirty_region"),
+            (sccs_module, "strongly_connected_components"),
+            (sccs_module, "_tarjan_indexed"),
+            (condensation_module, "_tarjan_indexed"),
+        )
+        report = session.apply_batch(*self.value_only_batch(believers))
+        assert report.recomputed > 0
+        assert (report.dirty_region, report.pruned) == (report.recomputed, 0)
+        monkeypatch.undo()
+        self.assert_matches_fresh(session)
+
+    def test_value_only_batch_on_a_cyclic_graph_condenses_no_region(self, monkeypatch):
+        # Components with cycles re-run Algorithm 1 locally (its own SCC
+        # engine); the walk itself neither builds a region nor condenses.
+        network = oscillator_network(30)
+        believers = sorted(network.explicit_beliefs, key=str)
+        session = self.session(network, believers)
+        forbid(
+            monkeypatch,
+            (region_module, "dirty_region"),
+            (sccs_module, "strongly_connected_components"),
+            (condensation_module, "_tarjan_indexed"),
+        )
+        session.apply_batch(*self.value_only_batch(believers))
+        monkeypatch.undo()
+        self.assert_matches_fresh(session)
+
+    def test_structural_delta_touches_only_its_own_cluster(self, monkeypatch):
+        network = oscillator_network(3000)  # 12k users
+        resolver = DeltaResolver(network)
+        cond = network.condensation()
+
+        def snapshot():
+            return {
+                user: (cid, cond.rank[cid])
+                for user, cid in cond.component.items()
+                if not user.startswith("c7.")
+            }
+
+        before = snapshot()
+        condensed = []
+        real = condensation_module._tarjan_indexed
+
+        def counting(roots, *args):
+            roots = list(roots)
+            condensed.append(len(roots))
+            return real(roots, *args)
+
+        monkeypatch.setattr(condensation_module, "_tarjan_indexed", counting)
+        forbid(monkeypatch, (region_module, "dirty_region"))
+        logs = [
+            resolver.apply(RemoveTrust("c7.x1", "c7.x2")),  # splits {x1, x2}
+            resolver.apply(AddTrust("c7.x1", "c7.x2", 100)),  # closes it again
+            resolver.apply(SetPriority("c7.x2", "c7.x1", 10)),
+            resolver.apply(RemoveUser("c7.x4")),
+        ]
+        assert condensed and max(condensed) <= 4
+        assert all(log.recomputed <= 4 for log in logs)
+        assert snapshot() == before
+        assert cond.component["c7.x1"] == cond.component["c7.x2"]
+        assert_matches_full(resolver)
