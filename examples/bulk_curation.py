@@ -38,7 +38,8 @@ def main(n_objects: int = 5_000) -> None:
     report = resolver.run()
     print(
         f"Resolved {report.objects} objects in {report.elapsed_seconds:.3f}s "
-        f"({report.rows_inserted} rows inserted, {report.conflicts} user/object conflicts remain)"
+        f"({report.rows_inserted} rows inserted, "
+        f"{resolver.store.conflict_count()} user/object conflicts remain)"
     )
     print(
         f"Execution: {report.statements} statements in {report.transactions} transaction "

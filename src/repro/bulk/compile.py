@@ -57,6 +57,7 @@ deep chains into far fewer, larger regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import BulkProcessingError
@@ -137,7 +138,7 @@ class CompiledRegion:
         """Statements the same steps cost under sequential replay."""
         return sum(step.statement_count() for step in self.steps)
 
-    @property
+    @cached_property
     def fingerprint(self) -> "str | None":
         """Content key of the per-store compiled-statement cache.
 
@@ -150,7 +151,9 @@ class CompiledRegion:
         inputs, not a digest of it: two regions can share a key only when
         they render the same SQL, so the cache can never execute the
         *wrong* statement.  (A digest would also load ``hashlib``, whose
-        OpenSSL binding costs a session process about 3.5 MB.)
+        OpenSSL binding costs a session process about 3.5 MB.)  Computed
+        once per region: a warm materialize reuses the engine's cached
+        regions, so the rendering is not rebuilt on every run.
         """
         if self.kind == "replay":
             return None
@@ -174,7 +177,14 @@ class CompiledRegion:
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """A :class:`ResolutionPlan` partitioned into compiled regions."""
+    """A :class:`ResolutionPlan` partitioned into compiled regions.
+
+    Everything a run derives from the plan alone — the region schedule, the
+    replay statement count, the plan DAG's stage count — is computed once
+    per compiled plan and cached on it.  The instance is frozen and a
+    patched plan gets a new one (:func:`~repro.bulk.planpatch
+    .splice_compiled`), so the caches never outlive the plan they describe.
+    """
 
     plan: ResolutionPlan
     regions: Tuple[CompiledRegion, ...]
@@ -183,13 +193,32 @@ class CompiledPlan:
     def region_count(self) -> int:
         return len(self.regions)
 
+    @cached_property
+    def schedule(self) -> "RegionSchedule":
+        """The region dependency DAG (see :func:`region_schedule`)."""
+        return region_schedule(self)
+
+    @cached_property
+    def dag_stages(self) -> int:
+        """Critical-path length of the plan's step DAG.
+
+        Only the integer is kept, not the :class:`~repro.bulk.planner
+        .PlanDag`: compiled runs schedule regions, so the step DAG would be
+        dead weight for as long as the plan stays cached.
+        """
+        return self.plan.dag().stage_count
+
     def statement_count(self) -> int:
         """Statements the compiled execution issues on a capable engine."""
         return sum(region.statement_count() for region in self.regions)
 
+    @cached_property
+    def _replay_statements(self) -> int:
+        return sum(region.replay_statement_count() for region in self.regions)
+
     def replay_statement_count(self) -> int:
         """Statements sequential replay of the same plan issues."""
-        return sum(region.replay_statement_count() for region in self.regions)
+        return self._replay_statements
 
     def statements_saved(self) -> int:
         """Round trips avoided per lane by compiling (never negative)."""

@@ -76,9 +76,7 @@ from repro.bulk.compile import (
     CompiledPlan,
     CompiledRegion,
     RegionLimits,
-    RegionSchedule,
     compile_plan,
-    region_schedule,
 )
 from repro.faults.retry import RetryPolicy
 from repro.obs.trace import NULL_TRACER, interval_union
@@ -129,10 +127,9 @@ class BulkRunReport:
     statements: int
     rows_inserted: int
     elapsed_seconds: float
-    conflicts: int
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     transactions: int = 1
-    index_strategy: str = "baseline"
+    index_strategy: str = "covering"
     backend: str = "sqlite-memory"
     grouped_plan: bool = True
     #: Number of data partitions the run executed over (1 = unsharded).
@@ -604,8 +601,6 @@ class _PlanExecutor:
         self._pool_workers = pool_workers
         self._dag: Optional[PlanDag] = None
         self._compiled_plan = compiled_plan
-        self._region_plan: Optional[RegionSchedule] = None
-        self._region_plan_for: Optional[CompiledPlan] = None
         self.tracer = NULL_TRACER if tracer is None else tracer
 
     def _attach_store(self, store) -> None:
@@ -701,6 +696,16 @@ class _PlanExecutor:
             self._dag = self.plan.dag()
         return self._dag
 
+    def _dag_stages(self) -> int:
+        """Critical-path length of the plan's step DAG, for the run report.
+
+        Compiled runs read it from the compiled plan, which caches it;
+        replay runs lower the DAG anyway to schedule it.
+        """
+        if self._scheduler == "compiled":
+            return self.compiled.dag_stages
+        return self.dag.stage_count
+
     @property
     def compiled(self) -> CompiledPlan:
         """The plan's region partition (compiled once, cached).
@@ -723,15 +728,6 @@ class _PlanExecutor:
         if capacity is None:
             return RegionLimits()
         return RegionLimits.for_bind_params(capacity)
-
-    @property
-    def region_plan(self) -> RegionSchedule:
-        """The compiled plan's region dependency DAG (derived once, cached)."""
-        compiled = self.compiled
-        if self._region_plan is None or self._region_plan_for is not compiled:
-            self._region_plan = region_schedule(compiled)
-            self._region_plan_for = compiled
-        return self._region_plan
 
     def _counters_before(self) -> Dict[str, int]:
         store = self.store
@@ -797,7 +793,6 @@ class _PlanExecutor:
             statements=store.bulk_statements - statements_before,
             rows_inserted=rows,
             elapsed_seconds=elapsed,
-            conflicts=store.conflict_count(),
             phase_seconds=phase_seconds,
             transactions=store.transactions - transactions_before,
             index_strategy=store.index_strategy.name,
@@ -851,7 +846,6 @@ class _PlanExecutor:
             statements=store.bulk_statements - statements_before,
             rows_inserted=rows,
             elapsed_seconds=elapsed,
-            conflicts=store.conflict_count(),
             phase_seconds=clock.seconds(),
             transactions=store.transactions - transactions_before,
             index_strategy=store.index_strategy.name,
@@ -1059,7 +1053,7 @@ class _PlanExecutor:
         pool_counters = (store.pool_checkouts, store.pool_wait_seconds)
         run_span, metrics_before = self._trace_begin(compiled=True, pooled=True)
         compiled = self.compiled
-        schedule = self.region_plan
+        schedule = compiled.schedule
         markers = compiled.journal_markers()
         stage_of = [0] * schedule.region_count
         for level, stage in enumerate(schedule.stages):
@@ -1155,13 +1149,12 @@ class _PlanExecutor:
             statements=statements,
             rows_inserted=sum(totals),
             elapsed_seconds=elapsed,
-            conflicts=store.conflict_count(),
             phase_seconds=clock.seconds(),
             transactions=store.transactions - transactions_before,
             index_strategy=store.index_strategy.name,
             backend=store.backend_name,
             grouped_plan=self.plan.grouped,
-            dag_stages=self.dag.stage_count,
+            dag_stages=compiled.dag_stages,
             scheduler=self._scheduler,
             workers=pool_workers,
             stages_overlapped=tracker.overlapped,
@@ -1184,7 +1177,7 @@ class _PlanExecutor:
 
         The plan's region partition (:attr:`compiled`) executes inside the
         usual single run transaction — in plan order with one worker, or
-        concurrently over the region dependency DAG (:attr:`region_plan`)
+        concurrently over the region dependency DAG (``compiled.schedule``)
         with ``workers=N`` on stores whose driver serializes concurrent
         statements.  Any dependency-respecting order is byte-identical (a
         region only reads users closed by regions it depends on).  Regions
@@ -1205,7 +1198,7 @@ class _PlanExecutor:
         fault_counters = self._counters_before()
         run_span, metrics_before = self._trace_begin(compiled=True)
         compiled = self.compiled
-        schedule = self.region_plan
+        schedule = compiled.schedule
         stage_of = [0] * schedule.region_count
         for level, stage in enumerate(schedule.stages):
             for index in stage:
@@ -1285,13 +1278,12 @@ class _PlanExecutor:
             statements=statements,
             rows_inserted=rows,
             elapsed_seconds=elapsed,
-            conflicts=store.conflict_count(),
             phase_seconds=clock.seconds(),
             transactions=store.transactions - transactions_before,
             index_strategy=store.index_strategy.name,
             backend=store.backend_name,
             grouped_plan=self.plan.grouped,
-            dag_stages=self.dag.stage_count,
+            dag_stages=compiled.dag_stages,
             scheduler=self._scheduler,
             workers=workers,
             stages_overlapped=tracker.overlapped,
@@ -1355,13 +1347,12 @@ class _PlanExecutor:
             statements=statements,
             rows_inserted=rows,
             elapsed_seconds=elapsed,
-            conflicts=store.conflict_count(),
             phase_seconds=clock.seconds(),
             transactions=store.transactions - transactions_before,
             index_strategy=store.index_strategy.name,
             backend=store.backend_name,
             grouped_plan=self.plan.grouped,
-            dag_stages=self.dag.stage_count,
+            dag_stages=compiled.dag_stages,
             scheduler=self._scheduler,
             workers=1,
             checkpointed=True,
@@ -1612,7 +1603,7 @@ class ConcurrentBulkResolver(BulkResolver):
         regions_compiled = 0
         try:
             if self._scheduler == "compiled":
-                schedule = self.region_plan
+                schedule = self.compiled.schedule
                 stage_of = [0] * schedule.region_count
                 for level, stage in enumerate(schedule.stages):
                     for region_index in stage:
@@ -1673,7 +1664,7 @@ class ConcurrentBulkResolver(BulkResolver):
             # Compiled runs schedule regions, not steps: overlap counts
             # against the region-level layering.
             tracker = _OverlapTracker(
-                self.region_plan.stages, lanes=len(store.shards)
+                self.compiled.schedule.stages, lanes=len(store.shards)
             )
         else:
             tracker = _OverlapTracker(self.dag.stages, lanes=len(store.shards))
@@ -1751,7 +1742,6 @@ class ConcurrentBulkResolver(BulkResolver):
             statements=statements,
             rows_inserted=rows,
             elapsed_seconds=elapsed,
-            conflicts=store.conflict_count(),
             phase_seconds=clock.seconds(),
             transactions=store.transactions - transactions_before,
             index_strategy=store.index_strategy.name,
@@ -1759,7 +1749,7 @@ class ConcurrentBulkResolver(BulkResolver):
             grouped_plan=self.plan.grouped,
             shards=len(store.shards),
             per_shard_seconds=per_shard_seconds,
-            dag_stages=self.dag.stage_count,
+            dag_stages=self._dag_stages(),
             scheduler=self._scheduler,
             workers=len(store.shards) if concurrent else 1,
             stages_overlapped=tracker.overlapped,
@@ -1797,8 +1787,8 @@ class ConcurrentBulkResolver(BulkResolver):
             compiled=self._scheduler == "compiled", recovery=True
         )
         tracer = self.tracer
-        dag = self.dag
         compiled = self.compiled if self._scheduler == "compiled" else None
+        dag = self.dag if compiled is None else None
         healthy = [
             (index, shard)
             for index, shard in enumerate(store.shards)
@@ -1915,7 +1905,6 @@ class ConcurrentBulkResolver(BulkResolver):
             statements=statements,
             rows_inserted=rows,
             elapsed_seconds=elapsed,
-            conflicts=store.conflict_count(),
             phase_seconds=clock.seconds(),
             transactions=store.transactions - transactions_before,
             index_strategy=store.index_strategy.name,
@@ -1923,7 +1912,7 @@ class ConcurrentBulkResolver(BulkResolver):
             grouped_plan=self.plan.grouped,
             shards=len(store.shards),
             per_shard_seconds=per_shard_seconds,
-            dag_stages=dag.stage_count,
+            dag_stages=self._dag_stages(),
             scheduler=self._scheduler,
             workers=lanes if concurrent else 1,
             checkpointed=True,

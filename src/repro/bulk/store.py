@@ -375,8 +375,8 @@ class PossStore(_PossStatements):
         A :class:`~repro.bulk.backends.SqlBackend`; overrides ``path``.
     index_strategy:
         An :class:`~repro.bulk.backends.IndexStrategy` (or its name) fixing
-        the physical design of the relation; defaults to the seed's
-        ``baseline`` strategy.  See the Figure 8c index sweep.
+        the physical design of the relation; defaults to the single
+        ``covering`` index.  See the Figure 8c index sweep.
     retry_policy:
         The :class:`~repro.faults.retry.RetryPolicy` the statement funnel
         runs under; defaults to :meth:`RetryPolicy.default` (six attempts,

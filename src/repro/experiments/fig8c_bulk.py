@@ -113,10 +113,13 @@ from repro.workloads.bulkload import (
 def _bulk_report(
     n_objects: int,
     seed: int,
-    index_strategy: str = "baseline",
+    index_strategy: Optional[str] = None,
     group_copies: bool = True,
 ) -> BulkRunReport:
-    """One bulk run over the Figure 19 network, returning its full report."""
+    """One bulk run over the Figure 19 network, returning its full report.
+
+    ``index_strategy=None`` takes the store's default physical design.
+    """
     network = figure19_network()
     store = PossStore(index_strategy=index_strategy)
     resolver = BulkResolver(

@@ -36,7 +36,7 @@ class TestIndexStrategies:
     def test_resolve_by_name_object_and_default(self):
         assert resolve_index_strategy("covering") is COVERING_INDEX
         assert resolve_index_strategy(NO_INDEXES) is NO_INDEXES
-        assert resolve_index_strategy(None) is BASELINE_INDEXES
+        assert resolve_index_strategy(None) is COVERING_INDEX
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(BulkProcessingError):
@@ -54,21 +54,37 @@ class TestIndexStrategies:
             assert store.index_strategy.name == name
 
     def test_reopening_with_a_different_strategy_drops_stale_indexes(self, tmp_path):
+        def poss_indexes(store):
+            cursor = store._connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index' "
+                "AND name LIKE 'POSS%'"
+            )
+            return {row[0] for row in cursor.fetchall()}
+
         path = str(tmp_path / "poss.db")
         with PossStore(path=path, index_strategy="baseline"):
             pass
         with PossStore(path=path, index_strategy="none") as store:
-            cursor = store._connection.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'index' "
-                "AND name LIKE 'POSS%'"
-            )
-            assert cursor.fetchall() == []
+            assert poss_indexes(store) == set()
         with PossStore(path=path, index_strategy="covering") as store:
-            cursor = store._connection.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'index' "
-                "AND name LIKE 'POSS%'"
-            )
-            assert {row[0] for row in cursor.fetchall()} == {"POSS_COVER"}
+            assert poss_indexes(store) == {"POSS_COVER"}
+
+        # The upgrade path: a store created under the old default
+        # (``baseline``) and reopened with the new one keeps its rows and
+        # answers, on the single covering index.
+        upgraded = str(tmp_path / "upgraded.db")
+        with PossStore(path=upgraded, index_strategy="baseline") as store:
+            store.insert_explicit_beliefs([("z", "k1", "v"), ("z", "k2", "w")])
+            store.copy_to_children("z", ["x", "y"])
+            assert poss_indexes(store) == set(BASELINE_INDEXES.index_names)
+            before = sorted(store.possible_table())
+        with PossStore(path=upgraded) as store:
+            assert poss_indexes(store) == {"POSS_COVER"}
+            assert store.index_strategy is COVERING_INDEX
+            assert store.row_count() == 6
+            assert sorted(store.possible_table()) == before
+            assert store.possible_values("x", "k1") == frozenset({"v"})
+            assert store.possible_values("y", "k2") == frozenset({"w"})
 
     @pytest.mark.parametrize("name", sorted(INDEX_STRATEGIES))
     def test_bulk_statements_work_under_every_strategy(self, name):

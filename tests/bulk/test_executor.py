@@ -90,10 +90,10 @@ class TestBulkResolver:
                 ("x4", "clash", "w"),
             ]
         )
-        report = resolver.run()
+        resolver.run()
         assert resolver.certain_values("x1", "agree") == frozenset({"same"})
         assert resolver.certain_values("x1", "clash") == frozenset()
-        assert report.conflicts > 0
+        assert resolver.store.conflict_count() > 0
         resolver.store.close()
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.bulk.store import BOTTOM_VALUE, PossRow, PossStore
@@ -182,3 +184,70 @@ class TestShardedDeltaStatements:
             assert shard.possible_values("u", f"k{i}") == frozenset({"v"})
         assert store.row_count() == 8
         store.close()
+
+
+#: Every store statement that reads or deletes individual users' rows, by
+#: name: the read path, the replay statements, the compiled region shapes
+#: and the delta flush.
+_PER_USER_STATEMENTS = {
+    "possible_values": lambda s: s.possible_values("z", "k1"),
+    "copy_from_parent": lambda s: s.copy_from_parent("a", "z"),
+    "copy_to_children": lambda s: s.copy_to_children("z", ["b", "c"]),
+    "flood_component": lambda s: s.flood_component(["m1", "m2"], ["z", "q"]),
+    "flood_component_skeptic": lambda s: s.flood_component_skeptic(
+        ["n1", "n2"], ["z", "q"], {"n1": ["v"]}
+    ),
+    "copy_region": lambda s: s.copy_region([("d", "z"), ("e", "d")]),
+    "flood_stage": lambda s: s.flood_stage([("f", "z"), ("f", "q"), ("g", "z")]),
+    "blocked_flood": lambda s: s.blocked_flood(
+        [("h", "z"), ("h", "q")], [("h", "v")]
+    ),
+    "delete_user_rows": lambda s: s.delete_user_rows(["z", "q"]),
+    "delete_user_rows_for_key": lambda s: s.delete_user_rows(["z"], key="k1"),
+    "discard_user_rows": lambda s: s.discard_user_rows(["q"]),
+}
+
+
+class TestPlanShape:
+    """Under the default physical design no per-user statement scans POSS.
+
+    Every such statement filters on ``X`` or ``(X, K)``, so each of its
+    reads of ``POSS`` must be a search of the ``(X, K, V)`` index (a
+    covering search for reads; the deletes search the same index for the
+    rowids they remove).  A schema change that turns one of these probes
+    into a table scan fails here rather than only as a slower benchmark.
+    """
+
+    @pytest.mark.parametrize("name", sorted(_PER_USER_STATEMENTS))
+    def test_statement_searches_the_covering_index(self, name, store, monkeypatch):
+        store.insert_explicit_beliefs(
+            [("z", "k1", "v"), ("z", "k2", "w"), ("q", "k1", "u"), ("q", "k2", "u")]
+        )
+        issued = []
+        execute = store._execute
+
+        def recording(sql, parameters=(), rendered=None):
+            issued.append((rendered or sql, tuple(parameters)))
+            return execute(sql, parameters, rendered)
+
+        monkeypatch.setattr(store, "_execute", recording)
+        _PER_USER_STATEMENTS[name](store)
+        statements = [(sql, params) for sql, params in issued if "POSS " in sql]
+        assert statements
+        for sql, params in statements:
+            plan = [
+                row[3]
+                for row in store._connection.execute(
+                    "EXPLAIN QUERY PLAN " + sql, params
+                )
+            ]
+            reads = len(re.findall(r"\b(?:FROM|JOIN) POSS\b", sql))
+            searches = [
+                line
+                for line in plan
+                if re.match(r"SEARCH \w+ USING (COVERING )?INDEX POSS_COVER \(X=", line)
+            ]
+            assert len(searches) == reads, (sql, plan)
+            assert not any(line.startswith("SCAN POSS") for line in plan), plan
+            if not sql.startswith("DELETE"):
+                assert all("COVERING INDEX" in line for line in searches), plan

@@ -187,7 +187,7 @@ class TestReportConfiguration:
     def test_report_names_backend_strategy_and_phases(self, loaded_resolver):
         report = loaded_resolver.run()
         assert report.backend == "sqlite-memory"
-        assert report.index_strategy == "baseline"
+        assert report.index_strategy == "covering"
         assert report.grouped_plan is True
         assert set(report.phase_seconds) == {"copy", "flood"}
         assert all(value >= 0.0 for value in report.phase_seconds.values())
@@ -195,7 +195,7 @@ class TestReportConfiguration:
         assert sum(report.phase_seconds.values()) <= report.elapsed_seconds
 
     def test_report_reflects_custom_store_configuration(self):
-        store = PossStore(index_strategy="covering")
+        store = PossStore(index_strategy="baseline")
         resolver = BulkResolver(
             figure19_network(),
             store=store,
@@ -204,6 +204,6 @@ class TestReportConfiguration:
         )
         resolver.load_beliefs(generate_objects(5, seed=1))
         report = resolver.run()
-        assert report.index_strategy == "covering"
+        assert report.index_strategy == "baseline"
         assert report.grouped_plan is False
         store.close()

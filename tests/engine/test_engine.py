@@ -418,6 +418,75 @@ class TestDeferredPlanMaintenance:
             assert _store_rows(engine) == _memory_rows(engine)
 
 
+@pytest.fixture
+def plan_derivations(monkeypatch):
+    """Count the lowerings of a plan to its step DAG and region schedule."""
+    import repro.bulk.compile as compile_module
+    import repro.bulk.planner as planner_module
+
+    calls = {"plan_dag": 0, "region_schedule": 0}
+    for module, name in ((planner_module, "plan_dag"), (compile_module, "region_schedule")):
+
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestWarmMaterialize:
+    """A warm compiled materialize runs its SQL and little else."""
+
+    def test_unchanged_engine_derives_the_plan_once(self, plan_derivations):
+        from repro.workloads.oscillators import oscillator_network
+
+        with ResolutionEngine.open(oscillator_network(6), keys=("k0", "k1")) as engine:
+            traced = []
+            engine.store._connection.set_trace_callback(traced.append)
+            reports = [engine.materialize(compiled=True) for _ in range(4)]
+            engine.store._connection.set_trace_callback(None)
+            assert [report.plan_source for report in reports] == ["fresh"] + ["cached"] * 3
+            assert plan_derivations == {"plan_dag": 1, "region_schedule": 1}
+            assert len({(r.dag_stages, r.statements_saved) for r in reports}) == 1
+            assert reports[0].dag_stages > 0
+            # No post-run conflict scan (or any other aggregate) runs.
+            assert traced
+            assert not [sql for sql in traced if "GROUP BY" in sql.upper()]
+            assert _store_rows(engine) == _memory_rows(engine)
+
+    def test_a_spliced_plan_is_derived_once_more(self, plan_derivations):
+        from repro.bulk.compile import compile_plan
+
+        with ResolutionEngine.open(_padded(_chain_network())) as engine:
+            before = engine.materialize(compiled=True)
+            assert engine.apply(AddTrust("d", "c", 1)).plan_source == "pending"
+            counts = dict(plan_derivations)
+            after = [engine.materialize(compiled=True) for _ in range(3)]
+            assert [report.plan_source for report in after] == [
+                "patched",
+                "cached",
+                "cached",
+            ]
+            assert plan_derivations == {
+                name: count + 1 for name, count in counts.items()
+            }
+            # The splice keeps the old regions, so it may issue more
+            # statements than a fresh compilation; what it derives from the
+            # plan must still be the fresh values.
+            fresh = compile_plan(engine.plan, limits=engine._region_limits())
+            for report in after:
+                assert report.dag_stages == fresh.dag_stages
+                assert report.statements_saved == (
+                    fresh.replay_statement_count() - report.statements
+                )
+            assert (after[0].dag_stages, after[0].statements_saved) != (
+                before.dag_stages,
+                before.statements_saved,
+            )
+            assert _store_rows(engine) == _memory_rows(engine)
+
+
 _VALUES = ("v1", "v2", "v3")
 
 

@@ -108,6 +108,11 @@ class TestCrashAndResumeAtRegionBoundaries:
         re-executes exactly the uncommitted suffix and lands byte-identical
         to the fault-free twin."""
         network = figure19_network()
+        # A cycle below x4 adds a flood region after Figure 19's one copy
+        # region, so a crash can land between two committed regions.
+        network.add_trust("p", "x4", priority=1)
+        network.add_trust("p", "q", priority=1)
+        network.add_trust("q", "p", priority=1)
         objects = generate_objects(6, seed=33)
         expected = _twin_relation(network, objects, serialized_relation)
 
