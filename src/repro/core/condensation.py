@@ -33,7 +33,7 @@ with one int-native Tarjan pass (:func:`repro.core.sccs._tarjan_indexed`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Set, Tuple
 
 from repro.core.sccs import _tarjan_indexed
 
@@ -53,6 +53,16 @@ class Condensation:
     * :attr:`members` — ``component id -> members`` (``None`` for ids that
       were merged away or split);
     * :attr:`rank` — ``component id -> rank`` (``None`` likewise).
+
+    One more map belongs to its users: :attr:`programs`, ``component id ->
+    program``, where the delta resolver keeps the Algorithm 1
+    :class:`~repro.incremental.resolver.UnionProgram` of a multi-node
+    component, shared by every resolver on the network.  The condensation
+    only empties slots: a component's slot goes when an in-edge of one of
+    its members changes (:meth:`drop_program`, called by the network's
+    cache patch) and when the component is merged, split or shrunk, so
+    every slot belongs to a live component and was recorded on its current
+    members and in-edges.
     """
 
     def __init__(self, network: "TrustNetwork") -> None:
@@ -87,6 +97,7 @@ class Condensation:
         )
         self.members = groups
         self.rank: List[Rank | None] = list(zip(range(len(groups))))
+        self.programs: Dict[int, Any] = {}
         #: First element of the next fresh top-level rank.
         self._top = len(groups)
 
@@ -139,16 +150,26 @@ class Condensation:
         cid = self.component.pop(user)
         members = tuple([member for member in self.members[cid] if member != user])
         if not members:
-            self.members[cid] = None
-            self.rank[cid] = None
+            self._retire(cid)
             return
         self.members[cid] = members
+        self.programs.pop(cid, None)
         if len(members) > 1:
             self._recondense(cid)
+
+    def drop_program(self, user: "User") -> None:
+        """Forget the program of ``user``'s component: an in-edge changed."""
+        self.programs.pop(self.component[user], None)
 
     # ------------------------------------------------------------------ #
     # helpers                                                             #
     # ------------------------------------------------------------------ #
+
+    def _retire(self, cid: int) -> None:
+        """A component merged away, split or emptied: free its id's slots."""
+        self.members[cid] = None
+        self.rank[cid] = None
+        self.programs.pop(cid, None)
 
     def _new_component(self, members: Tuple["User", ...], rank: Rank) -> int:
         cid = len(self.members)
@@ -193,9 +214,9 @@ class Condensation:
             for user in moved:
                 component[user] = keep
             merged.extend(moved)
-            self.members[cid] = None
-            self.rank[cid] = None
+            self._retire(cid)
         self.members[keep] = tuple(merged)
+        self.programs.pop(keep, None)
 
     def _recondense(self, cid: int) -> None:
         """Re-run Tarjan over one component's members and split it."""
@@ -217,8 +238,7 @@ class Condensation:
         if len(pieces) == 1:
             return
         base = self.rank[cid]
-        self.members[cid] = None
-        self.rank[cid] = None
+        self._retire(cid)
         component = self.component
         for j, piece in enumerate(reversed(pieces)):
             users = tuple([members[i] for i in piece])

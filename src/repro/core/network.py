@@ -194,6 +194,10 @@ class TrustNetwork:
         if self._preferred_cache is not None:
             self._preferred_cache[child] = self._preferred_parent_of(child)
         self._binary_cache = None
+        # The child's in-edges moved: its component's Algorithm 1 program
+        # (recorded by the delta resolver) no longer describes it.
+        if self._condensation is not None:
+            self._condensation.drop_program(child)
 
     def add_trust(self, child: User, parent: User, priority: int) -> TrustMapping:
         """Convenience wrapper: ``child`` trusts ``parent`` with ``priority``."""

@@ -12,6 +12,16 @@ re-resolution.  The key observations:
   Algorithm 1 run whose closed boundary is the current possible map —
   using the same :class:`~repro.core.sccs.CondensationEngine` that powers
   the batch resolvers.
+* That run's closing order depends only on the component's in-edges and
+  on which external parents are reachable, not on the values (Section 4:
+  one plan serves every object).  A multi-node component's run therefore
+  records a value-free :class:`UnionProgram` as it goes, and later
+  recomputes — for any key of a multi-key session — evaluate it with one
+  union per flood instead of re-running Algorithm 1.  Programs live in
+  slots of the network's condensation, shared by every resolver on it; a
+  program is used only while the component's members tuple and
+  reachability mask are the ones it was recorded for, and the network
+  drops a component's slot whenever an in-edge of a member changes.
 * The network keeps its condensation current under mutation
   (:meth:`TrustNetwork.condensation <repro.core.network.TrustNetwork.condensation>`,
   built when the first resolver on the network is constructed and shared
@@ -376,6 +386,7 @@ class DeltaResolver:
         component = condensation.component
         component_members = condensation.members
         rank = condensation.rank
+        programs = condensation.programs
         outgoing = network.outgoing_map()
         possible = self.possible
         # Components keyed by rank: every edge between two components runs
@@ -394,10 +405,9 @@ class DeltaResolver:
             _rank, cid = heapq.heappop(heap)
             members = component_members[cid]
             recomputed += len(members)
-            new_values = self._recompute_component(members)
-            for member in members:
+            new_values = self._recompute_component(members, programs, cid)
+            for member, new in zip(members, new_values):
                 old = possible.get(member, _EMPTY)
-                new = new_values[member]
                 if new == old:
                     continue
                 possible[member] = new
@@ -417,15 +427,20 @@ class DeltaResolver:
         )
 
     def _recompute_component(
-        self, members: List[User]
-    ) -> Dict[User, FrozenSet[Value]]:
+        self, members: Tuple[User, ...], programs: Dict[int, "UnionProgram"], cid: int
+    ) -> Sequence[FrozenSet[Value]]:
         """Localized Algorithm 1 on one SCC with a closed boundary.
 
-        The component's external parents are closed with their current
-        possible values; parents with empty sets are unreachable and their
-        edges are dropped, with preferred parents re-derived on the
-        survivors — exactly the treatment of
-        :func:`repro.core.resolution.resolve`.
+        Returns the members' new values, in member order.  The component's
+        external parents are closed with their current possible values;
+        parents with empty sets are unreachable and their edges are dropped,
+        with preferred parents re-derived on the survivors — exactly the
+        treatment of :func:`repro.core.resolution.resolve`.
+
+        A multi-node component evaluates its :class:`UnionProgram` from
+        ``programs`` (the network condensation's slots, shared by every
+        resolver on the network) when one is recorded for its current
+        members and reachability mask; otherwise the run below records one.
         """
         incoming = self.network.incoming_map()
         possible = self.possible
@@ -434,27 +449,37 @@ class DeltaResolver:
             member = members[0]
             belief = self.beliefs.get(member)
             if belief is not None:
-                return {member: frozenset((belief,))}
+                return (frozenset((belief,)),)
             surviving = [
                 edge for edge in incoming.get(member, ()) if possible.get(edge.parent)
             ]
             if not surviving:
-                return {member: _EMPTY}
+                return (_EMPTY,)
             if len(surviving) == 1:
-                return {member: possible[surviving[0].parent]}
+                return (possible[surviving[0].parent],)
             first, second = surviving
             if first.priority > second.priority:
-                return {member: possible[first.parent]}
+                return (possible[first.parent],)
             if second.priority > first.priority:
-                return {member: possible[second.parent]}
-            return {member: possible[first.parent] | possible[second.parent]}
+                return (possible[second.parent],)
+            return (possible[first.parent] | possible[second.parent],)
+
+        program = programs.get(cid)
+        if program is not None and program.members is members:
+            values = program.evaluate(possible)
+            if values is not None:
+                return values
 
         # Multi-node SCC.  Members cannot carry beliefs (each has an
         # internal in-edge, and binary networks put beliefs on roots only).
+        # The run works on program nodes: the reachable external parents
+        # first, then one node per flood that unions several others.
         member_index = {member: i for i, member in enumerate(members)}
         m = len(members)
+        # Every external parent, in discovery order -> its engine node id,
+        # or -1 when unreachable.
+        external: Dict[User, int] = {}
         boundary: List[User] = []
-        boundary_index: Dict[User, int] = {}
         parent_ids: List[List[int]] = [[] for _ in range(m)]
         preferred: List[int] = [-1] * m
         internal_successors: List[List[int]] = [[] for _ in range(m)]
@@ -467,13 +492,16 @@ class DeltaResolver:
                     surviving.append((edge.priority, internal))
                     internal_successors[internal].append(i)
                     continue
-                if not possible.get(parent):
-                    continue  # unreachable parent: the edge is dropped
-                parent_id = boundary_index.get(parent)
+                parent_id = external.get(parent)
                 if parent_id is None:
-                    parent_id = m + len(boundary)
-                    boundary_index[parent] = parent_id
-                    boundary.append(parent)
+                    if possible.get(parent):
+                        parent_id = m + len(boundary)
+                        boundary.append(parent)
+                    else:
+                        parent_id = -1
+                    external[parent] = parent_id
+                if parent_id < 0:
+                    continue  # unreachable parent: the edge is dropped
                 surviving.append((edge.priority, parent_id))
             parent_ids[i] = [node for _priority, node in surviving]
             if len(surviving) == 1:
@@ -485,21 +513,27 @@ class DeltaResolver:
                 elif p_second > p_first:
                     preferred[i] = id_second
 
+        mask = tuple([parent_id >= 0 for parent_id in external.values()])
+        leaves = tuple(boundary)
         if not boundary:
             # No external value ever enters the component: every member is
             # unreachable and floods to the empty set.
-            return {member: _EMPTY for member in members}
+            programs[cid] = UnionProgram(members, tuple(external), mask, leaves, (), ())
+            return [_EMPTY] * m
 
         total = m + len(boundary)
-        poss: List[Optional[FrozenSet[Value]]] = [None] * total
+        # Engine node id -> program node; the leaves are program nodes
+        # 0..len(boundary)-1, in discovery order.
+        node_of: List[int] = [-1] * m
+        node_of.extend(range(len(boundary)))
+        node_values: List[FrozenSet[Value]] = [possible[parent] for parent in boundary]
+        floods: List[Tuple[int, ...]] = []
         closed = bytearray(total)
+        closed[m:] = b"\x01" * len(boundary)
         children_pref: List[List[int]] = [[] for _ in range(total)]
         for i in range(m):
             if preferred[i] >= 0:
                 children_pref[preferred[i]].append(i)
-        for k, parent in enumerate(boundary):
-            poss[m + k] = possible[parent]
-            closed[m + k] = 1
 
         engine = CondensationEngine(range(m), internal_successors, m)
         worklist: List[int] = []
@@ -515,7 +549,8 @@ class DeltaResolver:
                 parent = preferred[node]
                 if parent < 0 or not closed[parent]:
                     continue
-                poss[node] = poss[parent]
+                # A preferred copy aliases its parent's node.
+                node_of[node] = node_of[parent]
                 closed[node] = 1
                 open_count -= 1
                 engine.close(node)
@@ -523,17 +558,86 @@ class DeltaResolver:
             if not open_count:
                 break
             scc = engine.pop_minimal()
-            flood_values: Set[Value] = set()
+            sources = {
+                node_of[parent_id]
+                for node in scc
+                for parent_id in parent_ids[node]
+                if closed[parent_id]
+            }
+            if len(sources) == 1:
+                (flood,) = sources
+            else:
+                flood = len(node_values)
+                floods.append(tuple(sources))
+                node_values.append(_EMPTY.union(*[node_values[s] for s in sources]))
             for node in scc:
-                for parent_id in parent_ids[node]:
-                    if closed[parent_id]:
-                        flood_values.update(poss[parent_id])
-            flood = frozenset(flood_values)
-            for node in scc:
-                poss[node] = flood
+                node_of[node] = flood
                 closed[node] = 1
                 open_count -= 1
                 engine.close(node)
                 worklist.extend(children_pref[node])
 
-        return {members[i]: poss[i] for i in range(m)}
+        reads = tuple(node_of[:m])
+        programs[cid] = UnionProgram(
+            members, tuple(external), mask, leaves, tuple(floods), reads
+        )
+        return [node_values[node] for node in reads]
+
+
+class UnionProgram:
+    """Algorithm 1's closing order over one SCC, recorded without values.
+
+    Which members close by a preferred copy and which by a flood, and the
+    order of the floods, depend only on the component's structure and on
+    which external parents are reachable (have a non-empty possible set) —
+    never on the values themselves (Section 4's observation that one plan
+    serves every object).  A program records that order once as *nodes*:
+    the reachable external parents (:attr:`leaves`, in discovery order) are
+    nodes ``0..len(leaves)-1``, and every flood that merges more than one
+    node appends a node holding the union of its :attr:`floods` sources.
+    :attr:`reads` gives each member's node: a preferred copy, or a flood
+    fed by a single node, reads that node's frozenset itself.
+
+    A program is valid for the :attr:`members` tuple it was recorded on
+    (checked by identity: merges and splits make new tuples) and for its
+    reachability :attr:`mask` over :attr:`externals` (every external
+    parent, reachable or not).  The network condensation keeps one per
+    component, for the latest mask, and drops it whenever an in-edge of a
+    member changes (:meth:`~repro.core.condensation.Condensation.drop_program`).
+    """
+
+    __slots__ = ("members", "externals", "mask", "leaves", "floods", "reads")
+
+    def __init__(
+        self,
+        members: Tuple[User, ...],
+        externals: Tuple[User, ...],
+        mask: Tuple[bool, ...],
+        leaves: Tuple[User, ...],
+        floods: Tuple[Tuple[int, ...], ...],
+        reads: Tuple[int, ...],
+    ) -> None:
+        self.members = members
+        self.externals = externals
+        self.mask = mask
+        self.leaves = leaves
+        self.floods = floods
+        self.reads = reads
+
+    def evaluate(
+        self, possible: Mapping[User, FrozenSet[Value]]
+    ) -> Optional[List[FrozenSet[Value]]]:
+        """The members' values under ``possible``, in member order.
+
+        ``None`` when ``possible`` reaches a different set of external
+        parents than the one the program was recorded for.
+        """
+        get = possible.get
+        if tuple(map(bool, map(get, self.externals))) != self.mask:
+            return None
+        if not self.leaves:
+            return [_EMPTY] * len(self.members)
+        values = list(map(get, self.leaves))
+        for sources in self.floods:
+            values.append(_EMPTY.union(*[values[s] for s in sources]))
+        return [values[node] for node in self.reads]

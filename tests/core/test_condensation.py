@@ -8,6 +8,8 @@ to a higher one, an edge inside a component joins equal ranks.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -44,6 +46,26 @@ def assert_condensation_current(network: TrustNetwork) -> None:
         assert cond.rank[parent] < cond.rank[child], edge
 
 
+def fill_program_slots(network: TrustNetwork) -> None:
+    """Give every live component a program slot naming its members."""
+    cond = network.condensation()
+    for cid, members in enumerate(cond.members):
+        if members is not None:
+            cond.programs[cid] = SimpleNamespace(members=members)
+
+
+def assert_program_slots_current(network: TrustNetwork, changed=()) -> None:
+    """Slots only for live components, recorded on their current members;
+    none for the components of ``changed`` (users whose in-edges moved)."""
+    cond = network.condensation()
+    for cid, program in cond.programs.items():
+        assert program.members is cond.members[cid], cid
+    live = sum(members is not None for members in cond.members)
+    assert len(cond.programs) <= live
+    for user in changed:
+        assert cond.component[user] not in cond.programs, user
+
+
 OPS = ("add_trust", "add_trust", "remove_trust", "remove_user", "set_priority", "add_user")
 
 
@@ -72,6 +94,8 @@ def test_condensation_matches_a_fresh_one_after_every_mutation(n, edges, data):
         op = data.draw(st.sampled_from(OPS), label="op")
         users = sorted(network.users)
         mappings = network.mappings
+        fill_program_slots(network)
+        changed = ()
         if op == "add_trust" and len(users) >= 2:
             # Any ordered pair, so some close cycles across components.
             child, parent = data.draw(
@@ -79,21 +103,27 @@ def test_condensation_matches_a_fresh_one_after_every_mutation(n, edges, data):
                 label="pair",
             )
             network.add_trust(child, parent, data.draw(st.integers(1, 5)))
+            changed = (child,)
         elif op == "remove_trust" and mappings:
             # Edges inside a multi-node component split it.
             edge = data.draw(st.sampled_from(mappings), label="edge")
             network.remove_trust(edge.child, edge.parent)
+            changed = (edge.child,)
         elif op == "remove_user" and users:
-            network.remove_user(data.draw(st.sampled_from(users), label="user"))
+            user = data.draw(st.sampled_from(users), label="user")
+            changed = network.children(user)
+            network.remove_user(user)
         elif op == "set_priority" and mappings:
             edge = data.draw(st.sampled_from(mappings), label="edge")
             parallel = [e for e in network.incoming(edge.child) if e.parent == edge.parent]
             if len(parallel) == 1:
                 network.set_priority(edge.child, edge.parent, edge.priority + 1)
+                changed = (edge.child,)
         elif op == "add_user":
             network.add_user(fresh)
             fresh += 1
         assert_condensation_current(network)
+        assert_program_slots_current(network, changed)
 
 
 class TestPatches:
@@ -166,6 +196,63 @@ class TestPatches:
         clone.remove_trust("a", "c")
         assert_condensation_current(network)
         assert_condensation_current(clone)
+
+
+class TestProgramSlots:
+    """The per-component program slots the delta resolver fills."""
+
+    def network(self) -> TrustNetwork:
+        # The cycle a -> b -> c -> a, fed by the root r, feeding d.
+        network = TrustNetwork()
+        for child, parent in (("b", "a"), ("c", "b"), ("a", "c"), ("a", "r"), ("d", "c")):
+            network.add_trust(child, parent, 1)
+        fill_program_slots(network)
+        return network
+
+    def slots(self, network: TrustNetwork):
+        cond = network.condensation()
+        return {frozenset(cond.members[cid]) for cid in cond.programs}
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda network: network.set_priority("a", "r", 5),
+            lambda network: network.set_priority("b", "a", 5),
+            lambda network: network.remove_trust("a", "r"),
+            lambda network: network.add_trust("b", "s", 1),
+        ],
+        ids=["cross-priority", "internal-priority", "cross-remove", "cross-add"],
+    )
+    def test_an_in_edge_change_drops_only_its_components_slot(self, mutate):
+        network = self.network()
+        cond = network.condensation()
+        partition = {frozenset(members) for members in cond.members if members}
+        mutate(network)
+        # None of these splits or merges a component.
+        assert partition <= {frozenset(members) for members in cond.members if members}
+        assert cond.component["a"] not in cond.programs
+        assert self.slots(network) == {frozenset("r"), frozenset("d")}
+        assert_program_slots_current(network)
+
+    def test_an_out_edge_change_keeps_the_parents_slot(self):
+        network = self.network()
+        network.remove_trust("d", "c")
+        assert self.slots(network) == {frozenset("r"), frozenset("abc")}
+
+    def test_merged_and_split_components_start_without_a_slot(self):
+        network = self.network()
+        cond = network.condensation()
+        network.add_trust("r", "d", 1)  # r -> a -> b -> c -> d -> r: a merge
+        assert set(cond.members[cond.component["a"]]) == set("abcdr")
+        assert not cond.programs
+        fill_program_slots(network)
+        network.remove_trust("r", "d")  # ...and its split
+        assert not cond.programs
+        fill_program_slots(network)
+        network.remove_user("b")  # the cycle loses a member: a and c part
+        assert self.slots(network) == {frozenset("r"), frozenset("d")}
+        assert_program_slots_current(network)
+        assert_condensation_current(network)
 
 
 class TestEdgeIndex:

@@ -27,6 +27,7 @@ from repro.incremental import resolver as resolver_module
 from repro.incremental.resolver import DeltaResolver
 from repro.incremental.session import IncrementalSession
 from repro.workloads.oscillators import oscillator_network
+from repro.workloads.powerlaw import WebWorkloadConfig, web_trust_network
 
 
 def assert_matches_full(resolver: DeltaResolver) -> None:
@@ -292,8 +293,9 @@ class TestMaintainedCondensation:
         self.assert_matches_fresh(session)
 
     def test_value_only_batch_on_a_cyclic_graph_condenses_no_region(self, monkeypatch):
-        # Components with cycles re-run Algorithm 1 locally (its own SCC
-        # engine); the walk itself neither builds a region nor condenses.
+        # Components with cycles run Algorithm 1 locally (its own SCC
+        # engine) or evaluate the union program such a run recorded; the
+        # walk itself neither builds a region nor condenses.
         network = oscillator_network(30)
         believers = sorted(network.explicit_beliefs, key=str)
         session = self.session(network, believers)
@@ -305,6 +307,36 @@ class TestMaintainedCondensation:
         )
         session.apply_batch(*self.value_only_batch(believers))
         monkeypatch.undo()
+        self.assert_matches_fresh(session)
+
+    def test_value_only_batch_on_other_keys_reuses_the_component_programs(
+        self, monkeypatch
+    ):
+        # Every key has the same believers, hence the same reachability
+        # masks: the warm-up batch records the union program of each SCC it
+        # recomputes, and the keys of the next batch only evaluate them.
+        network = web_trust_network(WebWorkloadConfig(n_domains=100, seed=3))
+        cond = network.condensation()
+        big = max((m for m in cond.members if m), key=len)
+        assert len(big) > 10
+        believers = sorted(network.explicit_beliefs, key=str)
+        session = self.session(network, believers)
+        session.apply_batch(*self.value_only_batch(believers))
+        keys = [self.KEYS[(7 * i + 3) % len(self.KEYS)] for i in range(len(believers))]
+        before = {key: [session.resolver(key).possible[u] for u in big] for key in keys}
+        forbid(monkeypatch, (sccs_module, "CondensationEngine"))
+        session.apply_batch(
+            *[
+                SetBelief(user, f"newer{i}", key=key)
+                for i, (user, key) in enumerate(zip(believers, keys))
+            ]
+        )
+        monkeypatch.undo()
+        # The big component was recomputed, not merely skipped.
+        assert any(
+            [session.resolver(key).possible[u] for u in big] != before[key]
+            for key in keys
+        )
         self.assert_matches_fresh(session)
 
     def test_structural_delta_touches_only_its_own_cluster(self, monkeypatch):
