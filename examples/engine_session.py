@@ -4,7 +4,7 @@ The earlier examples drive each path separately — ``bulk_curation.py`` the
 Section 4 SQL replay, ``update_reconciliation.py`` the delta resolvers.
 This one runs the same story through the unified façade
 (:class:`repro.engine.ResolutionEngine`): open an engine over a sharded
-store, materialize the relation through the pipelined bulk plan, absorb a
+store, materialize the relation through the bulk plan, absorb a
 high-rate burst of updates as one coalesced batch, and answer point
 queries — watching the engine patch its plan instead of re-planning.
 

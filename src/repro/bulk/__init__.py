@@ -12,11 +12,10 @@ The package splits the bulk path into four layers:
   child stores with all-or-nothing per-shard transactions;
 * :mod:`repro.bulk.backends` — pluggable SQL engines, index strategies and
   shard routing (:class:`ShardSpec`) behind the store;
-* :mod:`repro.bulk.executor` — replays a plan's DAG against a store inside
-  one transaction through the pipelined stage scheduler (dependency
-  work-queue, no stage barriers) and reports instrumentation;
-  :class:`ConcurrentBulkResolver` scatter/gathers the replay across the
-  shards;
+* :mod:`repro.bulk.executor` — executes a plan region by region against
+  a store inside one transaction (or one per region under a checkpoint)
+  through a single run loop and reports instrumentation;
+  :class:`ConcurrentBulkResolver` runs that loop on every shard;
 * :mod:`repro.bulk.planpatch` — patches a plan's affected region after a
   structural delta instead of re-planning the network
   (:func:`patch_plan`, consumed by :class:`repro.engine.ResolutionEngine`);
@@ -24,8 +23,9 @@ The package splits the bulk path into four layers:
   contiguous *regions* (:func:`compile_plan`): runs of acyclic copies
   collapse into one recursive-CTE statement each, flood steps into one
   window-function stage each, with statement-at-a-time replay as the
-  per-region fallback on dialects that lack the feature.  The ``compiled``
-  scheduler in :mod:`repro.bulk.executor` drives them;
+  per-region fallback on dialects that lack the feature.  The ``replay``
+  scheduler lowers a plan to one-step replay regions instead; the run loop
+  in :mod:`repro.bulk.executor` executes either;
   :func:`splice_compiled` carries a compiled plan across a patch.
 """
 
@@ -48,9 +48,7 @@ from repro.bulk.compile import (
     CompiledPlan,
     CompiledRegion,
     RegionLimits,
-    RegionSchedule,
     compile_plan,
-    region_schedule,
 )
 from repro.bulk.executor import (
     SCHEDULERS,
@@ -58,7 +56,6 @@ from repro.bulk.executor import (
     BulkRunReport,
     ConcurrentBulkResolver,
     SkepticBulkResolver,
-    replay_dag,
 )
 from repro.bulk.planner import (
     CopyStep,
@@ -98,7 +95,6 @@ __all__ = [
     "PossRow",
     "PossStore",
     "RegionLimits",
-    "RegionSchedule",
     "ResolutionPlan",
     "SCHEDULERS",
     "ShardSpec",
@@ -114,8 +110,6 @@ __all__ = [
     "plan_resolution",
     "plan_skeptic_resolution",
     "probe_max_bind_params",
-    "region_schedule",
-    "replay_dag",
     "sqlite_max_bind_params",
     "resolve_dialect",
     "splice_compiled",

@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import bisect
 import sqlite3
-import threading
-import time
 import zlib
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.errors import (
     BackendError,
@@ -328,153 +326,6 @@ def sqlite_max_bind_params() -> int:
 
 
 # --------------------------------------------------------------------------- #
-# connection pooling                                                           #
-# --------------------------------------------------------------------------- #
-
-#: Size of the lazily created default pool behind ``SqlBackend.checkout()``.
-DEFAULT_POOL_SIZE = 4
-
-#: How long ``checkout()`` blocks on an exhausted pool before declaring the
-#: backend unavailable.  Generous: exhaustion in this codebase means another
-#: worker holds a connection over a region transaction, which completes in
-#: milliseconds — a multi-second wait signals a leak or a wedged worker.
-DEFAULT_CHECKOUT_TIMEOUT = 30.0
-
-
-class ConnectionPool:
-    """A bounded pool of per-worker connections over one backend.
-
-    Connections are opened lazily through ``backend.pool_connect()`` (which
-    applies any per-worker tuning, e.g. the WAL pragmas of
-    :class:`SqliteFileBackend`), capped at ``size``.  :meth:`checkout`
-    blocks when every connection is out — it never over-allocates — and
-    raises :class:`~repro.core.errors.BackendUnavailable` once ``timeout``
-    elapses.  :meth:`close` drains the idle connections but refuses to run
-    while any connection is still checked out: a leaked checkout is a
-    programming error and fails loudly instead of being swept under the rug.
-
-    Lifecycle counters (``checkouts``, ``in_use``, ``in_use_peak``,
-    ``wait_seconds``) feed the store's pool gauges and the
-    ``pool.checkouts`` / ``pool.wait_seconds`` metrics.
-    """
-
-    def __init__(
-        self,
-        backend: "SqlBackend",
-        size: int,
-        timeout: float = DEFAULT_CHECKOUT_TIMEOUT,
-    ) -> None:
-        if size < 1:
-            raise BulkProcessingError("a connection pool needs at least one slot")
-        self.backend = backend
-        self.size = size
-        self.timeout = timeout
-        self._condition = threading.Condition()
-        self._idle: List[Any] = []
-        self._out: Dict[int, Any] = {}
-        self._opened = 0
-        self._closed = False
-        self.checkouts = 0
-        self.in_use_peak = 0
-        self.wait_seconds = 0.0
-
-    @property
-    def in_use(self) -> int:
-        """How many connections are currently checked out."""
-        with self._condition:
-            return len(self._out)
-
-    def checkout(self, timeout: Optional[float] = None) -> Any:
-        """Borrow a connection, blocking while the pool is exhausted.
-
-        Raises :class:`~repro.core.errors.BackendUnavailable` if no
-        connection frees up within ``timeout`` (default: the pool's), and
-        :class:`~repro.core.errors.BulkProcessingError` on a closed pool.
-        """
-        limit = self.timeout if timeout is None else timeout
-        deadline = time.monotonic() + limit
-        waited_from = time.monotonic()
-        with self._condition:
-            while True:
-                if self._closed:
-                    raise BulkProcessingError(
-                        "checkout from a closed connection pool"
-                    )
-                if self._idle:
-                    connection = self._idle.pop()
-                    break
-                if self._opened < self.size:
-                    self._opened += 1
-                    try:
-                        connection = self.backend.pool_connect()
-                    except BaseException:
-                        self._opened -= 1
-                        self._condition.notify()
-                        raise
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._condition.wait(remaining):
-                    raise BackendUnavailable(
-                        f"connection pool exhausted: all {self.size} "
-                        f"connections stayed checked out for {limit:.1f}s"
-                    )
-            self._out[id(connection)] = connection
-            self.checkouts += 1
-            self.wait_seconds += time.monotonic() - waited_from
-            self.in_use_peak = max(self.in_use_peak, len(self._out))
-        return connection
-
-    def checkin(self, connection: Any) -> None:
-        """Return a borrowed connection; rejects strangers loudly."""
-        with self._condition:
-            if self._out.pop(id(connection), None) is None:
-                raise BulkProcessingError(
-                    "checkin of a connection this pool never handed out"
-                )
-            if self._closed:
-                try:
-                    connection.close()
-                except Exception:
-                    pass
-            else:
-                self._idle.append(connection)
-            self._condition.notify()
-
-    @contextmanager
-    def connection(self, timeout: Optional[float] = None) -> Iterator[Any]:
-        """Context-managed checkout: checkin happens even on exception."""
-        connection = self.checkout(timeout)
-        try:
-            yield connection
-        finally:
-            self.checkin(connection)
-
-    def close(self) -> None:
-        """Close every idle connection; fail loudly on leaked checkouts."""
-        with self._condition:
-            if self._out:
-                raise BulkProcessingError(
-                    f"connection pool closed with {len(self._out)} "
-                    "connection(s) still checked out — checkin every "
-                    "checkout (use pool.connection()) before closing"
-                )
-            self._closed = True
-            idle, self._idle = self._idle, []
-            self._opened -= len(idle)
-        for connection in idle:
-            try:
-                connection.close()
-            except Exception:
-                pass
-
-    def __repr__(self) -> str:
-        return (
-            f"ConnectionPool(backend={self.backend!r}, size={self.size}, "
-            f"in_use={self.in_use})"
-        )
-
-
-# --------------------------------------------------------------------------- #
 # connection backends                                                          #
 # --------------------------------------------------------------------------- #
 
@@ -499,32 +350,6 @@ class SqlBackend:
     #: its own thread; shards on backends without this capability fall back
     #: to sequential replay.
     supports_concurrent_replay: bool = False
-
-    #: Whether one connection tolerates statements issued from *several*
-    #: threads at once (the driver serializes internally).  This is the
-    #: "concurrent writers" capability the pipelined executor needs to
-    #: overlap independent DAG stages on a single store: with it, worker
-    #: threads issue ready statements directly; without it, the executor
-    #: serializes statement execution behind a lock (scheduling still
-    #: overlaps, statements do not).
-    supports_concurrent_statements: bool = False
-
-    #: Whether :meth:`pool_connect` yields connections that all see the
-    #: *same* database, so a pool of per-worker connections is sound.
-    #: False for the memory backend (each ``connect()`` opens a private
-    #: ``:memory:`` database) and for unknown engines.
-    supports_pooling: bool = False
-
-    #: Whether several pooled connections may hold write transactions at
-    #: once (MVCC engines like PostgreSQL).  sqlite allows exactly one
-    #: writer per database, so the pooled executor routes its write phases
-    #: through a token when this is False.
-    supports_concurrent_writes: bool = False
-
-    #: Statement a pooled worker issues to open a region transaction.
-    #: sqlite overrides with ``BEGIN IMMEDIATE`` to take the write lock up
-    #: front instead of failing mid-region on lock upgrade.
-    pool_begin_sql: str = "BEGIN"
 
     #: Per-instance memo for :attr:`max_bind_params` (``None`` = unprobed).
     _probed_bind_params: Optional[int] = None
@@ -560,8 +385,8 @@ class SqlBackend:
         engine reporting its real capacity compiles deep chains into
         fewer, larger statements.  The probe
         (:meth:`_probe_max_bind_params`) runs at most once per backend
-        instance — every store constructed over the same backend, and
-        every connection the pool opens, reuses the memoized answer.
+        instance — every store constructed over the same backend reuses
+        the memoized answer.
         """
         if self._probed_bind_params is None:
             self._probed_bind_params = self._probe_max_bind_params()
@@ -579,50 +404,6 @@ class SqlBackend:
     def connect(self) -> Any:
         """Open and return a DB-API 2.0 connection."""
         raise NotImplementedError
-
-    def pool_connect(self) -> Any:
-        """Open one *pooled* (per-worker) connection.
-
-        Defaults to :meth:`connect`; backends override to apply per-worker
-        tuning (e.g. WAL pragmas) that the primary connection may not want.
-        """
-        return self.connect()
-
-    def create_pool(
-        self,
-        size: int = DEFAULT_POOL_SIZE,
-        timeout: float = DEFAULT_CHECKOUT_TIMEOUT,
-    ) -> ConnectionPool:
-        """A bounded :class:`ConnectionPool` over this backend."""
-        if not self.supports_pooling:
-            raise BulkProcessingError(
-                f"backend {self.name!r} does not support connection pooling "
-                "(its connections do not share one database)"
-            )
-        return ConnectionPool(self, size, timeout)
-
-    def checkout(self, timeout: Optional[float] = None) -> Any:
-        """Borrow a connection from this backend's lazily created pool.
-
-        The convenience face of the pool protocol: the first call creates
-        a default-sized pool (:data:`DEFAULT_POOL_SIZE`), and every
-        checkout must be paired with :meth:`checkin`.  Executors that need
-        a specific size call :meth:`create_pool` instead.
-        """
-        pool = self.__dict__.get("_default_pool")
-        if pool is None:
-            pool = self.create_pool()
-            self._default_pool = pool
-        return pool.checkout(timeout)
-
-    def checkin(self, connection: Any) -> None:
-        """Return a connection borrowed through :meth:`checkout`."""
-        pool = self.__dict__.get("_default_pool")
-        if pool is None:
-            raise BulkProcessingError(
-                "checkin without a pool: nothing was ever checked out"
-            )
-        pool.checkin(connection)
 
     def render(self, sql: str) -> str:
         """Translate canonical ``?``-placeholder SQL to the engine's dialect."""
@@ -678,16 +459,6 @@ class SqliteFileBackend(SqlBackend):
 
     name = "sqlite-file"
     supports_concurrent_replay = True
-    # A serialized (SQLITE_THREADSAFE=1) sqlite3 build locks around every
-    # statement in C, so one connection may be shared by several worker
-    # threads; non-serialized builds fall back to locked execution.
-    supports_concurrent_statements = sqlite3.threadsafety == 3
-    # Every connection opens the same file, so a per-worker pool is sound;
-    # sqlite still allows only one write transaction at a time, and
-    # IMMEDIATE takes the write lock at BEGIN instead of failing on a
-    # mid-region lock upgrade.
-    supports_pooling = True
-    pool_begin_sql = "BEGIN IMMEDIATE"
 
     def __init__(self, path: str) -> None:
         if not path or path == ":memory:":
@@ -702,10 +473,10 @@ class SqliteFileBackend(SqlBackend):
         return sqlite_dialect()
 
     def _probe_max_bind_params(self) -> int:
-        # Probe the pooled connection family itself, not a throwaway
+        # Probe the file's own connection family, not a throwaway
         # in-memory database: an engine limit lowered per-database (or a
         # future non-default build) is reflected here, and the memo on the
-        # backend instance means one probe serves every store and pool.
+        # backend instance means one probe serves every store.
         try:
             with closing(self.connect()) as connection:
                 return probe_max_bind_params(connection)
@@ -715,27 +486,6 @@ class SqliteFileBackend(SqlBackend):
     def connect(self) -> sqlite3.Connection:
         """Open (creating if necessary) the database file at ``path``."""
         return sqlite3.connect(self.path, check_same_thread=False)
-
-    def pool_connect(self) -> sqlite3.Connection:
-        """Open one per-worker connection in WAL mode with tuned pragmas.
-
-        WAL lets pooled readers (the staged region SELECTs) run while a
-        writer commits; ``synchronous=NORMAL`` is the documented pairing
-        (safe with WAL, skips a redundant fsync per commit);
-        ``busy_timeout`` bounds writer-lock waits instead of failing
-        instantly; ``temp_store=MEMORY`` keeps the per-region staging
-        tables off disk.
-        """
-        connection = self.connect()
-        # Autocommit: the pooled session's explicit BEGIN IMMEDIATE / COMMIT
-        # are the only transaction boundaries — the driver never opens an
-        # implicit transaction under a staging CREATE TABLE.
-        connection.isolation_level = None
-        connection.execute("PRAGMA journal_mode=WAL")
-        connection.execute("PRAGMA synchronous=NORMAL")
-        connection.execute("PRAGMA busy_timeout=10000")
-        connection.execute("PRAGMA temp_store=MEMORY")
-        return connection
 
     def __repr__(self) -> str:
         return f"SqliteFileBackend({self.path!r})"
@@ -783,13 +533,6 @@ class DbApiBackend(SqlBackend):
         allocations), ``InterfaceError`` →
         :class:`~repro.core.errors.BackendUnavailable` (the connection
         object itself is broken).
-    supports_concurrent_statements:
-        Whether one connection tolerates statements from several threads at
-        once (the driver serializes internally, as psycopg does via its
-        connection lock).  Defaults to ``False`` — the conservative choice
-        for unknown drivers; the pipelined executor then serializes
-        statement execution behind a lock while still scheduling without
-        stage barriers.
     dialect:
         The engine's region-compilation dialect: a
         :class:`~repro.bulk.sql.SqlDialect`, one of the names ``"sqlite"``
@@ -803,18 +546,6 @@ class DbApiBackend(SqlBackend):
         999 floor; pass the real limit for engines that allow more (e.g.
         65535 for PostgreSQL's wire protocol, or
         :func:`sqlite_max_bind_params` for a sqlite driver).
-    supports_pooling:
-        Whether each ``connection_factory()`` call yields a session onto
-        the *same* database, so the pooled executor may give every worker
-        its own connection.  Client/server drivers do, hence the ``True``
-        default; pass ``False`` for factories whose connections see
-        private state (e.g. ``sqlite3.connect(":memory:")``).
-    supports_concurrent_writes:
-        Whether several pooled sessions may hold write transactions at
-        once (MVCC engines — PostgreSQL, MySQL/InnoDB).  ``True`` lets
-        pooled workers run their region transactions fully concurrently;
-        ``False`` serializes the write phase behind a token, as sqlite's
-        single-writer rule requires.
     """
 
     _SUPPORTED = ("qmark", "format", "numeric")
@@ -825,12 +556,9 @@ class DbApiBackend(SqlBackend):
         paramstyle: str = "qmark",
         name: str = "",
         supports_concurrent_replay: bool = True,
-        supports_concurrent_statements: bool = False,
         error_classifier: "Callable[[BaseException], type | None] | None" = None,
         dialect: "SqlDialect | str | None" = None,
         max_bind_params: Optional[int] = None,
-        supports_pooling: bool = True,
-        supports_concurrent_writes: bool = True,
     ) -> None:
         if paramstyle not in self._SUPPORTED:
             raise BulkProcessingError(
@@ -841,9 +569,6 @@ class DbApiBackend(SqlBackend):
         self.paramstyle = paramstyle
         self.name = name or f"dbapi-{paramstyle}"
         self.supports_concurrent_replay = supports_concurrent_replay
-        self.supports_concurrent_statements = supports_concurrent_statements
-        self.supports_pooling = supports_pooling
-        self.supports_concurrent_writes = supports_concurrent_writes
         self.error_classifier = error_classifier
         self._dialect = resolve_dialect(dialect)
         if max_bind_params is not None and max_bind_params < 1:

@@ -38,7 +38,9 @@ module partitions the step sequence of a :class:`~repro.bulk.planner
 ``replay`` regions
     Steps the compiler cannot express as one statement: single steps whose
     parameter count alone exceeds the bind limit.  They execute exactly as
-    the sequential replay would.
+    the sequential replay would.  :func:`replay_plan` lowers a whole plan
+    to one-step replay regions, which is how the executor runs the
+    statement-at-a-time ``replay`` scheduler through the same loop.
 
 Regions partition the plan's step sequence contiguously and in order, so
 any contiguous tail of steps can be recompiled independently — that is what
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.core.errors import BulkProcessingError
 from repro.bulk.planner import (
@@ -66,7 +68,6 @@ from repro.bulk.planner import (
     FloodStep,
     GroupedCopyStep,
     ResolutionPlan,
-    step_io,
 )
 
 #: Compiled region kinds, in the order the compiler may emit them.
@@ -134,9 +135,17 @@ class CompiledRegion:
             return 1 if self.pairs else 0
         return self.replay_statement_count()
 
-    def replay_statement_count(self) -> int:
-        """Statements the same steps cost under sequential replay."""
+    @cached_property
+    def _replay_statements(self) -> int:
         return sum(step.statement_count() for step in self.steps)
+
+    def replay_statement_count(self) -> int:
+        """Statements the same steps cost under sequential replay.
+
+        Cached: the executor reads it for every region it runs, and a
+        flood step's count walks its members.
+        """
+        return self._replay_statements
 
     @cached_property
     def fingerprint(self) -> "str | None":
@@ -159,28 +168,13 @@ class CompiledRegion:
             return None
         return repr((self.kind, self.edges, self.pairs, self.blocked))
 
-    def closed_users(self) -> FrozenSet[str]:
-        """Every user this region closes (derives the rows of).
-
-        The compensation path of a failed pooled run deletes exactly these
-        users' rows for each region whose per-region transaction already
-        committed — sound because a closed user's rows are *all* derived
-        by its closing region (Algorithm 1 closes each user once, and the
-        resolver loads explicit beliefs only for non-derived users).
-        """
-        closed: Set[str] = set()
-        for step in self.steps:
-            _reads, step_closes = step_io(step)
-            closed.update(str(user) for user in step_closes)
-        return frozenset(closed)
-
 
 @dataclass(frozen=True)
 class CompiledPlan:
     """A :class:`ResolutionPlan` partitioned into compiled regions.
 
-    Everything a run derives from the plan alone — the region schedule, the
-    replay statement count, the plan DAG's stage count — is computed once
+    Everything a run derives from the plan alone — the replay statement
+    count, the plan DAG's stage count — is computed once
     per compiled plan and cached on it.  The instance is frozen and a
     patched plan gets a new one (:func:`~repro.bulk.planpatch
     .splice_compiled`), so the caches never outlive the plan they describe.
@@ -194,17 +188,12 @@ class CompiledPlan:
         return len(self.regions)
 
     @cached_property
-    def schedule(self) -> "RegionSchedule":
-        """The region dependency DAG (see :func:`region_schedule`)."""
-        return region_schedule(self)
-
-    @cached_property
     def dag_stages(self) -> int:
         """Critical-path length of the plan's step DAG.
 
         Only the integer is kept, not the :class:`~repro.bulk.planner
-        .PlanDag`: compiled runs schedule regions, so the step DAG would be
-        dead weight for as long as the plan stays cached.
+        .PlanDag`: runs execute regions, so the step DAG would be dead
+        weight for as long as the plan stays cached.
         """
         return self.plan.dag().stage_count
 
@@ -386,61 +375,12 @@ def compile_plan(
     return CompiledPlan(plan=plan, regions=tuple(compile_steps(plan.steps, limits)))
 
 
-@dataclass(frozen=True)
-class RegionSchedule:
-    """Region-level dependency DAG of a compiled plan.
+def replay_plan(plan: ResolutionPlan) -> CompiledPlan:
+    """Lower a plan to one ``replay`` region per step (statement-at-a-time).
 
-    ``depends_on[i]`` lists the earlier regions that close a user region
-    *i* reads (its source users); region *i* may start once all of them
-    have finished, so any dependency-respecting order — including a fully
-    concurrent one — produces the byte-identical relation, by the same
-    causality argument as the step-level :class:`~repro.bulk.planner
-    .PlanDag`.  ``stages`` is the longest-path layering of the regions
-    (stage 0 regions have no dependencies), the unit the executor's
-    overlap instrumentation counts against.
+    The executor runs it through the same loop as a compiled plan; each
+    region's journal marker is then its step's plan index.
     """
-
-    depends_on: Tuple[Tuple[int, ...], ...]
-    stages: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def region_count(self) -> int:
-        return len(self.depends_on)
-
-    @property
-    def stage_count(self) -> int:
-        return len(self.stages)
-
-
-def region_schedule(compiled: CompiledPlan) -> RegionSchedule:
-    """Derive the region dependency DAG from a compiled plan.
-
-    A region reads the users its steps read (:func:`~repro.bulk.planner
-    .step_io`) and closes the users its steps close; it depends on the
-    *latest* earlier region closing each user it reads.  Users a region
-    reads and closes itself (a chain inside one copy region) resolve
-    within the region's own statement and induce no edge; users closed by
-    no region (the explicit frontier) were loaded before the run.
-    """
-    closer: dict = {}
-    deps: List[Tuple[int, ...]] = []
-    levels: List[int] = []
-    for index, region in enumerate(compiled.regions):
-        reads: Set[str] = set()
-        closes: Set[str] = set()
-        for step in region.steps:
-            step_reads, step_closes = step_io(step)
-            reads.update(str(user) for user in step_reads)
-            closes.update(str(user) for user in step_closes)
-        dep = tuple(sorted({closer[user] for user in reads if user in closer}))
-        deps.append(dep)
-        levels.append(1 + max((levels[d] for d in dep), default=-1))
-        for user in closes:
-            closer[user] = index
-    stages: List[List[int]] = [[] for _ in range((max(levels) + 1) if levels else 0)]
-    for index, level in enumerate(levels):
-        stages[level].append(index)
-    return RegionSchedule(
-        depends_on=tuple(deps),
-        stages=tuple(tuple(stage) for stage in stages),
+    return CompiledPlan(
+        plan=plan, regions=tuple(CompiledRegion("replay", (step,)) for step in plan.steps)
     )

@@ -151,14 +151,13 @@ class PlanDag:
     but not the only one: a step only *reads* rows of users closed by the
     steps it depends on (or loaded explicitly), and every user's rows are
     written by exactly one step, so replaying the nodes in **any**
-    topological order produces the identical ``POSS`` relation.  That is
-    what makes independent subtrees schedulable concurrently and lets the
-    sharded executor replay the same DAG on every shard.
+    topological order produces the identical ``POSS`` relation (the DAG
+    test suite locks this).  The executor itself runs steps in plan order.
 
     ``stages`` groups node indices by :attr:`DagNode.stage`; all nodes of a
     stage are mutually independent (their dependencies live in strictly
-    earlier stages), so a stage is a unit of safe parallelism and
-    ``len(stages)`` is the critical-path length of the plan.
+    earlier stages), and ``len(stages)`` is the critical-path length of the
+    plan (``BulkRunReport.dag_stages``).
     """
 
     plan: ResolutionPlan
@@ -169,15 +168,6 @@ class PlanDag:
     def stage_count(self) -> int:
         """Critical-path length of the plan (number of stages)."""
         return len(self.stages)
-
-    def topological_order(self) -> List[DagNode]:
-        """The nodes stage by stage (index order within a stage).
-
-        This is the deterministic replay order the executors use; it is
-        topological by construction and coincides with the sequential plan
-        order whenever the plan is a single chain.
-        """
-        return [self.nodes[index] for stage in self.stages for index in stage]
 
     def edge_count(self) -> int:
         """Total number of depends-on edges."""

@@ -17,15 +17,11 @@ rolls the relation back to its pre-run state.  Outside a run transaction
 (direct store use, loading explicit beliefs) every method commits its own
 work, keeping on-disk databases durable across :meth:`PossStore.close`.
 
-*Pooled* execution relaxes the single transaction without giving up its
-semantics.  One transaction cannot span connections, so when the compiled
-executor runs regions on per-worker pooled connections
-(:meth:`PossStore.pooled_session`), each region commits its own short
-transaction with a ``POSS_JOURNAL`` marker inside it — journal-before-
-commit at region boundaries.  A worker failure then leaves only whole,
-journaled regions visible, which the executor either rolls back by run id
-(:meth:`PossStore.discard_user_rows` over the journaled regions' closed
-users) or resumes from, restoring the all-or-nothing outcome.
+*Checkpointed* runs trade the single run transaction for one transaction
+per plan region, each committing the region's rows together with its
+``POSS_JOURNAL`` marker (:meth:`PossStore.journal_record`), so a failure
+leaves only whole, journaled regions visible and a re-run resumes from
+them.
 
 Fault tolerance lives at two seams of this class.  Every statement passes
 through the single :meth:`PossStore._run_statement` funnel, where raw
@@ -33,17 +29,17 @@ driver exceptions are classified through the backend
 (:meth:`~repro.bulk.backends.SqlBackend.classify_error`) and
 :class:`~repro.core.errors.TransientBackendError` failures retry under the
 store's :class:`~repro.faults.retry.RetryPolicy`.  And the
-``POSS_JOURNAL(RUN, NODE)`` side table records which plan-DAG nodes a
-checkpointed run has completed, so an interrupted materialization resumes
-from the last committed node (sound because resolution is deterministic
-and closed users' rows are final — replaying the remaining nodes yields
-the byte-identical relation).
+``POSS_JOURNAL(RUN, NODE)`` side table records which plan regions a
+checkpointed run has completed (keyed by the plan index of each region's
+last step), so an interrupted materialization resumes from the last
+committed region (sound because resolution is deterministic and closed
+users' rows are final — executing the remaining regions yields the
+byte-identical relation).
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -61,7 +57,6 @@ from repro.core.network import User
 from repro.bulk.backends import (
     ALL_INDEX_NAMES,
     DEFAULT_MAX_BIND_PARAMS,
-    ConnectionPool,
     IndexStrategy,
     ShardSpec,
     SqlBackend,
@@ -79,13 +74,6 @@ from repro.obs.trace import NULL_TRACER
 #: Reserved value representing ⊥ in the Skeptic bulk variant.
 BOTTOM_VALUE = "__BOTTOM__"
 
-#: The literal prefix every compiled region statement starts with (all three
-#: dialect shapes emit it verbatim).  Pooled staged execution splits the
-#: SELECT off at this boundary: the SELECT runs into a per-connection temp
-#: table outside the write token, and only the short ``INSERT … SELECT FROM
-#: <stage>`` holds it.
-REGION_INSERT_PREFIX = "INSERT INTO POSS (X, K, V) "
-
 
 @dataclass(frozen=True, order=True)
 class PossRow:
@@ -96,29 +84,495 @@ class PossRow:
     value: str
 
 
-class _PossStatements:
-    """The bulk/compiled statement vocabulary over an execution seam.
+class PossStore:
+    """The ``POSS(X, K, V)`` relation behind a pluggable SQL backend.
 
-    Shared by :class:`PossStore` (statements on the store's primary
-    connection) and :class:`PooledRegionSession` (the same statements on a
-    per-worker pooled connection): both provide ``_execute`` /
-    ``_count_bulk`` / ``_commit`` / ``compiled_dialect`` /
-    ``_statement_for`` / ``backend_name``, and everything the executor
-    calls per region — replay statements, compiled region statements and
-    the journal write — is defined once here against that seam.
+    Parameters
+    ----------
+    path:
+        Convenience shorthand for the sqlite backends: the default
+        ``":memory:"`` keeps everything in RAM (what the benchmarks use);
+        any other string selects an on-disk sqlite database.  Ignored when
+        ``backend`` is given.
+    backend:
+        A :class:`~repro.bulk.backends.SqlBackend`; overrides ``path``.
+    index_strategy:
+        An :class:`~repro.bulk.backends.IndexStrategy` (or its name) fixing
+        the physical design of the relation; defaults to the single
+        ``covering`` index.  See the Figure 8c index sweep.
+    retry_policy:
+        The :class:`~repro.faults.retry.RetryPolicy` the statement funnel
+        runs under; defaults to :meth:`RetryPolicy.default` (six attempts,
+        millisecond backoff).  Pass :meth:`RetryPolicy.none` to fail fast.
+
+    Setting ``REPRO_FAULT_SEED`` in the environment wraps the backend in a
+    :class:`~repro.faults.backend.FaultInjectingBackend` (transient faults
+    at the statement sites, probability ``REPRO_FAULT_P``, default 0.05):
+    the chaos switch that lets the whole test suite run under injected
+    faults without any test opting in.
     """
+
+    def __init__(
+        self,
+        path: str = ":memory:",
+        backend: Optional[SqlBackend] = None,
+        index_strategy: "IndexStrategy | str | None" = None,
+        retry_policy: Optional[RetryPolicy] = None,
+    ) -> None:
+        self._backend = backend if backend is not None else sqlite_backend(path)
+        env_policy = FaultPolicy.from_env()
+        if env_policy is not None:
+            from repro.faults.backend import FaultInjectingBackend
+
+            if not isinstance(self._backend, FaultInjectingBackend):
+                self._backend = FaultInjectingBackend(self._backend, env_policy)
+        self._index_strategy = resolve_index_strategy(index_strategy)
+        self.retry_policy = (
+            retry_policy if retry_policy is not None else RetryPolicy.default()
+        )
+        self._bulk_statements = 0
+        self._delta_statements = 0
+        self._transactions = 0
+        self._retries = 0
+        self._timed_out = 0
+        self._reconnects = 0
+        self._in_transaction = False
+        self._tracer = NULL_TRACER
+        #: Shard index tagged onto statement spans (set by ShardedPossStore).
+        self.trace_shard: Optional[int] = None
+        # The compiled-statement cache, keyed by region fingerprint:
+        # (canonical sql, rendered sql, bound parameters): a repeated run
+        # skips building and rendering the SQL text.
+        self._statement_cache: Dict[str, Tuple[str, str, Tuple[object, ...]]] = {}
+        self._statement_cache_hits = 0
+        self._statement_cache_misses = 0
+        self._connection = self._connect()
+        self._ensure_schema()
+
+    @property
+    def tracer(self):
+        """The tracer observing this store's statement funnel."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer) -> None:
+        self._tracer = NULL_TRACER if tracer is None else tracer
+        # A fault-injecting wrapper emits fault events through the same
+        # tracer (duck-typed: any backend exposing a ``tracer`` slot).
+        if hasattr(self._backend, "tracer"):
+            self._backend.tracer = self._tracer
+
+    def _connect(self):
+        """Open the backend connection, classifying connect-time failures."""
+        try:
+            return self._backend.connect()
+        except Exception as error:
+            raise self._classify(error, default=BackendUnavailable) from error
+
+    def _ensure_schema(self) -> None:
+        """Create (idempotently) the relation, journal and declared indexes."""
+        self._execute(
+            "CREATE TABLE IF NOT EXISTS POSS "
+            "(X TEXT NOT NULL, K TEXT NOT NULL, V TEXT NOT NULL)"
+        )
+        # The checkpoint journal: which plan regions a named run has committed.
+        self._execute(
+            "CREATE TABLE IF NOT EXISTS POSS_JOURNAL "
+            "(RUN TEXT NOT NULL, NODE INTEGER NOT NULL)"
+        )
+        # Reconcile the physical design: an on-disk database may carry
+        # indexes from a previous strategy; drop anything this strategy
+        # does not declare so reports never misattribute timings.
+        declared = set(self._index_strategy.index_names)
+        for index_name in ALL_INDEX_NAMES:
+            if index_name not in declared:
+                self._execute(f"DROP INDEX IF EXISTS {index_name}")
+        for statement in self._index_strategy.create_statements:
+            self._execute(statement)
+        self._commit()
+
+    # ------------------------------------------------------------------ #
+    # plumbing                                                            #
+    # ------------------------------------------------------------------ #
+
+    def _classify(self, error: Exception, default=None):
+        """Turn a raw driver exception into a classified error instance.
+
+        Returns the classified :class:`~repro.core.errors.BackendError`
+        (already-classified errors pass through unchanged); ``default``
+        names the class to use when the backend cannot classify the error
+        — ``None`` means "return the original exception unchanged".
+        """
+        if isinstance(error, BackendError):
+            return error
+        classified = self._backend.classify_error(error)
+        if classified is None:
+            classified = default
+        if classified is None:
+            return error
+        failure = classified(f"{self._backend.name}: {error}")
+        failure.__cause__ = error
+        return failure
+
+    def _run_statement(self, runner, sql: str = "", params: int = 0):
+        """The retry funnel every statement passes through.
+
+        ``runner`` is a re-executable thunk (fresh cursor per call).
+        Transient failures retry under :attr:`retry_policy` (exponential
+        backoff, deterministic jitter); a retryable failure that exhausts
+        the policy's per-statement ``deadline`` raises
+        :class:`~repro.core.errors.StatementTimeout`; everything else
+        propagates classified on the first failure.  Retrying whole
+        statements is safe here: an ``INSERT`` that failed rolled back
+        atomically, and duplicate ``POSS`` rows are logically invisible
+        anyway (every read path is ``SELECT DISTINCT``).
+
+        When a tracer is installed the funnel emits a ``statement`` span
+        (tagged with the SQL op, bind-param count and shard) wrapping one
+        ``attempt`` span per try, and mirrors the retry/timeout counters
+        into the tracer's metrics at the exact sites the report counters
+        increment — that shared site is what makes trace/report
+        consistency checkable.
+        """
+        policy = self.retry_policy
+        deadline = policy.deadline
+        started = time.monotonic() if deadline is not None else 0.0
+        attempt = 1
+        tracer = self._tracer
+        traced = tracer.enabled
+        if traced:
+            op = sql.split(None, 1)[0].upper() if sql else "?"
+            statement_span = tracer.start(
+                "statement", op=op, params=params, shard=self.trace_shard
+            )
+            tracer.metrics.counter("poss.bind_params", params)
+        while True:
+            if traced:
+                attempt_span = tracer.start("attempt", attempt=attempt)
+            try:
+                result = runner()
+            except Exception as error:
+                failure = self._classify(error)
+                if not isinstance(failure, BackendError):
+                    if traced:
+                        tracer.finish(attempt_span.tag(outcome="error"))
+                        tracer.finish(statement_span.tag(outcome="error"))
+                    raise  # not a backend failure (e.g. bad SQL arity)
+                if not isinstance(failure, TransientBackendError):
+                    if traced:
+                        tracer.finish(attempt_span.tag(outcome="fatal"))
+                        tracer.finish(statement_span.tag(outcome="fatal"))
+                    raise failure from error
+                if traced:
+                    tracer.finish(attempt_span.tag(outcome="transient"))
+                if attempt >= policy.max_attempts:
+                    if traced:
+                        tracer.finish(statement_span.tag(outcome="exhausted"))
+                    raise failure from error
+                delay = policy.delay(attempt)
+                if deadline is not None and (
+                    time.monotonic() - started + delay > deadline
+                ):
+                    self._timed_out += 1
+                    if traced:
+                        tracer.metrics.counter("poss.timeouts")
+                        tracer.finish(statement_span.tag(outcome="timeout"))
+                    timeout = StatementTimeout(
+                        f"statement exceeded its {deadline}s deadline "
+                        f"after {attempt} attempt(s)"
+                    )
+                    raise timeout from error
+                self._retries += 1
+                if traced:
+                    tracer.metrics.counter("poss.retries")
+                time.sleep(delay)
+                attempt += 1
+            else:
+                if traced:
+                    tracer.finish(attempt_span.tag(outcome="ok"))
+                    tracer.finish(
+                        statement_span.tag(outcome="ok", attempts=attempt)
+                    )
+                return result
+
+    def _execute(
+        self,
+        sql: str,
+        parameters: Sequence[object] = (),
+        rendered: Optional[str] = None,
+    ):
+        """Run one statement via a DB-API cursor, rendered for the backend.
+
+        ``rendered`` short-circuits :meth:`SqlBackend.render` when the
+        caller already holds the rendered text (the statement cache).
+        """
+        if rendered is None:
+            rendered = self._backend.render(sql)
+        bound = tuple(parameters)
+
+        def runner():
+            cursor = self._connection.cursor()
+            cursor.execute(rendered, bound)
+            return cursor
+
+        return self._run_statement(runner, sql=sql, params=len(bound))
+
+    def _statement_for(self, fingerprint, builder):
+        """Resolve a compiled statement through the fingerprint-keyed cache.
+
+        ``builder`` returns the canonical ``(sql, parameters)`` pair; the
+        cache stores it with the backend-rendered text so a repeated run
+        (same region fingerprint) skips both the SQL construction and the
+        render.  ``fingerprint=None`` (replay regions, direct calls)
+        bypasses the cache entirely.
+        """
+        if fingerprint is not None:
+            entry = self._statement_cache.get(fingerprint)
+            if entry is not None:
+                self._statement_cache_hits += 1
+                if self._tracer.enabled:
+                    self._tracer.metrics.counter("poss.statement_cache.hits")
+                return entry
+        sql, parameters = builder()
+        entry = (sql, self._backend.render(sql), tuple(parameters))
+        if fingerprint is not None:
+            self._statement_cache[fingerprint] = entry
+            self._statement_cache_misses += 1
+            if self._tracer.enabled:
+                self._tracer.metrics.counter("poss.statement_cache.misses")
+        return entry
+
+    def _executemany(self, sql: str, rows: Sequence[Sequence[object]]):
+        """Run one batched statement (``executemany``) through the funnel."""
+        rendered = self._backend.render(sql)
+
+        def runner():
+            cursor = self._connection.cursor()
+            cursor.executemany(rendered, rows)
+            return cursor
+
+        params = len(rows) * len(rows[0]) if rows else 0
+        return self._run_statement(runner, sql=sql, params=params)
+
+    def _commit_connection(self) -> None:
+        """Commit the connection, classifying commit-time failures (no retry:
+        a failed commit's transaction state is driver-specific, so the safe
+        reaction is a typed error and a run-level rollback)."""
+        try:
+            self._connection.commit()
+        except Exception as error:
+            failure = self._classify(error)
+            if failure is error:
+                raise
+            raise failure from error
+
+    def _commit(self) -> None:
+        """Commit now unless a run-scoped transaction is open."""
+        if not self._in_transaction:
+            self._commit_connection()
+            self._transactions += 1
+
+    def _count_bulk(self, statements: int = 1) -> None:
+        self._bulk_statements += statements
+        if self._tracer.enabled:
+            self._tracer.metrics.counter("poss.statements.bulk", statements)
+
+    def _count_delta(self, statements: int = 1) -> None:
+        self._delta_statements += statements
+        if self._tracer.enabled:
+            self._tracer.metrics.counter("poss.statements.delta", statements)
+
+    # ------------------------------------------------------------------ #
+    # lifecycle                                                            #
+    # ------------------------------------------------------------------ #
+
+    @property
+    def backend_name(self) -> str:
+        """Identifier of the backend hosting the relation."""
+        return self._backend.name
+
+    @property
+    def index_strategy(self) -> IndexStrategy:
+        """The physical-design strategy the relation was created with."""
+        return self._index_strategy
+
+    @property
+    def supports_concurrent_replay(self) -> bool:
+        """Whether this store's connection may be driven from a worker thread."""
+        return self._backend.supports_concurrent_replay
+
+    @property
+    def compiled_dialect(self):
+        """The backend's region-compilation dialect, or ``None``."""
+        return getattr(self._backend, "compiled_dialect", None)
+
+    @property
+    def supports_compiled_regions(self) -> bool:
+        """Whether the backend evaluates both compiled region shapes natively."""
+        return getattr(self._backend, "supports_compiled_regions", False)
+
+    @property
+    def max_bind_params(self) -> int:
+        """The backend's bound-parameter limit (sizes compiled regions)."""
+        return getattr(self._backend, "max_bind_params", DEFAULT_MAX_BIND_PARAMS)
+
+    @property
+    def statement_cache_hits(self) -> int:
+        """Compiled statements served from the fingerprint cache."""
+        return self._statement_cache_hits
+
+    @property
+    def statement_cache_misses(self) -> int:
+        """Compiled statements built and rendered (then cached)."""
+        return self._statement_cache_misses
+
+    @property
+    def statement_cache_size(self) -> int:
+        """Distinct region fingerprints currently cached."""
+        return len(self._statement_cache)
+
+    @property
+    def transactions(self) -> int:
+        """Number of transactions committed so far on this connection."""
+        return self._transactions
+
+    @property
+    def in_transaction(self) -> bool:
+        """Whether a run-scoped :meth:`transaction` is currently open."""
+        return self._in_transaction
+
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator["PossStore"]:
+        """Run-scoped transaction: commit on success, roll back on error.
+
+        This is the one-transaction-per-run execution model of Section 4:
+        the executor wraps an entire resolution plan in a single
+        ``transaction()`` block, inside which the statement methods below
+        skip their per-statement commits, so a mid-run failure (e.g. a
+        :class:`~repro.core.errors.BulkProcessingError`) leaves the relation
+        exactly as it was before the run.  Nesting is rejected — a run is
+        one transaction by construction.
+        """
+        if self._in_transaction:
+            raise BulkProcessingError("transaction already in progress")
+        # Open a real transaction even on connections that default to
+        # autocommit (e.g. sqlite3 with isolation_level=None): without it,
+        # rollback() would silently be a no-op and the pre-run state could
+        # not be restored.  Drivers that already opened an implicit
+        # transaction reject the extra BEGIN — that is fine, the statements
+        # below then join the driver-managed transaction.
+        try:
+            self._execute("BEGIN")
+        except Exception:
+            pass
+        self._in_transaction = True
+        try:
+            yield self
+        except BaseException:
+            # The rollback itself may fail when the connection is gone; the
+            # original (classified) run error is the one that matters, so
+            # never let a rollback failure mask it.
+            try:
+                self._connection.rollback()
+            except Exception:
+                pass
+            raise
+        else:
+            self._commit_connection()
+            self._transactions += 1
+        finally:
+            self._in_transaction = False
+
+    # ------------------------------------------------------------------ #
+    # connection health                                                    #
+    # ------------------------------------------------------------------ #
+
+    def ping(self) -> bool:
+        """Whether the connection still answers a trivial query.
+
+        Only an *unavailable*-classified failure counts as dead: a
+        transient error (a locked database, an injected transient fault)
+        means the connection responded, so the health check passes.
+        """
+        try:
+            cursor = self._connection.cursor()
+            cursor.execute(self._backend.render("SELECT 1"))
+            cursor.fetchone()
+            return True
+        except Exception as error:
+            return not isinstance(
+                self._classify(error, default=BackendUnavailable),
+                BackendUnavailable,
+            )
+
+    def reconnect(self) -> None:
+        """Drop the current connection and open a fresh one (schema re-run).
+
+        Note the durability split: file-backed and client/server databases
+        come back with their committed rows; a dead *in-memory* database is
+        simply gone, and the fresh connection starts empty (the engine's
+        checkpoint/rebuild paths re-derive the content).
+        """
+        try:
+            self._connection.close()
+        except Exception:
+            pass
+        self._in_transaction = False
+        self._connection = self._connect()
+        self._reconnects += 1
+        self._ensure_schema()
+
+    def ensure_available(self) -> None:
+        """Health-check the connection, reconnecting once if it is dead.
+
+        Raises :class:`~repro.core.errors.BackendUnavailable` when the
+        single reconnect attempt does not produce an answering connection.
+        Executors call this at run start so a died-while-idle connection
+        heals before any statement of the run is issued.
+        """
+        if self.ping():
+            return
+        try:
+            self.reconnect()
+        except Exception as error:
+            raise self._classify(error, default=BackendUnavailable) from error
+        if not self.ping():
+            raise BackendUnavailable(
+                f"{self._backend.name}: connection unavailable after reconnect"
+            )
+
+    @property
+    def retries(self) -> int:
+        """Statement retries performed by the funnel so far."""
+        return self._retries
+
+    @property
+    def timed_out_statements(self) -> int:
+        """Statements abandoned because their retry deadline elapsed."""
+        return self._timed_out
+
+    @property
+    def reconnects(self) -> int:
+        """Successful :meth:`reconnect` calls so far."""
+        return self._reconnects
+
+    @property
+    def faults_injected(self) -> int:
+        """Faults injected by a fault-injecting backend (0 otherwise)."""
+        return getattr(self._backend, "faults_injected", 0)
 
     # ------------------------------------------------------------------ #
     # the checkpoint journal                                               #
     # ------------------------------------------------------------------ #
 
     def journal_record(self, run_id: str, node: int) -> None:
-        """Record that checkpointed run ``run_id`` committed DAG node ``node``.
+        """Record that checkpointed run ``run_id`` committed marker ``node``.
 
-        The checkpointing executor calls this *inside* the per-node (or,
-        pooled, per-region) transaction, so the node's rows and its journal
-        entry commit atomically — a crash can never journal work that did
-        not commit, nor commit work that is not journaled.
+        ``node`` is the plan index of a region's last step.  The
+        checkpointing executor calls this *inside* the per-region
+        transaction, so the region's rows and its journal entry commit
+        atomically — a crash can never journal work that did not commit,
+        nor commit work that is not journaled.
         """
         self._execute(
             "INSERT INTO POSS_JOURNAL (RUN, NODE) VALUES (?, ?)",
@@ -126,9 +580,129 @@ class _PossStatements:
         )
         self._commit()
 
+    def journal_completed(self, run_id: str) -> FrozenSet[int]:
+        """The region markers run ``run_id`` has already committed."""
+        cursor = self._execute(
+            "SELECT DISTINCT NODE FROM POSS_JOURNAL WHERE RUN = ?",
+            (str(run_id),),
+        )
+        return frozenset(int(row[0]) for row in cursor.fetchall())
+
+    def journal_runs(self) -> FrozenSet[str]:
+        """Run ids with journal entries on this store."""
+        cursor = self._execute("SELECT DISTINCT RUN FROM POSS_JOURNAL")
+        return frozenset(row[0] for row in cursor.fetchall())
+
+    def journal_clear(self, run_id: Optional[str] = None) -> None:
+        """Forget one run's journal (or all of them with ``run_id=None``)."""
+        if run_id is None:
+            self._execute("DELETE FROM POSS_JOURNAL")
+        else:
+            self._execute(
+                "DELETE FROM POSS_JOURNAL WHERE RUN = ?", (str(run_id),)
+            )
+        self._commit()
+
+    def close(self) -> None:
+        """Close the underlying connection."""
+        self._connection.close()
+
+    def __enter__(self) -> "PossStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def clear(self) -> None:
+        """Delete every row."""
+        self._execute("DELETE FROM POSS")
+        self._commit()
+
+    # ------------------------------------------------------------------ #
+    # loading                                                              #
+    # ------------------------------------------------------------------ #
+
+    def insert_explicit_beliefs(
+        self, rows: Iterable[Tuple[User, object, Value]]
+    ) -> int:
+        """Bulk-load explicit beliefs as ``(user, key, value)`` triples.
+
+        This is the durable source data of Section 4 (the per-object values
+        the two explicit users publish); unlike the resolution statements it
+        commits immediately, so a later rolled-back run leaves it in place.
+        """
+        return self._insert_row_batch(rows)
+
+    # ------------------------------------------------------------------ #
+    # the delta statements of the incremental engine                       #
+    # ------------------------------------------------------------------ #
+
+    @property
+    def delta_statements(self) -> int:
+        """Running count of delta ``DELETE``/``INSERT`` statements issued."""
+        return self._delta_statements
+
+    def delete_user_rows(self, users: Sequence[User], key: object = None) -> int:
+        """Delta DELETE: drop the rows of ``users`` (optionally for one key).
+
+        This is the deletion half of the incremental maintenance path
+        (:mod:`repro.incremental`): instead of reloading the whole relation
+        after an update, only the rows of the users whose possible values
+        actually changed are removed and re-inserted::
+
+            delete from POSS where X in ('x1', …, 'xn') [and K = 'k']
+
+        Returns the number of rows deleted.
+        """
+        names = [str(user) for user in users]
+        if not names:
+            return 0
+        deleted = 0
+        # Chunked so a large change set never exceeds an engine's bound
+        # variable limit (sqlite historically allows as few as 999).
+        for start in range(0, len(names), 500):
+            chunk = names[start : start + 500]
+            placeholders = ",".join("?" for _ in chunk)
+            sql = f"DELETE FROM POSS WHERE X IN ({placeholders})"
+            parameters: List[object] = list(chunk)
+            if key is not None:
+                sql += " AND K = ?"
+                parameters.append(str(key))
+            cursor = self._execute(sql, parameters)
+            self._count_delta()
+            deleted += cursor.rowcount
+        self._commit()
+        return deleted
+
+    def insert_rows(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
+        """Delta INSERT: add explicit ``(user, key, value)`` rows.
+
+        The insertion half of the incremental maintenance path (also used
+        to seed a store from an in-memory resolution result).  One
+        ``executemany`` batch counts as one delta statement.
+        """
+        inserted = self._insert_row_batch(rows)
+        if inserted:
+            self._count_delta()
+        return inserted
+
+    def _insert_row_batch(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
+        """Shared ``executemany`` behind every plain row insert."""
+        data = [(str(user), str(key), str(value)) for user, key, value in rows]
+        if not data:
+            return 0
+        self._executemany("INSERT INTO POSS (X, K, V) VALUES (?, ?, ?)", data)
+        self._commit()
+        return len(data)
+
     # ------------------------------------------------------------------ #
     # the bulk statements of Section 4                                     #
     # ------------------------------------------------------------------ #
+
+    @property
+    def bulk_statements(self) -> int:
+        """Running count of bulk ``INSERT … SELECT`` statements issued."""
+        return self._bulk_statements
 
     def copy_from_parent(self, child: User, parent: User) -> int:
         """Step-1 bulk insert: copy every (key, value) of ``parent`` to ``child``.
@@ -360,798 +934,6 @@ class _PossStatements:
         self._commit()
         return cursor.rowcount
 
-
-class PossStore(_PossStatements):
-    """The ``POSS(X, K, V)`` relation behind a pluggable SQL backend.
-
-    Parameters
-    ----------
-    path:
-        Convenience shorthand for the sqlite backends: the default
-        ``":memory:"`` keeps everything in RAM (what the benchmarks use);
-        any other string selects an on-disk sqlite database.  Ignored when
-        ``backend`` is given.
-    backend:
-        A :class:`~repro.bulk.backends.SqlBackend`; overrides ``path``.
-    index_strategy:
-        An :class:`~repro.bulk.backends.IndexStrategy` (or its name) fixing
-        the physical design of the relation; defaults to the single
-        ``covering`` index.  See the Figure 8c index sweep.
-    retry_policy:
-        The :class:`~repro.faults.retry.RetryPolicy` the statement funnel
-        runs under; defaults to :meth:`RetryPolicy.default` (six attempts,
-        millisecond backoff).  Pass :meth:`RetryPolicy.none` to fail fast.
-
-    Setting ``REPRO_FAULT_SEED`` in the environment wraps the backend in a
-    :class:`~repro.faults.backend.FaultInjectingBackend` (transient faults
-    at the statement sites, probability ``REPRO_FAULT_P``, default 0.05):
-    the chaos switch that lets the whole test suite run under injected
-    faults without any test opting in.
-    """
-
-    def __init__(
-        self,
-        path: str = ":memory:",
-        backend: Optional[SqlBackend] = None,
-        index_strategy: "IndexStrategy | str | None" = None,
-        retry_policy: Optional[RetryPolicy] = None,
-    ) -> None:
-        self._backend = backend if backend is not None else sqlite_backend(path)
-        env_policy = FaultPolicy.from_env()
-        if env_policy is not None:
-            from repro.faults.backend import FaultInjectingBackend
-
-            if not isinstance(self._backend, FaultInjectingBackend):
-                self._backend = FaultInjectingBackend(self._backend, env_policy)
-        self._index_strategy = resolve_index_strategy(index_strategy)
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy.default()
-        )
-        self._bulk_statements = 0
-        self._delta_statements = 0
-        self._transactions = 0
-        self._retries = 0
-        self._timed_out = 0
-        self._reconnects = 0
-        self._in_transaction = False
-        # Statement counters are read-modify-write; the pipelined executor
-        # may issue statements from several worker threads at once (when the
-        # backend's driver serializes internally), so the counters take a
-        # lock of their own.
-        self._counter_lock = threading.Lock()
-        self._tracer = NULL_TRACER
-        #: Shard index tagged onto statement spans (set by ShardedPossStore).
-        self.trace_shard: Optional[int] = None
-        # The compiled-statement cache, keyed by region fingerprint:
-        # (canonical sql, rendered sql, bound parameters).  Shared by the
-        # primary connection and every pooled session — the cache saves
-        # building/rendering the SQL text; each sqlite connection then keeps
-        # its own prepared form of the (byte-identical) text.
-        self._statement_cache: Dict[str, Tuple[str, str, Tuple[object, ...]]] = {}
-        self._statement_cache_hits = 0
-        self._statement_cache_misses = 0
-        # The per-worker connection pool (created lazily by pooled_session)
-        # and its lifetime gauges.
-        self._pool: Optional[ConnectionPool] = None
-        self._pool_checkouts = 0
-        self._pool_in_use_peak = 0
-        self._pool_wait_seconds = 0.0
-        self._stage_serial = 0
-        self._connection = self._connect()
-        self._ensure_schema()
-
-    @property
-    def tracer(self):
-        """The tracer observing this store's statement funnel."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self._tracer = NULL_TRACER if tracer is None else tracer
-        # A fault-injecting wrapper emits fault events through the same
-        # tracer (duck-typed: any backend exposing a ``tracer`` slot).
-        if hasattr(self._backend, "tracer"):
-            self._backend.tracer = self._tracer
-
-    def _connect(self):
-        """Open the backend connection, classifying connect-time failures."""
-        try:
-            return self._backend.connect()
-        except Exception as error:
-            raise self._classify(error, default=BackendUnavailable) from error
-
-    def _ensure_schema(self) -> None:
-        """Create (idempotently) the relation, journal and declared indexes."""
-        self._execute(
-            "CREATE TABLE IF NOT EXISTS POSS "
-            "(X TEXT NOT NULL, K TEXT NOT NULL, V TEXT NOT NULL)"
-        )
-        # The checkpoint journal: which DAG nodes a named run has committed.
-        self._execute(
-            "CREATE TABLE IF NOT EXISTS POSS_JOURNAL "
-            "(RUN TEXT NOT NULL, NODE INTEGER NOT NULL)"
-        )
-        # Reconcile the physical design: an on-disk database may carry
-        # indexes from a previous strategy; drop anything this strategy
-        # does not declare so reports never misattribute timings.
-        declared = set(self._index_strategy.index_names)
-        for index_name in ALL_INDEX_NAMES:
-            if index_name not in declared:
-                self._execute(f"DROP INDEX IF EXISTS {index_name}")
-        for statement in self._index_strategy.create_statements:
-            self._execute(statement)
-        self._commit()
-
-    # ------------------------------------------------------------------ #
-    # plumbing                                                            #
-    # ------------------------------------------------------------------ #
-
-    def _classify(self, error: Exception, default=None):
-        """Turn a raw driver exception into a classified error instance.
-
-        Returns the classified :class:`~repro.core.errors.BackendError`
-        (already-classified errors pass through unchanged); ``default``
-        names the class to use when the backend cannot classify the error
-        — ``None`` means "return the original exception unchanged".
-        """
-        if isinstance(error, BackendError):
-            return error
-        classified = self._backend.classify_error(error)
-        if classified is None:
-            classified = default
-        if classified is None:
-            return error
-        failure = classified(f"{self._backend.name}: {error}")
-        failure.__cause__ = error
-        return failure
-
-    def _run_statement(self, runner, sql: str = "", params: int = 0):
-        """The retry funnel every statement passes through.
-
-        ``runner`` is a re-executable thunk (fresh cursor per call).
-        Transient failures retry under :attr:`retry_policy` (exponential
-        backoff, deterministic jitter); a retryable failure that exhausts
-        the policy's per-statement ``deadline`` raises
-        :class:`~repro.core.errors.StatementTimeout`; everything else
-        propagates classified on the first failure.  Retrying whole
-        statements is safe here: an ``INSERT`` that failed rolled back
-        atomically, and duplicate ``POSS`` rows are logically invisible
-        anyway (every read path is ``SELECT DISTINCT``).
-
-        When a tracer is installed the funnel emits a ``statement`` span
-        (tagged with the SQL op, bind-param count and shard) wrapping one
-        ``attempt`` span per try, and mirrors the retry/timeout counters
-        into the tracer's metrics at the exact sites the report counters
-        increment — that shared site is what makes trace/report
-        consistency checkable.
-        """
-        policy = self.retry_policy
-        deadline = policy.deadline
-        started = time.monotonic() if deadline is not None else 0.0
-        attempt = 1
-        tracer = self._tracer
-        traced = tracer.enabled
-        if traced:
-            op = sql.split(None, 1)[0].upper() if sql else "?"
-            statement_span = tracer.start(
-                "statement", op=op, params=params, shard=self.trace_shard
-            )
-            tracer.metrics.counter("poss.bind_params", params)
-        while True:
-            if traced:
-                attempt_span = tracer.start("attempt", attempt=attempt)
-            try:
-                result = runner()
-            except Exception as error:
-                failure = self._classify(error)
-                if not isinstance(failure, BackendError):
-                    if traced:
-                        tracer.finish(attempt_span.tag(outcome="error"))
-                        tracer.finish(statement_span.tag(outcome="error"))
-                    raise  # not a backend failure (e.g. bad SQL arity)
-                if not isinstance(failure, TransientBackendError):
-                    if traced:
-                        tracer.finish(attempt_span.tag(outcome="fatal"))
-                        tracer.finish(statement_span.tag(outcome="fatal"))
-                    raise failure from error
-                if traced:
-                    tracer.finish(attempt_span.tag(outcome="transient"))
-                if attempt >= policy.max_attempts:
-                    if traced:
-                        tracer.finish(statement_span.tag(outcome="exhausted"))
-                    raise failure from error
-                delay = policy.delay(attempt)
-                if deadline is not None and (
-                    time.monotonic() - started + delay > deadline
-                ):
-                    with self._counter_lock:
-                        self._timed_out += 1
-                    if traced:
-                        tracer.metrics.counter("poss.timeouts")
-                        tracer.finish(statement_span.tag(outcome="timeout"))
-                    timeout = StatementTimeout(
-                        f"statement exceeded its {deadline}s deadline "
-                        f"after {attempt} attempt(s)"
-                    )
-                    raise timeout from error
-                with self._counter_lock:
-                    self._retries += 1
-                if traced:
-                    tracer.metrics.counter("poss.retries")
-                time.sleep(delay)
-                attempt += 1
-            else:
-                if traced:
-                    tracer.finish(attempt_span.tag(outcome="ok"))
-                    tracer.finish(
-                        statement_span.tag(outcome="ok", attempts=attempt)
-                    )
-                return result
-
-    def _execute(
-        self,
-        sql: str,
-        parameters: Sequence[object] = (),
-        rendered: Optional[str] = None,
-    ):
-        """Run one statement via a DB-API cursor, rendered for the backend.
-
-        ``rendered`` short-circuits :meth:`SqlBackend.render` when the
-        caller already holds the rendered text (the statement cache).
-        """
-        if rendered is None:
-            rendered = self._backend.render(sql)
-        bound = tuple(parameters)
-
-        def runner():
-            cursor = self._connection.cursor()
-            cursor.execute(rendered, bound)
-            return cursor
-
-        return self._run_statement(runner, sql=sql, params=len(bound))
-
-    def _statement_for(self, fingerprint, builder):
-        """Resolve a compiled statement through the fingerprint-keyed cache.
-
-        ``builder`` returns the canonical ``(sql, parameters)`` pair; the
-        cache stores it with the backend-rendered text so a repeated run
-        (same region fingerprint) skips both the SQL construction and the
-        render.  ``fingerprint=None`` (replay regions, direct calls)
-        bypasses the cache entirely.
-        """
-        if fingerprint is not None:
-            entry = self._statement_cache.get(fingerprint)
-            if entry is not None:
-                with self._counter_lock:
-                    self._statement_cache_hits += 1
-                if self._tracer.enabled:
-                    self._tracer.metrics.counter("poss.statement_cache.hits")
-                return entry
-        sql, parameters = builder()
-        entry = (sql, self._backend.render(sql), tuple(parameters))
-        if fingerprint is not None:
-            with self._counter_lock:
-                self._statement_cache[fingerprint] = entry
-                self._statement_cache_misses += 1
-            if self._tracer.enabled:
-                self._tracer.metrics.counter("poss.statement_cache.misses")
-        return entry
-
-    def _executemany(self, sql: str, rows: Sequence[Sequence[object]]):
-        """Run one batched statement (``executemany``) through the funnel."""
-        rendered = self._backend.render(sql)
-
-        def runner():
-            cursor = self._connection.cursor()
-            cursor.executemany(rendered, rows)
-            return cursor
-
-        params = len(rows) * len(rows[0]) if rows else 0
-        return self._run_statement(runner, sql=sql, params=params)
-
-    def _commit_connection(self) -> None:
-        """Commit the connection, classifying commit-time failures (no retry:
-        a failed commit's transaction state is driver-specific, so the safe
-        reaction is a typed error and a run-level rollback)."""
-        try:
-            self._connection.commit()
-        except Exception as error:
-            failure = self._classify(error)
-            if failure is error:
-                raise
-            raise failure from error
-
-    def _commit(self) -> None:
-        """Commit now unless a run-scoped transaction is open."""
-        if not self._in_transaction:
-            self._commit_connection()
-            self._transactions += 1
-
-    def _count_bulk(self, statements: int = 1) -> None:
-        with self._counter_lock:
-            self._bulk_statements += statements
-        if self._tracer.enabled:
-            self._tracer.metrics.counter("poss.statements.bulk", statements)
-
-    def _count_delta(self, statements: int = 1) -> None:
-        with self._counter_lock:
-            self._delta_statements += statements
-        if self._tracer.enabled:
-            self._tracer.metrics.counter("poss.statements.delta", statements)
-
-    # ------------------------------------------------------------------ #
-    # lifecycle                                                            #
-    # ------------------------------------------------------------------ #
-
-    @property
-    def backend_name(self) -> str:
-        """Identifier of the backend hosting the relation."""
-        return self._backend.name
-
-    @property
-    def index_strategy(self) -> IndexStrategy:
-        """The physical-design strategy the relation was created with."""
-        return self._index_strategy
-
-    @property
-    def supports_concurrent_replay(self) -> bool:
-        """Whether this store's connection may be driven from a worker thread."""
-        return self._backend.supports_concurrent_replay
-
-    @property
-    def supports_concurrent_statements(self) -> bool:
-        """Whether several threads may issue statements on this store at once.
-
-        True only when the backend's driver serializes concurrent calls on
-        one connection internally; the pipelined executor otherwise guards
-        statement execution with a lock of its own.
-        """
-        return self._backend.supports_concurrent_statements
-
-    @property
-    def compiled_dialect(self):
-        """The backend's region-compilation dialect, or ``None``."""
-        return getattr(self._backend, "compiled_dialect", None)
-
-    @property
-    def supports_compiled_regions(self) -> bool:
-        """Whether the backend evaluates both compiled region shapes natively."""
-        return getattr(self._backend, "supports_compiled_regions", False)
-
-    @property
-    def max_bind_params(self) -> int:
-        """The backend's bound-parameter limit (sizes compiled regions)."""
-        return getattr(self._backend, "max_bind_params", DEFAULT_MAX_BIND_PARAMS)
-
-    @property
-    def supports_pooling(self) -> bool:
-        """Whether per-worker pooled connections see this store's database."""
-        return getattr(self._backend, "supports_pooling", False)
-
-    @property
-    def supports_concurrent_writes(self) -> bool:
-        """Whether pooled connections may hold write transactions at once."""
-        return getattr(self._backend, "supports_concurrent_writes", False)
-
-    @property
-    def statement_cache_hits(self) -> int:
-        """Compiled statements served from the fingerprint cache."""
-        return self._statement_cache_hits
-
-    @property
-    def statement_cache_misses(self) -> int:
-        """Compiled statements built and rendered (then cached)."""
-        return self._statement_cache_misses
-
-    @property
-    def statement_cache_size(self) -> int:
-        """Distinct region fingerprints currently cached."""
-        return len(self._statement_cache)
-
-    @property
-    def pool_checkouts(self) -> int:
-        """Pooled-connection checkouts performed so far."""
-        return self._pool_checkouts
-
-    @property
-    def pool_in_use_peak(self) -> int:
-        """Most pooled connections simultaneously checked out so far."""
-        return self._pool_in_use_peak
-
-    @property
-    def pool_wait_seconds(self) -> float:
-        """Total time checkouts spent waiting on an exhausted pool."""
-        return self._pool_wait_seconds
-
-    def connection_pool(self, size: Optional[int] = None) -> ConnectionPool:
-        """The store's per-worker :class:`ConnectionPool` (created lazily).
-
-        The first caller fixes the size (default
-        :data:`~repro.bulk.backends.DEFAULT_POOL_SIZE` via the backend);
-        a later request for a *different* size rebuilds the pool, which is
-        only legal while no connection is checked out.
-        """
-        with self._counter_lock:
-            pool = self._pool
-            if pool is not None and size is not None and pool.size != size:
-                if pool.in_use:
-                    raise BulkProcessingError(
-                        f"cannot resize connection pool from {pool.size} to "
-                        f"{size}: {pool.in_use} connection(s) are checked out"
-                    )
-                pool.close()
-                pool = self._pool = None
-            if pool is None:
-                pool = self._backend.create_pool(
-                    **({} if size is None else {"size": size})
-                )
-                self._pool = pool
-            return pool
-
-    @contextlib.contextmanager
-    def pooled_session(
-        self,
-        slot: int = 0,
-        size: Optional[int] = None,
-        parent_span=None,
-    ) -> Iterator["PooledRegionSession"]:
-        """Check out a per-worker connection as a :class:`PooledRegionSession`.
-
-        The session speaks the full statement vocabulary
-        (:class:`_PossStatements`) on its own connection, with per-region
-        transactions (:meth:`PooledRegionSession.transaction`) instead of
-        the store's run-scoped one.  The checkout — including any wait on
-        an exhausted pool — is recorded as a ``conn.checkout`` span (one
-        lane per worker ``slot``) and mirrored into the pool gauges.
-        Transient faults while *opening* a pooled connection (a flaky
-        worker connect) retry under the store's retry policy, exactly as
-        statements do.
-        """
-        pool = self.connection_pool(size)
-        tracer = self._tracer
-        span = None
-        waited_before = pool.wait_seconds
-        if tracer.enabled:
-            span = tracer.start("conn.checkout", parent=parent_span, slot=slot)
-        try:
-            policy = self.retry_policy
-            attempt = 1
-            while True:
-                try:
-                    connection = pool.checkout()
-                    break
-                except TransientBackendError:
-                    if attempt >= policy.max_attempts:
-                        raise
-                    with self._counter_lock:
-                        self._retries += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter("poss.retries")
-                    time.sleep(policy.delay(attempt))
-                    attempt += 1
-        except BaseException:
-            if span is not None:
-                tracer.finish(span.tag(outcome="error"))
-            raise
-        waited = pool.wait_seconds - waited_before
-        with self._counter_lock:
-            self._pool_checkouts += 1
-            self._pool_wait_seconds += waited
-            self._pool_in_use_peak = max(self._pool_in_use_peak, pool.in_use)
-        if tracer.enabled:
-            tracer.metrics.counter("pool.checkouts")
-            tracer.metrics.histogram("pool.wait_seconds", waited)
-            tracer.metrics.histogram("pool.in_use", pool.in_use)
-        try:
-            yield PooledRegionSession(self, connection, slot)
-        finally:
-            pool.checkin(connection)
-            if span is not None:
-                tracer.finish(span)
-
-    def discard_user_rows(self, users: Sequence[str]) -> int:
-        """Compensation delete: silently drop the rows of derived ``users``.
-
-        The rollback-by-run-id path of a failed pooled run: committed
-        regions only ever insert rows for users they *close* (derived
-        users, which hold no rows before the run), so deleting exactly
-        those users' rows restores the pre-run relation.  Unlike
-        :meth:`delete_user_rows` this does not count as delta statements —
-        it undoes a run rather than performing one.
-        """
-        names = [str(user) for user in users]
-        deleted = 0
-        for start in range(0, len(names), 500):
-            chunk = names[start : start + 500]
-            placeholders = ",".join("?" for _ in chunk)
-            cursor = self._execute(
-                f"DELETE FROM POSS WHERE X IN ({placeholders})", chunk
-            )
-            deleted += cursor.rowcount
-        self._commit()
-        return deleted
-
-    @property
-    def transactions(self) -> int:
-        """Number of transactions committed so far on this connection."""
-        return self._transactions
-
-    @property
-    def in_transaction(self) -> bool:
-        """Whether a run-scoped :meth:`transaction` is currently open."""
-        return self._in_transaction
-
-    @contextlib.contextmanager
-    def transaction(self) -> Iterator["PossStore"]:
-        """Run-scoped transaction: commit on success, roll back on error.
-
-        This is the one-transaction-per-run execution model of Section 4:
-        the executor wraps an entire resolution plan in a single
-        ``transaction()`` block, inside which the statement methods below
-        skip their per-statement commits, so a mid-run failure (e.g. a
-        :class:`~repro.core.errors.BulkProcessingError`) leaves the relation
-        exactly as it was before the run.  Nesting is rejected — a run is
-        one transaction by construction.
-        """
-        if self._in_transaction:
-            raise BulkProcessingError("transaction already in progress")
-        # Open a real transaction even on connections that default to
-        # autocommit (e.g. sqlite3 with isolation_level=None): without it,
-        # rollback() would silently be a no-op and the pre-run state could
-        # not be restored.  Drivers that already opened an implicit
-        # transaction reject the extra BEGIN — that is fine, the statements
-        # below then join the driver-managed transaction.
-        try:
-            self._execute("BEGIN")
-        except Exception:
-            pass
-        self._in_transaction = True
-        try:
-            yield self
-        except BaseException:
-            # The rollback itself may fail when the connection is gone; the
-            # original (classified) run error is the one that matters, so
-            # never let a rollback failure mask it.
-            try:
-                self._connection.rollback()
-            except Exception:
-                pass
-            raise
-        else:
-            self._commit_connection()
-            self._transactions += 1
-        finally:
-            self._in_transaction = False
-
-    # ------------------------------------------------------------------ #
-    # connection health                                                    #
-    # ------------------------------------------------------------------ #
-
-    def ping(self) -> bool:
-        """Whether the connection still answers a trivial query.
-
-        Only an *unavailable*-classified failure counts as dead: a
-        transient error (a locked database, an injected transient fault)
-        means the connection responded, so the health check passes.
-        """
-        try:
-            cursor = self._connection.cursor()
-            cursor.execute(self._backend.render("SELECT 1"))
-            cursor.fetchone()
-            return True
-        except Exception as error:
-            return not isinstance(
-                self._classify(error, default=BackendUnavailable),
-                BackendUnavailable,
-            )
-
-    def reconnect(self) -> None:
-        """Drop the current connection and open a fresh one (schema re-run).
-
-        Note the durability split: file-backed and client/server databases
-        come back with their committed rows; a dead *in-memory* database is
-        simply gone, and the fresh connection starts empty (the engine's
-        checkpoint/rebuild paths re-derive the content).
-        """
-        try:
-            self._connection.close()
-        except Exception:
-            pass
-        self._in_transaction = False
-        # Pooled connections may be as dead as the primary one; drop the
-        # pool quietly (leaked checkouts are the crashed workers' — this is
-        # the recovery path, not the leak detector).
-        with self._counter_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.close()
-            except Exception:
-                pass
-        self._connection = self._connect()
-        with self._counter_lock:
-            self._reconnects += 1
-        self._ensure_schema()
-
-    def ensure_available(self) -> None:
-        """Health-check the connection, reconnecting once if it is dead.
-
-        Raises :class:`~repro.core.errors.BackendUnavailable` when the
-        single reconnect attempt does not produce an answering connection.
-        Executors call this at run start so a died-while-idle connection
-        heals before any statement of the run is issued.
-        """
-        if self.ping():
-            return
-        try:
-            self.reconnect()
-        except Exception as error:
-            raise self._classify(error, default=BackendUnavailable) from error
-        if not self.ping():
-            raise BackendUnavailable(
-                f"{self._backend.name}: connection unavailable after reconnect"
-            )
-
-    @property
-    def retries(self) -> int:
-        """Statement retries performed by the funnel so far."""
-        return self._retries
-
-    @property
-    def timed_out_statements(self) -> int:
-        """Statements abandoned because their retry deadline elapsed."""
-        return self._timed_out
-
-    @property
-    def reconnects(self) -> int:
-        """Successful :meth:`reconnect` calls so far."""
-        return self._reconnects
-
-    @property
-    def faults_injected(self) -> int:
-        """Faults injected by a fault-injecting backend (0 otherwise)."""
-        return getattr(self._backend, "faults_injected", 0)
-
-    # ------------------------------------------------------------------ #
-    # the checkpoint journal                                               #
-    # ------------------------------------------------------------------ #
-
-    def journal_completed(self, run_id: str) -> FrozenSet[int]:
-        """The DAG node ids run ``run_id`` has already committed."""
-        cursor = self._execute(
-            "SELECT DISTINCT NODE FROM POSS_JOURNAL WHERE RUN = ?",
-            (str(run_id),),
-        )
-        return frozenset(int(row[0]) for row in cursor.fetchall())
-
-    def journal_runs(self) -> FrozenSet[str]:
-        """Run ids with journal entries on this store."""
-        cursor = self._execute("SELECT DISTINCT RUN FROM POSS_JOURNAL")
-        return frozenset(row[0] for row in cursor.fetchall())
-
-    def journal_clear(self, run_id: Optional[str] = None) -> None:
-        """Forget one run's journal (or all of them with ``run_id=None``)."""
-        if run_id is None:
-            self._execute("DELETE FROM POSS_JOURNAL")
-        else:
-            self._execute(
-                "DELETE FROM POSS_JOURNAL WHERE RUN = ?", (str(run_id),)
-            )
-        self._commit()
-
-    def close(self) -> None:
-        """Close the underlying connection (and drain the pool, if any).
-
-        The pool's leak detection applies: a connection still checked out
-        at close time raises
-        :class:`~repro.core.errors.BulkProcessingError` before the primary
-        connection is touched.
-        """
-        with self._counter_lock:
-            pool = self._pool
-        if pool is not None:
-            pool.close()
-            with self._counter_lock:
-                self._pool = None
-        self._connection.close()
-
-    def __enter__(self) -> "PossStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def clear(self) -> None:
-        """Delete every row."""
-        self._execute("DELETE FROM POSS")
-        self._commit()
-
-    # ------------------------------------------------------------------ #
-    # loading                                                              #
-    # ------------------------------------------------------------------ #
-
-    def insert_explicit_beliefs(
-        self, rows: Iterable[Tuple[User, object, Value]]
-    ) -> int:
-        """Bulk-load explicit beliefs as ``(user, key, value)`` triples.
-
-        This is the durable source data of Section 4 (the per-object values
-        the two explicit users publish); unlike the resolution statements it
-        commits immediately, so a later rolled-back run leaves it in place.
-        """
-        return self._insert_row_batch(rows)
-
-    # ------------------------------------------------------------------ #
-    # the delta statements of the incremental engine                       #
-    # ------------------------------------------------------------------ #
-
-    @property
-    def delta_statements(self) -> int:
-        """Running count of delta ``DELETE``/``INSERT`` statements issued."""
-        return self._delta_statements
-
-    def delete_user_rows(self, users: Sequence[User], key: object = None) -> int:
-        """Delta DELETE: drop the rows of ``users`` (optionally for one key).
-
-        This is the deletion half of the incremental maintenance path
-        (:mod:`repro.incremental`): instead of reloading the whole relation
-        after an update, only the rows of the users whose possible values
-        actually changed are removed and re-inserted::
-
-            delete from POSS where X in ('x1', …, 'xn') [and K = 'k']
-
-        Returns the number of rows deleted.
-        """
-        names = [str(user) for user in users]
-        if not names:
-            return 0
-        deleted = 0
-        # Chunked so a large change set never exceeds an engine's bound
-        # variable limit (sqlite historically allows as few as 999).
-        for start in range(0, len(names), 500):
-            chunk = names[start : start + 500]
-            placeholders = ",".join("?" for _ in chunk)
-            sql = f"DELETE FROM POSS WHERE X IN ({placeholders})"
-            parameters: List[object] = list(chunk)
-            if key is not None:
-                sql += " AND K = ?"
-                parameters.append(str(key))
-            cursor = self._execute(sql, parameters)
-            self._count_delta()
-            deleted += cursor.rowcount
-        self._commit()
-        return deleted
-
-    def insert_rows(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
-        """Delta INSERT: add explicit ``(user, key, value)`` rows.
-
-        The insertion half of the incremental maintenance path (also used
-        to seed a store from an in-memory resolution result).  One
-        ``executemany`` batch counts as one delta statement.
-        """
-        inserted = self._insert_row_batch(rows)
-        if inserted:
-            self._count_delta()
-        return inserted
-
-    def _insert_row_batch(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
-        """Shared ``executemany`` behind every plain row insert."""
-        data = [(str(user), str(key), str(value)) for user, key, value in rows]
-        if not data:
-            return 0
-        self._executemany("INSERT INTO POSS (X, K, V) VALUES (?, ?, ?)", data)
-        self._commit()
-        return len(data)
-
-    # ------------------------------------------------------------------ #
-    # the bulk statements of Section 4                                     #
-    # ------------------------------------------------------------------ #
-
-    @property
-    def bulk_statements(self) -> int:
-        """Running count of bulk ``INSERT … SELECT`` statements issued."""
-        return self._bulk_statements
-
     # ------------------------------------------------------------------ #
     # queries                                                              #
     # ------------------------------------------------------------------ #
@@ -1203,199 +985,6 @@ class PossStore(_PossStatements):
         """Object keys mentioned in the relation."""
         cursor = self._execute("SELECT DISTINCT K FROM POSS")
         return frozenset(row[0] for row in cursor.fetchall())
-
-
-class PooledRegionSession(_PossStatements):
-    """One worker's view of a :class:`PossStore` over a pooled connection.
-
-    Handed out by :meth:`PossStore.pooled_session`, the session speaks the
-    full statement vocabulary (:class:`_PossStatements`) on its *own*
-    connection while funnelling every statement through the owning store's
-    retry/trace/counter machinery — reports and traces aggregate exactly
-    as if the store had executed the statements itself.
-
-    Two things differ from the store.  First, :meth:`transaction` opens a
-    short **per-region** transaction (``pool_begin_sql``, e.g. sqlite's
-    ``BEGIN IMMEDIATE``) instead of the run-scoped one — and, unlike the
-    store's run transaction, a failed ``BEGIN`` propagates: the pooled
-    recovery protocol rests on each region's rows committing atomically
-    with its journal marker, which a silently missing transaction would
-    break.  Second, :meth:`stage_region` / :meth:`apply_stage` split a
-    compiled region statement at :data:`REGION_INSERT_PREFIX` so the
-    expensive SELECT evaluates into a private temp table *outside* the
-    single-writer token, leaving only a short ``INSERT … SELECT FROM
-    <stage>`` inside it — how sqlite WAL gets real overlap from one
-    writer-at-a-time.
-    """
-
-    def __init__(self, store: "PossStore", connection, slot: int = 0) -> None:
-        self._store = store
-        self._connection = connection
-        self.slot = slot
-        self._in_transaction = False
-
-    # -- the execution seam _PossStatements runs against ---------------- #
-
-    @property
-    def backend_name(self) -> str:
-        return self._store.backend_name
-
-    @property
-    def compiled_dialect(self):
-        return self._store.compiled_dialect
-
-    @property
-    def supports_compiled_regions(self) -> bool:
-        return self._store.supports_compiled_regions
-
-    @property
-    def tracer(self):
-        return self._store.tracer
-
-    @property
-    def trace_shard(self) -> Optional[int]:
-        return self._store.trace_shard
-
-    @property
-    def in_transaction(self) -> bool:
-        """Whether a per-region :meth:`transaction` is currently open."""
-        return self._in_transaction
-
-    def _statement_for(self, fingerprint, builder):
-        return self._store._statement_for(fingerprint, builder)
-
-    def _count_bulk(self, statements: int = 1) -> None:
-        self._store._count_bulk(statements)
-
-    def _count_delta(self, statements: int = 1) -> None:
-        self._store._count_delta(statements)
-
-    def _execute(
-        self,
-        sql: str,
-        parameters: Sequence[object] = (),
-        rendered: Optional[str] = None,
-    ):
-        """One statement on the pooled connection, through the store funnel."""
-        if rendered is None:
-            rendered = self._store._backend.render(sql)
-        bound = tuple(parameters)
-
-        def runner():
-            cursor = self._connection.cursor()
-            cursor.execute(rendered, bound)
-            return cursor
-
-        return self._store._run_statement(runner, sql=sql, params=len(bound))
-
-    def _commit_connection(self) -> None:
-        try:
-            self._connection.commit()
-        except Exception as error:
-            failure = self._store._classify(error)
-            if failure is error:
-                raise
-            raise failure from error
-
-    def _commit(self) -> None:
-        """Commit now unless a per-region transaction is open."""
-        if self._in_transaction:
-            return
-        self._commit_connection()
-        with self._store._counter_lock:
-            self._store._transactions += 1
-
-    # -- per-region transactions ----------------------------------------- #
-
-    @contextlib.contextmanager
-    def transaction(self) -> Iterator["PooledRegionSession"]:
-        """Per-region transaction: commit on success, roll back on error.
-
-        Opens with the backend's ``pool_begin_sql`` (``BEGIN IMMEDIATE``
-        on sqlite, taking the write lock up front) through the retry
-        funnel; a ``BEGIN`` that ultimately fails *raises* — see the class
-        docstring for why it must.
-        """
-        if self._in_transaction:
-            raise BulkProcessingError(
-                "region transaction already in progress on this session"
-            )
-        begin = getattr(self._store._backend, "pool_begin_sql", "BEGIN")
-        self._execute(begin)
-        self._in_transaction = True
-        try:
-            yield self
-        except BaseException:
-            try:
-                self._connection.rollback()
-            except Exception:
-                pass
-            raise
-        else:
-            self._commit_connection()
-            with self._store._counter_lock:
-                self._store._transactions += 1
-        finally:
-            self._in_transaction = False
-
-    # -- staged region execution ----------------------------------------- #
-
-    def _region_statement(self, region):
-        """The region's (sql, rendered, parameters) via the statement cache."""
-        dialect = self.compiled_dialect
-        kind = region.kind
-        if kind == "copy":
-            builder = lambda: dialect.copy_region_statement(region.edges)
-        elif kind == "blocked_flood":
-            builder = lambda: dialect.blocked_flood_statement(
-                region.pairs, region.blocked, BOTTOM_VALUE
-            )
-        else:
-            builder = lambda: dialect.flood_stage_statement(region.pairs)
-        return self._statement_for(region.fingerprint, builder)
-
-    def stage_region(self, region) -> Optional[str]:
-        """Evaluate a compiled region's SELECT into a private temp table.
-
-        Returns the stage-table name, or ``None`` when the rendered
-        statement does not start with :data:`REGION_INSERT_PREFIX` (the
-        caller then runs the region unstaged).  Runs *outside* the write
-        token — WAL readers never block on the writer — with the temp
-        table in the connection's private (memory) temp store.
-        """
-        sql, rendered, parameters = self._region_statement(region)
-        if not rendered.startswith(REGION_INSERT_PREFIX):
-            return None
-        select = rendered[len(REGION_INSERT_PREFIX):]
-        with self._store._counter_lock:
-            self._store._stage_serial += 1
-            serial = self._store._stage_serial
-        stage = f"POSS_STAGE_{self.slot}_{serial}"
-        staged = f"CREATE TEMP TABLE {stage} AS {select}"
-        self._execute(staged, parameters, rendered=staged)
-        self._count_bulk()
-        return stage
-
-    def apply_stage(self, stage: str) -> int:
-        """Land a staged region: the short write inside the token/transaction.
-
-        The dialect statements alias their output columns in ``X, K, V``
-        order (that is what ``INSERT INTO POSS (X, K, V)`` relies on), so
-        ``SELECT *`` off the stage preserves the exact rows.
-        """
-        cursor = self._execute(
-            f"INSERT INTO POSS (X, K, V) SELECT * FROM {stage}"
-        )
-        self._count_bulk()
-        self._commit()
-        return cursor.rowcount
-
-    def drop_stage(self, stage: str) -> None:
-        """Drop a stage table (quietly: it dies with the connection anyway)."""
-        try:
-            self._execute(f"DROP TABLE IF EXISTS {stage}")
-        except Exception:
-            pass
 
 
 class ShardedPossStore:
@@ -1557,11 +1146,6 @@ class ShardedPossStore:
         return all(shard.supports_concurrent_replay for shard in self.shards)
 
     @property
-    def supports_concurrent_statements(self) -> bool:
-        """Whether every shard tolerates concurrently issued statements."""
-        return all(shard.supports_concurrent_statements for shard in self.shards)
-
-    @property
     def compiled_dialect(self):
         """The shards' shared compilation dialect, or ``None`` when mixed.
 
@@ -1616,11 +1200,6 @@ class ShardedPossStore:
     def reconnects(self) -> int:
         """Reconnects across all shards."""
         return sum(shard.reconnects for shard in self.shards)
-
-    @property
-    def supports_pooling(self) -> bool:
-        """Sharded stores already parallelize per shard; never pooled."""
-        return False
 
     @property
     def statement_cache_hits(self) -> int:

@@ -15,8 +15,8 @@ and an incremental session, and exposes four verbs:
     semantics, served from the incrementally maintained state — no
     recomputation unless the state is cold).
 ``materialize()``
-    Execute the cached bulk plan against the store through the pipelined
-    stage scheduler — the Section 4 path, one (per-shard) transaction.
+    Execute the cached bulk plan against the store region by region — the
+    Section 4 path, one (per-shard) transaction.
 ``apply(*deltas)``
     Absorb a batch of updates: coalesced, applied with one regional
     recomputation per key and landed in the store as delta statements.
@@ -60,11 +60,7 @@ from repro.core.network import TrustNetwork, User
 from repro.core.resolution import ResolutionResult
 from repro.bulk.backends import ShardSpec
 from repro.bulk.compile import CompiledPlan, RegionLimits, compile_plan
-from repro.bulk.executor import (
-    BulkResolver,
-    BulkRunReport,
-    ConcurrentBulkResolver,
-)
+from repro.bulk.executor import BulkResolver, BulkRunReport
 from repro.bulk.planner import PlanDag, ResolutionPlan, plan_resolution
 from repro.bulk.planpatch import patch_plan, splice_compiled
 from repro.bulk.store import PossStore, ShardedPossStore
@@ -98,7 +94,7 @@ class EngineReport:
     """The one report every engine verb returns.
 
     The shared header (``operation``, ``seconds``, ``backend``, ``keys``)
-    is always filled; the bulk block (``statements`` … ``stages_overlapped``)
+    is always filled; the bulk block (``statements`` … ``statements_saved``)
     is populated by :meth:`ResolutionEngine.materialize`, the delta block
     (``deltas`` … ``recomputes``) by :meth:`ResolutionEngine.apply`, and
     the plan block (``plan_source``, ``plan_steps``) by every verb that
@@ -120,20 +116,11 @@ class EngineReport:
     shards: int = 1
     dag_stages: int = 0
     scheduler: str = ""
-    stages_overlapped: int = 0
     #: Compiled regions pushed down as single SQL statements
     #: (``materialize(compiled=True)`` only).
     regions_compiled: int = 0
     #: Statements the compiled run avoided versus step-at-a-time replay.
     statements_saved: int = 0
-    #: Connection-pool lanes of a pooled compiled run (0 = unpooled).
-    pool_workers: int = 0
-    #: Connections checked out of the store's pool during the verb.
-    pool_checkouts: int = 0
-    #: Most pool connections simultaneously checked out.
-    pool_in_use_peak: int = 0
-    #: Total seconds workers waited on pool checkouts.
-    pool_wait_seconds: float = 0.0
 
     # -- delta block (apply) ------------------------------------------- #
     deltas: int = 0
@@ -155,9 +142,10 @@ class EngineReport:
     timed_out_statements: int = 0
     #: Faults the (test-only) injection layer raised, when enabled.
     faults_injected: int = 0
-    #: Whether the verb ran under per-node checkpoint journaling.
+    #: Whether the verb ran under per-region checkpoint journaling.
     checkpointed: bool = False
-    #: DAG nodes skipped on a resumed run because the journal had them.
+    #: Plan steps skipped on a resumed run because the journal had the
+    #: regions holding them (summed across shards).
     nodes_skipped: int = 0
     #: Whether a backend failure was absorbed by a recovery path
     #: (resync / shard quarantine) instead of propagating.
@@ -213,18 +201,10 @@ class ResolutionEngine:
     beliefs_by_key:
         Optional per-key positive-belief overrides, as in
         :class:`~repro.incremental.session.IncrementalSession`.
-    workers / scheduler:
-        Passed to the bulk executor: ``scheduler`` selects the replay
-        discipline (``pipelined`` / ``stage-barrier``); ``workers`` is the
-        statement-worker count for **single-store** materialization only —
-        sharded stores already parallelize with one replay thread per
-        shard, and per-shard statement workers are not layered on top.
     pool_workers:
-        Connection-pool lanes for **single-store compiled** materialization
-        on a poolable backend (file-backed sqlite, DB-API): each worker
-        checks out its own connection and commits one transaction per
-        compiled region.  ``None`` (default) falls back to the
-        ``REPRO_POOL_WORKERS`` environment variable; 0 disables pooling.
+        Accepted for compatibility with existing callers; only ``0`` /
+        ``None`` is valid.  Materialization always runs on the store's own
+        connection (one thread per shard on a sharded store).
     retry_policy:
         The :class:`~repro.faults.retry.RetryPolicy` every statement runs
         under (transient backend errors retry with exponential backoff;
@@ -246,12 +226,15 @@ class ResolutionEngine:
         keys: Sequence[str] = ("k0",),
         mode: str = "auto",
         beliefs_by_key: Optional[Dict[str, Dict[User, Value]]] = None,
-        workers: int = 1,
-        scheduler: str = "pipelined",
         retry_policy: Optional[RetryPolicy] = None,
         tracer: "Tracer | None" = None,
         pool_workers: Optional[int] = None,
     ) -> None:
+        if pool_workers:
+            raise BulkProcessingError(
+                f"pool_workers={pool_workers!r} is not supported: "
+                "materialize runs on the store's own connection"
+            )
         if mode not in MODES:
             raise BulkProcessingError(f"unknown mode {mode!r}; known: {MODES}")
         if store is not None and shards is not None:
@@ -269,9 +252,6 @@ class ResolutionEngine:
         self.network = network
         self.store = store if store is not None else PossStore()
         self.mode = mode
-        self._workers = workers
-        self._scheduler = scheduler
-        self._pool_workers = pool_workers
         self._retry_policy = retry_policy
         if retry_policy is not None:
             self.store.retry_policy = retry_policy
@@ -311,7 +291,7 @@ class ResolutionEngine:
 
         ``Engine.open(network, store=…, shards=…, mode=…)`` mirrors how a
         database engine opens over existing storage; keyword ``options``
-        pass through to the constructor (``keys``, ``workers``, …).
+        pass through to the constructor (``keys``, ``beliefs_by_key``, …).
         """
         return cls(network, store=store, shards=shards, mode=mode, **options)
 
@@ -531,16 +511,16 @@ class ResolutionEngine:
         """Execute the cached plan against the store (the Section 4 path).
 
         Clears the relation, bulk-loads every key's explicit beliefs and
-        replays the plan DAG through the pipelined scheduler — scatter/
-        gathered over the shards on a sharded store — inside one
-        (per-shard) transaction.  After this, :meth:`query` in ``auto``
-        mode reads from the relation.
+        replays the plan step by step — on every shard of a sharded store
+        — inside one (per-shard) transaction.  After this, :meth:`query`
+        in ``auto`` mode reads from the relation.
 
-        With ``checkpoint=True`` the run journals per-node checkpoints
-        (one transaction per DAG node, recorded in the store's
-        ``POSS_JOURNAL``); with ``resume=True`` (which implies
-        ``checkpoint``) the store is *not* cleared and the journaled nodes
-        of the plan's run id are skipped — an interrupted checkpointed
+        With ``checkpoint=True`` the run journals one checkpoint per plan
+        region (one transaction per region, recorded in the store's
+        ``POSS_JOURNAL``; a replay region is one step); with
+        ``resume=True`` (which implies ``checkpoint``) the store is *not*
+        cleared and the journaled regions of the plan's run id are
+        skipped — an interrupted checkpointed
         materialize completes exactly the work it has not yet committed,
         byte-identical to an uninterrupted run.  A fresh (non-resume)
         materialize clears both the relation and any stale journal, so a
@@ -554,9 +534,8 @@ class ResolutionEngine:
         replay as the per-region fallback — the relation is byte-identical
         either way.  The compiled plan is cached and spliced whenever
         the plan is patched (:func:`repro.bulk.planpatch.splice_compiled`).
-        Checkpoints journal one marker per *region* and use a run id
-        distinct from the node-at-a-time journal, so a resume never mixes
-        the two granularities.
+        Its checkpoints use a run id distinct from the step-at-a-time
+        journal, so a resume never mixes the two region granularities.
 
         The plan is brought up to date first: the changes :meth:`apply`
         deferred are patched in with one :func:`~repro.bulk.planpatch
@@ -590,7 +569,6 @@ class ResolutionEngine:
                     compile_span.tag(regions=len(compiled_plan.regions))
             else:
                 compiled_plan = None
-            scheduler = "compiled" if compiled else self._scheduler
             plan_users = {str(user) for user in self._plan.explicit_users}
             with tracer.span("engine.load_beliefs") as load_span:
                 rows: List[Tuple[str, str, str]] = []
@@ -613,35 +591,22 @@ class ResolutionEngine:
                 self.store.journal_clear()
             run_id = self._run_id() if checkpoint else None
             if run_id is not None and compiled:
-                # Region markers and node markers share the journal's id
-                # space; a distinct run id keeps a node-at-a-time checkpoint
-                # from falsely satisfying a whole compiled region (and vice
+                # Compiled and replay markers share the journal's id space; a
+                # distinct run id keeps a step-at-a-time checkpoint from
+                # falsely satisfying a whole compiled region (and vice
                 # versa).
                 run_id += "-compiled"
-            if isinstance(self.store, ShardedPossStore):
-                executor = ConcurrentBulkResolver(
-                    self.network,
-                    store=self.store,
-                    scheduler=scheduler,
-                    plan=self._plan,
-                    compiled_plan=compiled_plan,
-                    retry_policy=self._retry_policy,
-                    checkpoint=run_id,
-                    tracer=tracer if tracer.enabled else None,
-                )
-            else:
-                executor = BulkResolver(
-                    self.network,
-                    store=self.store,
-                    workers=self._workers,
-                    scheduler=scheduler,
-                    plan=self._plan,
-                    compiled_plan=compiled_plan,
-                    retry_policy=self._retry_policy,
-                    checkpoint=run_id,
-                    tracer=tracer if tracer.enabled else None,
-                    pool_workers=self._pool_workers,
-                )
+            # A sharded store runs the same loop once per shard.
+            executor = BulkResolver(
+                self.network,
+                store=self.store,
+                scheduler="compiled" if compiled else "replay",
+                plan=self._plan,
+                compiled_plan=compiled_plan,
+                retry_policy=self._retry_policy,
+                checkpoint=run_id,
+                tracer=tracer if tracer.enabled else None,
+            )
             executor.load_beliefs(rows)
             bulk = executor.run()
         except BaseException:
@@ -661,13 +626,8 @@ class ResolutionEngine:
             shards=bulk.shards,
             dag_stages=bulk.dag_stages,
             scheduler=bulk.scheduler,
-            stages_overlapped=bulk.stages_overlapped,
             regions_compiled=bulk.regions_compiled,
             statements_saved=bulk.statements_saved,
-            pool_workers=bulk.pool_workers,
-            pool_checkouts=bulk.pool_checkouts,
-            pool_in_use_peak=bulk.pool_in_use_peak,
-            pool_wait_seconds=bulk.pool_wait_seconds,
             retries=bulk.retries,
             timed_out_statements=bulk.timed_out_statements,
             faults_injected=bulk.faults_injected,

@@ -18,22 +18,14 @@ indexes — the covering-index experiment the ROADMAP called for.
 replayed on every shard of a key-partitioned store
 (:class:`~repro.bulk.executor.ConcurrentBulkResolver`), so the per-shard
 statement count stays at the unsharded plan's count while each shard only
-touches its slice of the objects.  :func:`run_scheduler_sweep` compares
-the engine's replay disciplines on a deep multi-stage chain workload: the
-pipelined dependency work-queue (the default) against the stage-barrier
-baseline that keeps every shard in lockstep per stage.
-:func:`run_compiled_sweep` measures the compiled scheduler on the same
-chain workload: the acyclic run is pushed into the engine as a handful of
+touches its slice of the objects.  :func:`run_compiled_sweep` measures
+the compiled scheduler against statement-at-a-time replay on a deep chain
+workload: the acyclic run is pushed into the engine as a handful of
 recursive-CTE statements per shard, shedding the per-statement round trip
-that replay pays ``depth`` times over.  Three satellites extend it:
+that replay pays ``depth`` times over.  Two satellites extend it:
 :func:`run_skeptic_compiled_sweep` (blocked floods pushed down as one
 anti-joined window statement each, against the two-statement Skeptic
-replay), :func:`run_region_worker_sweep` (independent compiled regions
-scheduled over a worker pool on one store),
-:func:`run_pool_worker_sweep` (connection-per-worker execution: each lane
-checks its own WAL-mode connection out of the store's pool and commits one
-transaction per region), and
-:func:`run_pg_parallel_sweep` (``SET max_parallel_workers_per_gather`` on
+replay) and :func:`run_pg_parallel_sweep` (``SET max_parallel_workers_per_gather`` on
 big region statements, gated on ``REPRO_PG_DSN``).
 
 Finally, :func:`run_fault_sweep` and :func:`run_crash_resume_demo` exercise
@@ -41,17 +33,14 @@ the fault-tolerant execution layer on this same workload: seeded transient
 faults injected into the statement stream are absorbed by the store's retry
 loop (the relation stays byte-identical to the fault-free run), and a forced
 mid-plan crash of a checkpointed run resumes from the statement journal,
-re-running only the unfinished plan nodes.
+re-running only the unfinished plan steps.
 
 CLI::
 
     python -m repro.experiments.fig8c_bulk [--quick] [--objects N [N ...]]
                                            [--sweep-indexes]
                                            [--shards N [N ...]]
-                                           [--sweep-schedulers]
                                            [--sweep-compiled] [--skeptic]
-                                           [--region-workers N [N ...]]
-                                           [--pool-workers N [N ...]]
                                            [--faults P] [--fault-seed N]
                                            [--seed N] [--json]
                                            [--trace PATH] [--metrics]
@@ -79,14 +68,12 @@ from repro.bulk.backends import (
     SqliteMemoryBackend,
     resolve_index_strategy,
 )
-from repro.bulk.compile import RegionLimits, compile_plan, region_schedule
 from repro.bulk.executor import (
     BulkResolver,
     BulkRunReport,
     ConcurrentBulkResolver,
     SkepticBulkResolver,
 )
-from repro.bulk.planner import plan_resolution
 from repro.bulk.store import PossStore, ShardedPossStore
 from repro.core.errors import BackendUnavailable
 from repro.faults import FaultInjectingBackend, FaultPolicy, RetryPolicy, ScriptedFault
@@ -105,7 +92,6 @@ from repro.workloads.bulkload import (
     chain_network,
     figure19_network,
     generate_objects,
-    multi_chain_network,
     skeptic_chain_network,
 )
 
@@ -358,79 +344,6 @@ def _scheduler_report(
     return report
 
 
-def run_scheduler_sweep(
-    depth: int = 400,
-    n_objects: int = 100,
-    shard_counts: Sequence[int] = (2, 4),
-    seed: int = 11,
-    repeats: int = 3,
-) -> List[Dict[str, object]]:
-    """The engine-path scheduler experiment: pipelined vs. stage-barrier.
-
-    The workload is a ``depth``-stage chain (one copy statement per stage),
-    replayed on file-backed shards so the shard threads genuinely run
-    concurrently.  The stage-barrier baseline synchronizes every shard at
-    each of the ``depth`` stage boundaries; the pipelined work-queue lets
-    each shard run ahead, so its wall clock drops by the accumulated
-    barrier overhead — ``stages_overlapped`` counts how often it actually
-    ran ahead.  Best-of-``repeats`` per cell smooths scheduler noise.
-    """
-    rows: List[Dict[str, object]] = []
-    with tempfile.TemporaryDirectory(prefix="repro-scheduler-") as directory:
-        for shards in shard_counts:
-            cells: Dict[str, BulkRunReport] = {}
-            for scheduler in ("stage-barrier", "pipelined"):
-                best: Optional[BulkRunReport] = None
-                for attempt in range(repeats):
-                    report = _scheduler_report(
-                        depth,
-                        n_objects,
-                        shards,
-                        scheduler,
-                        seed,
-                        os.path.join(directory, f"r{attempt}"),
-                    )
-                    if best is None or report.elapsed_seconds < best.elapsed_seconds:
-                        best = report
-                cells[scheduler] = best
-            pipelined = cells["pipelined"]
-            barrier = cells["stage-barrier"]
-            rows.append(
-                {
-                    "shards": shards,
-                    "depth": depth,
-                    "objects": n_objects,
-                    "pipelined_seconds": pipelined.elapsed_seconds,
-                    "barrier_seconds": barrier.elapsed_seconds,
-                    "speedup": barrier.elapsed_seconds
-                    / max(pipelined.elapsed_seconds, 1e-9),
-                    "dag_stages": pipelined.dag_stages,
-                    "stages_overlapped": pipelined.stages_overlapped,
-                    "barrier_overlapped": barrier.stages_overlapped,
-                    "statements_per_shard": pipelined.statements_per_shard(),
-                }
-            )
-    return rows
-
-
-def summarize_scheduler_sweep(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Invariants of the scheduler sweep: barriers never overlap, pipelining does."""
-    return {
-        "barrier_never_overlaps": all(
-            row["barrier_overlapped"] == 0 for row in rows
-        ),
-        "pipelined_overlaps_observed": all(
-            row["stages_overlapped"] > 0 for row in rows
-        ),
-        "mean_speedup_vs_barrier": (
-            round(sum(row["speedup"] for row in rows) / len(rows), 3)
-            if rows
-            else None
-        ),
-        "dag_stages": sorted({row["dag_stages"] for row in rows}),
-    }
-
-
 def run_compiled_sweep(
     depth: int = 1600,
     n_objects: int = 10,
@@ -440,14 +353,15 @@ def run_compiled_sweep(
 ) -> List[Dict[str, object]]:
     """The compiled-execution experiment: pushed-down regions vs. replay.
 
-    The workload is the same ``depth``-stage chain the scheduler sweep
-    uses: under replay it costs ``depth`` copy statements per shard, under
+    The workload is a ``depth``-stage chain (:func:`chain_network`): under
+    replay it costs ``depth`` copy statements per shard, under
     the ``compiled`` scheduler the acyclic run collapses into a handful of
     recursive-CTE regions (one per ``MAX_COPY_EDGES`` edges), so the wall
     clock drops by the per-statement scheduling overhead times ``depth``.
     The defaults pick the regime the compiler targets — deep plans over
     modest row volumes, where statement dispatch (not row insertion)
-    dominates and compiled runs 3-4x faster than pipelined; at shallow
+    dominates and compiled runs about 1.3-2.2x faster than replay (depth
+    1600 on 2-4 file shards, 2-vCPU host); at shallow
     depths or large ``n_objects`` the irreducible insert work levels the
     two schedulers.  Best-of-``repeats`` per cell smooths scheduler noise.
     """
@@ -455,7 +369,7 @@ def run_compiled_sweep(
     with tempfile.TemporaryDirectory(prefix="repro-compiled-") as directory:
         for shards in shard_counts:
             cells: Dict[str, BulkRunReport] = {}
-            for scheduler in ("pipelined", "compiled"):
+            for scheduler in ("replay", "compiled"):
                 best: Optional[BulkRunReport] = None
                 for attempt in range(repeats):
                     report = _scheduler_report(
@@ -470,18 +384,18 @@ def run_compiled_sweep(
                         best = report
                 cells[scheduler] = best
             compiled = cells["compiled"]
-            pipelined = cells["pipelined"]
+            replay = cells["replay"]
             rows.append(
                 {
                     "shards": shards,
                     "depth": depth,
                     "objects": n_objects,
                     "compiled_seconds": compiled.elapsed_seconds,
-                    "pipelined_seconds": pipelined.elapsed_seconds,
-                    "speedup_vs_pipelined": pipelined.elapsed_seconds
+                    "replay_seconds": replay.elapsed_seconds,
+                    "speedup_vs_replay": replay.elapsed_seconds
                     / max(compiled.elapsed_seconds, 1e-9),
                     "statements": compiled.statements,
-                    "replay_statements": pipelined.statements,
+                    "replay_statements": replay.statements,
                     "statements_saved": compiled.statements_saved,
                     "regions_compiled": compiled.regions_compiled,
                 }
@@ -497,10 +411,8 @@ def summarize_compiled_sweep(rows: Sequence[Dict[str, object]]) -> Dict[str, obj
             row["statements"] < row["replay_statements"] for row in rows
         ),
         "total_statements_saved": sum(row["statements_saved"] for row in rows),
-        "mean_speedup_vs_pipelined": (
-            round(
-                sum(row["speedup_vs_pipelined"] for row in rows) / len(rows), 3
-            )
+        "mean_speedup_vs_replay": (
+            round(sum(row["speedup_vs_replay"] for row in rows) / len(rows), 3)
             if rows
             else None
         ),
@@ -536,7 +448,7 @@ def run_skeptic_compiled_sweep(
     with tempfile.TemporaryDirectory(prefix="repro-skeptic-") as directory:
         for shards in shard_counts:
             cells: Dict[str, BulkRunReport] = {}
-            for scheduler in ("pipelined", "compiled"):
+            for scheduler in ("replay", "compiled"):
                 best: Optional[BulkRunReport] = None
                 for attempt in range(repeats):
                     base = os.path.join(directory, f"r{attempt}")
@@ -569,7 +481,7 @@ def run_skeptic_compiled_sweep(
                         best = report
                 cells[scheduler] = best
             compiled = cells["compiled"]
-            pipelined = cells["pipelined"]
+            replay = cells["replay"]
             rows.append(
                 {
                     "shards": shards,
@@ -577,11 +489,11 @@ def run_skeptic_compiled_sweep(
                     "objects": n_objects,
                     "blocked_users": len(constraints),
                     "compiled_seconds": compiled.elapsed_seconds,
-                    "pipelined_seconds": pipelined.elapsed_seconds,
-                    "speedup_vs_pipelined": pipelined.elapsed_seconds
+                    "replay_seconds": replay.elapsed_seconds,
+                    "speedup_vs_replay": replay.elapsed_seconds
                     / max(compiled.elapsed_seconds, 1e-9),
                     "statements": compiled.statements,
-                    "replay_statements": pipelined.statements,
+                    "replay_statements": replay.statements,
                     "statements_saved": compiled.statements_saved,
                     "regions_compiled": compiled.regions_compiled,
                 }
@@ -600,190 +512,10 @@ def summarize_skeptic_compiled_sweep(
         "statements_always_saved": all(
             row["statements_saved"] > 0 for row in rows
         ),
-        "mean_speedup_vs_pipelined": (
-            round(
-                sum(row["speedup_vs_pipelined"] for row in rows) / len(rows), 3
-            )
+        "mean_speedup_vs_replay": (
+            round(sum(row["speedup_vs_replay"] for row in rows) / len(rows), 3)
             if rows
             else None
-        ),
-    }
-
-
-def run_region_worker_sweep(
-    chains: int = 8,
-    depth: int = 120,
-    n_objects: int = 20,
-    worker_counts: Sequence[int] = (1, 2, 4),
-    seed: int = 11,
-    repeats: int = 3,
-) -> List[Dict[str, object]]:
-    """The concurrent-region-scheduler experiment: workers over independent regions.
-
-    ``chains`` disjoint copy chains (:func:`multi_chain_network`) compile —
-    under a per-chain region budget — into one region per chain with no
-    cross-region dependencies, so the region DAG is ``chains`` independent
-    components and a ``workers=N`` run may execute them in any interleaving.
-    The store is a single sqlite file whose driver serializes concurrent
-    statements, so the sweep measures the scheduler's dispatch overlap (and
-    honest ``workers`` reporting), not engine-side parallel SQL — that is
-    the PostgreSQL sweep's job.
-    """
-    network, roots = multi_chain_network(chains, depth)
-    plan = plan_resolution(network, explicit_users=roots)
-    limits = RegionLimits(max_copy_edges=depth, max_flood_pairs=depth)
-    compiled_plan = compile_plan(plan, limits=limits)
-    schedule = region_schedule(compiled_plan)
-    rng = random.Random(seed)
-    rows_in = [
-        (root, f"k{index}", rng.choice(["a", "b", "c"]))
-        for index in range(n_objects)
-        for root in roots
-    ]
-    rows: List[Dict[str, object]] = []
-    with tempfile.TemporaryDirectory(prefix="repro-regionworkers-") as directory:
-        for workers in worker_counts:
-            best: Optional[BulkRunReport] = None
-            for attempt in range(repeats):
-                path = os.path.join(directory, f"w{workers}-r{attempt}.db")
-                store = PossStore(backend=SqliteFileBackend(path))
-                resolver = BulkResolver(
-                    network,
-                    store=store,
-                    explicit_users=roots,
-                    scheduler="compiled",
-                    workers=workers,
-                    plan=plan,
-                    compiled_plan=compiled_plan,
-                )
-                resolver.load_beliefs(rows_in)
-                report = resolver.run()
-                store.close()
-                if best is None or report.elapsed_seconds < best.elapsed_seconds:
-                    best = report
-            rows.append(
-                {
-                    "workers": workers,
-                    "chains": chains,
-                    "depth": depth,
-                    "objects": n_objects,
-                    "regions": compiled_plan.region_count,
-                    "region_stages": schedule.stage_count,
-                    "seconds": best.elapsed_seconds,
-                    "workers_reported": best.workers,
-                    "regions_compiled": best.regions_compiled,
-                    "statements_saved": best.statements_saved,
-                }
-            )
-    return rows
-
-
-def summarize_region_worker_sweep(
-    rows: Sequence[Dict[str, object]],
-) -> Dict[str, object]:
-    """Invariants of the region-worker sweep: honest reports, all regions pushed."""
-    return {
-        "workers_reported_honestly": all(
-            row["workers_reported"] == row["workers"] for row in rows
-        ),
-        "all_regions_compiled": all(
-            row["regions_compiled"] == row["regions"] for row in rows
-        ),
-        "independent_region_stages": sorted(
-            {row["region_stages"] for row in rows}
-        ),
-    }
-
-
-def run_pool_worker_sweep(
-    chains: int = 8,
-    depth: int = 120,
-    n_objects: int = 20,
-    pool_worker_counts: Sequence[int] = (1, 2, 4),
-    seed: int = 11,
-    repeats: int = 3,
-) -> List[Dict[str, object]]:
-    """The connection-pool experiment: per-worker WAL connections, per-region
-    transactions.
-
-    The same disjoint-chain workload as :func:`run_region_worker_sweep`, but
-    executed through ``pool_workers=N``: every worker checks its own WAL-mode
-    connection out of the store's pool and commits one transaction per
-    compiled region, with the region SELECT staged into a temp table outside
-    the single-writer token.  ``pool_workers=1`` runs the identical pooled
-    per-region-transaction model, so the N-vs-1 ratio isolates the
-    parallelism (on a single-CPU host expect ≈1x — the stage overlap has no
-    spare core to land on).
-    """
-    network, roots = multi_chain_network(chains, depth)
-    plan = plan_resolution(network, explicit_users=roots)
-    limits = RegionLimits(max_copy_edges=depth, max_flood_pairs=depth)
-    compiled_plan = compile_plan(plan, limits=limits)
-    schedule = region_schedule(compiled_plan)
-    rng = random.Random(seed)
-    rows_in = [
-        (root, f"k{index}", rng.choice(["a", "b", "c"]))
-        for index in range(n_objects)
-        for root in roots
-    ]
-    rows: List[Dict[str, object]] = []
-    with tempfile.TemporaryDirectory(prefix="repro-poolworkers-") as directory:
-        for pool_workers in pool_worker_counts:
-            best: Optional[BulkRunReport] = None
-            for attempt in range(repeats):
-                path = os.path.join(directory, f"p{pool_workers}-r{attempt}.db")
-                store = PossStore(backend=SqliteFileBackend(path))
-                resolver = BulkResolver(
-                    network,
-                    store=store,
-                    explicit_users=roots,
-                    scheduler="compiled",
-                    plan=plan,
-                    compiled_plan=compiled_plan,
-                    pool_workers=pool_workers,
-                )
-                resolver.load_beliefs(rows_in)
-                report = resolver.run()
-                store.close()
-                if best is None or report.elapsed_seconds < best.elapsed_seconds:
-                    best = report
-            rows.append(
-                {
-                    "pool_workers": pool_workers,
-                    "chains": chains,
-                    "depth": depth,
-                    "objects": n_objects,
-                    "regions": compiled_plan.region_count,
-                    "region_stages": schedule.stage_count,
-                    "seconds": best.elapsed_seconds,
-                    "pool_workers_reported": best.pool_workers,
-                    "pool_checkouts": best.pool_checkouts,
-                    "pool_in_use_peak": best.pool_in_use_peak,
-                    "pool_wait_seconds": best.pool_wait_seconds,
-                    "transactions": best.transactions,
-                    "regions_compiled": best.regions_compiled,
-                }
-            )
-    return rows
-
-
-def summarize_pool_worker_sweep(
-    rows: Sequence[Dict[str, object]],
-) -> Dict[str, object]:
-    """Invariants of the pool sweep: honest reports, one checkout per lane,
-    per-region transactions."""
-    return {
-        "pool_workers_reported_honestly": all(
-            row["pool_workers_reported"] == row["pool_workers"] for row in rows
-        ),
-        "one_checkout_per_lane": all(
-            row["pool_checkouts"] == row["pool_workers"] for row in rows
-        ),
-        "per_region_transactions": all(
-            row["transactions"] >= row["regions"] for row in rows
-        ),
-        "all_regions_compiled": all(
-            row["regions_compiled"] == row["regions"] for row in rows
         ),
     }
 
@@ -978,7 +710,7 @@ def run_crash_resume_demo(
 
     A scripted unavailability kills statement ``crash_at`` of a
     file-backed checkpointed run; the resume with the same run id skips the
-    journaled plan nodes and finishes the rest, and the final relation is
+    journaled plan steps and finishes the rest, and the final relation is
     byte-identical to an undisturbed run.  Returns the recovery wall clock
     and how much journaled work the resume skipped.
     """
@@ -1018,7 +750,7 @@ def run_crash_resume_demo(
         "objects": n_objects,
         "crash_at": crash_at,
         "interrupted": interrupted,
-        "nodes_total": len(resumed.dag.nodes),
+        "nodes_total": len(resumed.plan.steps),
         "nodes_skipped": report.nodes_skipped,
         "resume_seconds": resume_seconds,
         "byte_identical": identical,
@@ -1084,11 +816,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         help="also run the scatter/gather shard sweep over these shard counts",
     )
     parser.add_argument(
-        "--sweep-schedulers",
-        action="store_true",
-        help="also run the pipelined vs. stage-barrier scheduler sweep",
-    )
-    parser.add_argument(
         "--sweep-compiled",
         action="store_true",
         help="also run the compiled (pushed-down regions) vs. replay sweep",
@@ -1098,25 +825,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         action="store_true",
         help="with --sweep-compiled: also run the Skeptic blocked-flood "
         "compiled sweep",
-    )
-    parser.add_argument(
-        "--region-workers",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="N",
-        help="with --sweep-compiled: also run the concurrent-region-scheduler "
-        "sweep over these worker counts",
-    )
-    parser.add_argument(
-        "--pool-workers",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="N",
-        help="with --sweep-compiled: also run the connection-pool sweep "
-        "(per-worker WAL connections, per-region transactions) over these "
-        "pool sizes",
     )
     parser.add_argument(
         "--faults",
@@ -1238,36 +946,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             )
             report(f"summary: {summarize_shard_sweep(sweep)}")
 
-    if args.sweep_schedulers:
-        sweep = run_scheduler_sweep(
-            depth=100 if args.quick else 400,
-            n_objects=50 if args.quick else 100,
-            seed=args.seed,
-        )
-        document["scheduler_sweep"] = {
-            "rows": sweep,
-            "summary": summarize_scheduler_sweep(sweep),
-        }
-        if not args.json:
-            report(
-                "\nFigure 8c — scheduler sweep (pipelined work-queue vs. "
-                "stage-barrier lockstep)"
-            )
-            report(
-                format_table(
-                    sweep,
-                    columns=[
-                        "shards",
-                        "depth",
-                        "pipelined_seconds",
-                        "barrier_seconds",
-                        "speedup",
-                        "stages_overlapped",
-                    ],
-                )
-            )
-            report(f"summary: {summarize_scheduler_sweep(sweep)}")
-
     if args.sweep_compiled:
         sweep = run_compiled_sweep(
             depth=200 if args.quick else 1600,
@@ -1290,8 +968,8 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
                         "shards",
                         "depth",
                         "compiled_seconds",
-                        "pipelined_seconds",
-                        "speedup_vs_pipelined",
+                        "replay_seconds",
+                        "speedup_vs_replay",
                         "statements",
                         "statements_saved",
                     ],
@@ -1321,79 +999,14 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
                         "shards",
                         "depth",
                         "compiled_seconds",
-                        "pipelined_seconds",
-                        "speedup_vs_pipelined",
+                        "replay_seconds",
+                        "speedup_vs_replay",
                         "statements_saved",
                         "regions_compiled",
                     ],
                 )
             )
             report(f"summary: {summarize_skeptic_compiled_sweep(sweep)}")
-
-    if args.sweep_compiled and args.region_workers:
-        sweep = run_region_worker_sweep(
-            chains=4 if args.quick else 8,
-            depth=40 if args.quick else 120,
-            n_objects=5 if args.quick else 20,
-            worker_counts=tuple(args.region_workers),
-            seed=args.seed,
-        )
-        document["region_worker_sweep"] = {
-            "rows": sweep,
-            "summary": summarize_region_worker_sweep(sweep),
-        }
-        if not args.json:
-            report(
-                "\nFigure 8c — region-worker sweep (independent compiled "
-                "regions scheduled concurrently)"
-            )
-            report(
-                format_table(
-                    sweep,
-                    columns=[
-                        "workers",
-                        "chains",
-                        "regions",
-                        "region_stages",
-                        "seconds",
-                        "workers_reported",
-                    ],
-                )
-            )
-            report(f"summary: {summarize_region_worker_sweep(sweep)}")
-
-    if args.sweep_compiled and args.pool_workers:
-        sweep = run_pool_worker_sweep(
-            chains=4 if args.quick else 8,
-            depth=40 if args.quick else 120,
-            n_objects=5 if args.quick else 20,
-            pool_worker_counts=tuple(args.pool_workers),
-            seed=args.seed,
-        )
-        document["pool_worker_sweep"] = {
-            "rows": sweep,
-            "summary": summarize_pool_worker_sweep(sweep),
-        }
-        if not args.json:
-            report(
-                "\nFigure 8c — pool-worker sweep (connection-per-worker WAL "
-                "execution, per-region transactions)"
-            )
-            report(
-                format_table(
-                    sweep,
-                    columns=[
-                        "pool_workers",
-                        "chains",
-                        "regions",
-                        "seconds",
-                        "pool_checkouts",
-                        "pool_in_use_peak",
-                        "transactions",
-                    ],
-                )
-            )
-            report(f"summary: {summarize_pool_worker_sweep(sweep)}")
 
     if args.sweep_compiled:
         sweep = run_pg_parallel_sweep(

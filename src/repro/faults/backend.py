@@ -108,22 +108,6 @@ class FaultInjectingBackend(SqlBackend):
         return self.inner.supports_concurrent_replay
 
     @property
-    def supports_concurrent_statements(self) -> bool:
-        return self.inner.supports_concurrent_statements
-
-    @property
-    def supports_pooling(self) -> bool:
-        return self.inner.supports_pooling
-
-    @property
-    def supports_concurrent_writes(self) -> bool:
-        return self.inner.supports_concurrent_writes
-
-    @property
-    def pool_begin_sql(self) -> str:
-        return self.inner.pool_begin_sql
-
-    @property
     def max_bind_params(self) -> int:
         return self.inner.max_bind_params
 
@@ -141,15 +125,6 @@ class FaultInjectingBackend(SqlBackend):
     def connect(self):
         self._check("connect")
         return _FaultConnection(self.inner.connect(), self)
-
-    def pool_connect(self):
-        # Pooled (per-worker) connections go through the same connect-site
-        # fault stream and the same proxies as the primary connection, so
-        # chaos reaches every worker, not just the coordinator.  The pool
-        # machinery inherited from SqlBackend pools over *this* wrapper,
-        # which is what makes checkout() hand out fault-wrapped members.
-        self._check("connect")
-        return _FaultConnection(self.inner.pool_connect(), self)
 
     def render(self, sql: str) -> str:
         return self.inner.render(sql)

@@ -1,7 +1,7 @@
 """End-to-end observability: tracing, metrics, exporters, run comparison.
 
 The execution stack is five layers deep (engine façade → planner/compiler →
-region scheduler → retry funnel → backend); this package makes a run
+region run loop → retry funnel → backend); this package makes a run
 inspectable without changing what it does.  Pass ``trace=True`` (or a
 :class:`Tracer`) to :meth:`repro.engine.ResolutionEngine.materialize` /
 ``apply`` and the resulting report carries the recorded trace::

@@ -64,9 +64,9 @@ def chain_network(depth: int) -> TrustNetwork:
     ``d1`` prefers ``x6`` over ``x7``; every later ``d<i>`` copies from its
     predecessor, so the grouped plan is ``depth`` single-parent copy steps
     whose dependency DAG is one long chain — ``dag_stages == depth``.  This
-    is the multi-stage workload of the scheduler experiments: with many
-    narrow stages, a stage-barrier replay pays one synchronization per
-    stage while the pipelined work-queue pays none.
+    is the deep-chain workload of the compiled-versus-replay experiments:
+    replay pays one statement per link, the compiled plan one recursive CTE
+    per region.
     """
     if depth < 1:
         raise WorkloadError("a chain needs at least one derived user")
@@ -123,10 +123,9 @@ def multi_chain_network(
     """``chains`` independent copy chains, each under its own explicit root.
 
     Chain ``c`` hangs ``depth`` single-parent copy users below root ``r<c>``;
-    the chains share no users, so with one compiled region per chain the
-    region dependency DAG is ``chains`` independent components — the
-    workload of the concurrent-region-scheduler experiment.  Returns the
-    network and the explicit root users.
+    the chains share no users, so the compiled plan holds one independent
+    copy region per chain.  Returns the network and the explicit root
+    users.
     """
     if chains < 1 or depth < 1:
         raise WorkloadError("need at least one chain of at least one user")

@@ -569,6 +569,26 @@ class TestBindParameterProbe:
             == expected
         )
 
+    def test_probe_is_memoized_per_backend_instance(self, tmp_path):
+        backend = SqliteFileBackend(str(tmp_path / "probe.db"))
+        probes = []
+        original = backend._probe_max_bind_params
+
+        def counting_probe():
+            probes.append(1)
+            return original()
+
+        backend._probe_max_bind_params = counting_probe
+        first = backend.max_bind_params
+        second = backend.max_bind_params
+        assert first == second
+        assert len(probes) == 1, "the probe must run once per backend instance"
+        # A fresh instance probes again: memoization is per instance, not
+        # a class-level cache that could leak across different servers.
+        other = SqliteFileBackend(str(tmp_path / "probe2.db"))
+        assert other._probed_bind_params is None
+        assert other.max_bind_params == first
+
     def test_dbapi_backend_defaults_to_the_floor(self):
         backend = DbApiBackend(lambda: sqlite3.connect(":memory:"))
         assert backend.max_bind_params == DEFAULT_MAX_BIND_PARAMS

@@ -1,4 +1,4 @@
-"""Differential tests for compiled SQL plan execution (bulk/compile.py).
+"""Differential tests for plan execution through the run loop.
 
 The acceptance property of the compiled scheduler: partitioning a plan into
 regions — recursive-CTE copy regions, window-function flood stages, replay
@@ -16,6 +16,7 @@ import sqlite3
 
 import pytest
 
+import repro.bulk.executor as executor_module
 from repro.bulk.backends import DbApiBackend, SqliteFileBackend
 from repro.bulk.compile import (
     MAX_COPY_EDGES,
@@ -25,9 +26,11 @@ from repro.bulk.compile import (
     RegionLimits,
     compile_plan,
     compile_steps,
-    region_schedule,
+    replay_plan,
 )
 from repro.bulk.executor import (
+    JOURNAL_BELIEFS_NODE,
+    SCHEDULERS,
     BulkResolver,
     ConcurrentBulkResolver,
     SkepticBulkResolver,
@@ -41,13 +44,16 @@ from repro.bulk.planner import (
 )
 from repro.bulk.sql import SqlDialect, sqlite_dialect
 from repro.bulk.store import PossStore, ShardedPossStore
+from repro.core.errors import BulkProcessingError
 from repro.core.network import TrustNetwork
 from repro.workloads.bulkload import (
     BELIEF_USERS,
     chain_network,
     figure19_network,
     generate_objects,
+    multi_chain_network,
 )
+from repro.workloads.oscillators import oscillator_network
 
 
 def _random_network(rng, max_users: int = 9):
@@ -106,7 +112,6 @@ def _dbapi_backends(tmp_path, tag, count, dialect="sqlite"):
         DbApiBackend(
             factory(str(tmp_path / f"{tag}-dbshard{i}.db")),
             name="dbapi-sqlite",
-            supports_concurrent_statements=sqlite3.threadsafety == 3,
             dialect=dialect,
         )
         for i in range(count)
@@ -201,14 +206,258 @@ class TestCompiledEquivalenceProperty:
             report = resolver.run()
             assert serialized_relation(store) == expected, f"trial {trial}"
             assert report.scheduler == "compiled"
-            if report.pool_workers:
-                # Pooled runs (REPRO_POOL_WORKERS in the chaos matrix) trade
-                # the single run transaction for one transaction per region.
-                assert report.transactions >= 1
-            else:
-                assert report.transactions == 1
+            assert report.transactions == 1
             assert report.regions_compiled == resolver.compiled.region_count
             store.close()
+
+
+class TestRunLoopEquivalenceProperty:
+    """Both lowerings run through the one run loop and stay byte-identical
+    to sequential plan-order replay on random networks, on one store and
+    on two file-backed shards (threaded lanes)."""
+
+    NETWORKS = 60
+
+    @pytest.mark.parametrize("layout", ("single", "sharded"))
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_run_is_byte_identical_over_random_networks(
+        self, scheduler, layout, tmp_path, serialized_relation
+    ):
+        rng = random.Random(20100608)
+        for trial in range(self.NETWORKS):
+            network, explicit = _random_network(rng)
+            rows = _random_rows(rng, explicit, n_objects=rng.randint(2, 5))
+            if layout == "single":
+                store = PossStore(
+                    backend=SqliteFileBackend(str(tmp_path / f"t{trial}.db"))
+                )
+                lanes = 1
+            else:
+                store = ShardedPossStore(
+                    2, backends=_file_backends(tmp_path, f"t{trial}", 2)
+                )
+                lanes = 2
+            resolver = BulkResolver(
+                network, store=store, explicit_users=explicit, scheduler=scheduler
+            )
+            expected = _sequential_reference(
+                resolver.plan, rows, serialized_relation
+            )
+            resolver.load_beliefs(rows)
+            report = resolver.run()
+            assert serialized_relation(store) == expected, (
+                f"trial {trial}: {scheduler} run diverged ({layout})"
+            )
+            assert report.scheduler == scheduler
+            assert report.shards == lanes
+            # One run transaction per store, no checkpoint.
+            assert report.transactions == lanes
+            if scheduler == "replay":
+                # The Section 4 invariant: one plan's statements per store.
+                assert (
+                    report.statements_per_shard()
+                    == resolver.plan.statement_count()
+                )
+                assert report.statements_saved == 0
+            else:
+                assert report.statements == (
+                    resolver.compiled.statement_count() * lanes
+                )
+            store.close()
+
+
+class TestRunLoop:
+    """The shared run loop: lowering, validation, rollback, accounting."""
+
+    def test_replay_lowers_each_step_to_a_one_step_region(self):
+        plan = plan_resolution(figure19_network(), explicit_users=BELIEF_USERS)
+        lowered = replay_plan(plan)
+        assert [region.kind for region in lowered.regions] == (
+            ["replay"] * len(plan.steps)
+        )
+        assert [region.steps for region in lowered.regions] == [
+            (step,) for step in plan.steps
+        ]
+        assert lowered.statement_count() == plan.statement_count()
+
+    def test_unknown_scheduler_rejected(self):
+        for scheduler in ("chaotic", "pipelined", "stage-barrier"):
+            with pytest.raises(BulkProcessingError):
+                BulkResolver(figure19_network(), scheduler=scheduler)
+
+    def test_materialize_replay_is_one_transaction_of_plan_statements(self):
+        from repro import ResolutionEngine
+
+        with ResolutionEngine.open(chain_network(30)) as engine:
+            report = engine.materialize()
+            assert report.scheduler == "replay"
+            assert report.statements == engine.plan.statement_count()
+            assert report.transactions == 1
+
+    def test_sharded_failure_rolls_back_all_shards(self, tmp_path):
+        """A shard lane failing mid-run rolls back every shard."""
+        store = ShardedPossStore(2, backends=_file_backends(tmp_path, "fail", 2))
+        resolver = ConcurrentBulkResolver(
+            figure19_network(), store=store, explicit_users=BELIEF_USERS
+        )
+        resolver.load_beliefs(generate_objects(10, seed=4))
+        before = [sorted(shard.possible_table()) for shard in store.shards]
+
+        def failing_copy(parent, children):
+            raise BulkProcessingError("shard 1 lost its engine mid-run")
+
+        store.shards[1].copy_to_children = failing_copy
+        with pytest.raises(BulkProcessingError, match="lost its engine"):
+            resolver.run()
+        assert [sorted(shard.possible_table()) for shard in store.shards] == before
+        assert not store.in_transaction
+        store.close()
+
+    def test_phase_seconds_sum_to_wall_time_on_serial_replay(self):
+        """copy + flood account for (almost all of) the run's wall time:
+        one lane times each statement exactly once, so the two phases plus
+        loop overhead equal the elapsed wall clock."""
+        resolver = BulkResolver(figure19_network(), explicit_users=BELIEF_USERS)
+        resolver.load_beliefs(generate_objects(2_000, seed=11))
+        report = resolver.run()
+        phased = sum(report.phase_seconds.values())
+        assert set(report.phase_seconds) == {"copy", "flood"}
+        # Never more than the wall clock (no double counting) ...
+        assert phased <= report.elapsed_seconds
+        # ... and never less than 80% of it (nothing material untimed).
+        assert phased >= 0.8 * report.elapsed_seconds, report
+        resolver.store.close()
+
+    def test_replay_checkpoint_markers_are_plan_step_indices(self):
+        resolver = BulkResolver(
+            figure19_network(), explicit_users=BELIEF_USERS, checkpoint="steps"
+        )
+        resolver.load_beliefs(generate_objects(5, seed=2))
+        report = resolver.run()
+        steps = len(resolver.plan.steps)
+        assert report.checkpointed
+        assert report.transactions == steps
+        assert resolver.store.journal_completed("steps") == frozenset(
+            range(steps)
+        ) | {JOURNAL_BELIEFS_NODE}
+        resolver.store.close()
+
+
+class TestResumedRunAccounting:
+    """A resumed run reports savings only for the regions it executed."""
+
+    def _run(self, network, store, rows):
+        resolver = BulkResolver(
+            network,
+            store=store,
+            explicit_users=BELIEF_USERS,
+            scheduler="compiled",
+            checkpoint="run1",
+        )
+        resolver.load_beliefs(rows)
+        return resolver, resolver.run()
+
+    def test_single_store_resume_saves_nothing(self, tmp_path):
+        network = chain_network(30)
+        rows = generate_objects(4, seed=3)
+        path = str(tmp_path / "resume.db")
+        store = PossStore(backend=SqliteFileBackend(path))
+        resolver, first = self._run(network, store, rows)
+        assert first.statements_saved == resolver.compiled.statements_saved() > 0
+        _resolver, second = self._run(network, store, rows)
+        assert second.statements == 0
+        assert second.nodes_skipped == len(resolver.plan.steps)
+        assert second.statements_saved == 0
+        store.close()
+
+    def test_sharded_resume_saves_nothing(self, tmp_path):
+        network = chain_network(30)
+        rows = generate_objects(6, seed=3)
+        store = ShardedPossStore(2, backends=_file_backends(tmp_path, "resume", 2))
+        resolver, first = self._run(network, store, rows)
+        assert first.statements_saved == 2 * resolver.compiled.statements_saved()
+        _resolver, second = self._run(network, store, rows)
+        assert second.statements == 0
+        assert second.nodes_skipped == 2 * len(resolver.plan.steps)
+        assert second.statements_saved == 0
+        store.close()
+
+    @pytest.mark.parametrize("layout", ("single", "sharded"))
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_partial_resume_accounts_only_for_the_remaining_regions(
+        self, scheduler, layout, tmp_path, monkeypatch, serialized_relation
+    ):
+        """A lane fails at its middle region; the resume executes, and
+        reports, only the regions from there on."""
+        network, roots = multi_chain_network(2, 4)
+        network.add_trust("p", "c0u3", priority=1)
+        network.add_trust("p", "q", priority=1)
+        network.add_trust("q", "p", priority=1)
+        network.add_trust("z", "p", priority=1)
+        plan = plan_resolution(network, explicit_users=roots)
+        compiled_plan = compile_plan(
+            plan, limits=RegionLimits(max_copy_edges=4, max_flood_pairs=4)
+        )
+        rows = [(root, f"k{i}", f"v{i % 3}") for root in roots for i in range(6)]
+        expected = _sequential_reference(plan, rows, serialized_relation)
+        if layout == "single":
+            store = PossStore(backend=SqliteFileBackend(str(tmp_path / "p.db")))
+            target = store
+        else:
+            store = ShardedPossStore(2, backends=_file_backends(tmp_path, "p", 2))
+            target = store.shards[1]
+
+        def resolver():
+            return BulkResolver(
+                network,
+                store=store,
+                plan=plan,
+                compiled_plan=compiled_plan,
+                scheduler=scheduler,
+                checkpoint="run1",
+            )
+
+        crashing = resolver()
+        crashing.load_beliefs(rows)
+        regions = crashing.compiled.regions
+        markers = crashing.compiled.journal_markers()
+        failed_at = len(regions) // 2
+        assert failed_at > 0
+        real = executor_module._execute_region
+        seen = []
+
+        def execute(lane_store, region, clock):
+            if lane_store is target:
+                if len(seen) == failed_at:
+                    raise BulkProcessingError("injected failure")
+                seen.append(region)
+            return real(lane_store, region, clock)
+
+        monkeypatch.setattr(executor_module, "_execute_region", execute)
+        with pytest.raises(BulkProcessingError, match="injected failure"):
+            crashing.run()
+        monkeypatch.setattr(executor_module, "_execute_region", real)
+        # Each region committed with its marker; the failed one did not.
+        assert target.journal_completed("run1") == frozenset(
+            markers[:failed_at]
+        ) | {JOURNAL_BELIEFS_NODE}
+
+        resumed = resolver()
+        assert resumed.load_beliefs(rows) == 0  # the load is journaled too
+        report = resumed.run()
+        assert serialized_relation(store) == expected
+        rest = regions[failed_at:]
+        healthy_steps = len(plan.steps) if layout == "sharded" else 0
+        assert report.nodes_skipped == healthy_steps + sum(
+            len(region.steps) for region in regions[:failed_at]
+        )
+        assert report.transactions == len(rest)
+        assert report.statements == sum(region.statement_count() for region in rest)
+        assert report.statements_saved == sum(
+            region.replay_statement_count() - region.statement_count()
+            for region in rest
+        )
+        store.close()
 
 
 class TestStatementCollapse:
@@ -254,6 +503,34 @@ class TestStatementCollapse:
         assert serialized_relation(resolver.store) == expected
         assert report.statements < replay_statements
         resolver.store.close()
+
+    def test_repeated_run_hits_the_statement_cache_for_every_region(
+        self, tmp_path
+    ):
+        network, roots = multi_chain_network(4, 10)
+        plan = plan_resolution(network, explicit_users=roots)
+        limits = RegionLimits(max_copy_edges=10, max_flood_pairs=10)
+        compiled_plan = compile_plan(plan, limits=limits)
+        assert compiled_plan.region_count > 1
+        store = PossStore(backend=SqliteFileBackend(str(tmp_path / "cache.db")))
+        rows = [(root, "k0", "v") for root in roots]
+        for attempt in range(2):
+            resolver = BulkResolver(
+                network,
+                store=store,
+                scheduler="compiled",
+                plan=plan,
+                compiled_plan=compiled_plan,
+            )
+            if attempt:
+                store.clear()
+            resolver.load_beliefs(rows)
+            resolver.run()
+        # The second run re-renders nothing: every region fingerprint hits.
+        assert store.statement_cache_size == compiled_plan.region_count
+        assert store.statement_cache_misses == compiled_plan.region_count
+        assert store.statement_cache_hits >= compiled_plan.region_count
+        store.close()
 
 
 class TestRegionBoundaries:
@@ -391,6 +668,28 @@ class TestRegionBoundaries:
         assert len(markers) == compiled.region_count
         assert list(markers) == sorted(set(markers))
         assert markers[-1] == len(plan.steps) - 1
+
+    @pytest.mark.parametrize("workload", ("figure19", "chain", "oscillators"))
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_regions_partition_the_plan_steps_in_order(self, scheduler, workload):
+        """Both lowerings cover every plan step exactly once, in plan order,
+        and each journal marker is the plan index of its region's last
+        step."""
+        network, explicit = {
+            "figure19": (figure19_network(), BELIEF_USERS),
+            "chain": (chain_network(30), BELIEF_USERS),
+            "oscillators": (oscillator_network(3), None),
+        }[workload]
+        plan = plan_resolution(network, explicit_users=explicit)
+        lowered = replay_plan(plan) if scheduler == "replay" else compile_plan(plan)
+        assert all(region.steps for region in lowered.regions)
+        flattened = [step for region in lowered.regions for step in region.steps]
+        assert flattened == list(plan.steps)
+        ends = []
+        for region in lowered.regions:
+            ends.append((ends[-1] if ends else -1) + len(region.steps))
+        assert list(lowered.journal_markers()) == ends
+        assert lowered.replay_statement_count() == plan.statement_count()
 
     def test_flood_pair_cap_spills_to_replay(self):
         members = tuple(f"m{i}" for i in range(40))
@@ -566,19 +865,9 @@ class TestSkepticCompiledEquivalenceProperty:
                 f"(shards={shards}, backend={kind})"
             )
             assert report.scheduler == "compiled"
-            # Every region compiles on this sqlite (>= 3.28): the fan-out
-            # store executes each region once, per-shard inside.
-            assert report.regions_compiled == compiled.region_count
-            if report.pool_workers:
-                # Staged pooled regions split into a CREATE TEMP TABLE and
-                # an INSERT … SELECT, so up to two statements per region.
-                assert (
-                    compiled.statement_count()
-                    <= report.statements
-                    <= 2 * compiled.statement_count()
-                )
-            else:
-                assert report.statements == compiled.statement_count() * shards
+            # Every region compiles on this sqlite (>= 3.28), on every shard.
+            assert report.regions_compiled == compiled.region_count * shards
+            assert report.statements == compiled.statement_count() * shards
             if report.statements_saved:
                 compiled_with_savings += 1
             store.close()
@@ -591,7 +880,8 @@ class TestSkepticCompiledEquivalenceProperty:
         self, serialized_relation
     ):
         """The bench workload end to end: regions_compiled > 0 and
-        statements_saved > 0, byte-identical to the pipelined replay."""
+        statements_saved > 0, byte-identical to the statement-at-a-time
+        replay."""
         from repro.workloads.bulkload import skeptic_chain_network
 
         network, constraints = skeptic_chain_network(60)
@@ -626,119 +916,8 @@ class TestSkepticCompiledEquivalenceProperty:
         resolver.store.close()
 
 
-class TestRegionSchedule:
-    """Units for the region-level dependency DAG (region_schedule)."""
-
-    def test_chain_regions_schedule_linearly(self):
-        network = chain_network(100)
-        plan = plan_resolution(network, explicit_users=BELIEF_USERS)
-        limits = RegionLimits(max_copy_edges=25, max_flood_pairs=25)
-        compiled = compile_plan(plan, limits=limits)
-        assert compiled.region_count == 4
-        schedule = region_schedule(compiled)
-        assert schedule.region_count == 4
-        # Each region reads users the previous one closes: a linear DAG.
-        assert list(schedule.depends_on) == [(), (0,), (1,), (2,)]
-        assert [list(stage) for stage in schedule.stages] == [[0], [1], [2], [3]]
-
-    def test_independent_chains_share_one_stage(self):
-        from repro.workloads.bulkload import multi_chain_network
-
-        network, roots = multi_chain_network(4, 30)
-        plan = plan_resolution(network, explicit_users=roots)
-        limits = RegionLimits(max_copy_edges=30, max_flood_pairs=30)
-        compiled = compile_plan(plan, limits=limits)
-        assert compiled.region_count == 4
-        schedule = region_schedule(compiled)
-        assert all(deps == () for deps in schedule.depends_on)
-        assert schedule.stage_count == 1
-        assert sorted(schedule.stages[0]) == [0, 1, 2, 3]
-
-    def test_flood_region_depends_on_the_copy_region_closing_its_parents(self):
-        tn = TrustNetwork()
-        tn.add_trust("b", "a", priority=1)
-        tn.add_trust("p", "b", priority=1)
-        tn.add_trust("p", "q", priority=1)
-        tn.add_trust("q", "p", priority=1)
-        tn.set_explicit_belief("a", "v")
-        plan = plan_resolution(tn)
-        compiled = compile_plan(plan)
-        kinds = [region.kind for region in compiled.regions]
-        assert "flood" in kinds
-        schedule = region_schedule(compiled)
-        flood_index = kinds.index("flood")
-        assert schedule.depends_on[flood_index], (
-            "the SCC flood reads users closed by the copy region before it"
-        )
-
-    def test_schedule_covers_every_region_exactly_once(self):
-        network = figure19_network()
-        plan = plan_resolution(network, explicit_users=BELIEF_USERS)
-        compiled = compile_plan(plan)
-        schedule = region_schedule(compiled)
-        scheduled = sorted(i for stage in schedule.stages for i in stage)
-        assert scheduled == list(range(compiled.region_count))
-
-
 class TestWorkersReporting:
-    """BulkRunReport.workers must report reality, not a hardcoded 1."""
-
-    def _multi_region_setup(self):
-        from repro.workloads.bulkload import multi_chain_network
-
-        network, roots = multi_chain_network(4, 20)
-        plan = plan_resolution(network, explicit_users=roots)
-        limits = RegionLimits(max_copy_edges=20, max_flood_pairs=20)
-        compiled = compile_plan(plan, limits=limits)
-        rows = [(root, f"k{i}", "v") for root in roots for i in range(2)]
-        return network, roots, plan, compiled, rows
-
-    def test_single_store_compiled_reports_the_worker_pool(
-        self, tmp_path, serialized_relation
-    ):
-        network, roots, plan, compiled, rows = self._multi_region_setup()
-        expected = _sequential_reference(plan, rows, serialized_relation)
-        backend = SqliteFileBackend(str(tmp_path / "workers.db"))
-        assert backend.supports_concurrent_replay
-        store = PossStore(backend=backend)
-        resolver = BulkResolver(
-            network,
-            store=store,
-            explicit_users=roots,
-            scheduler="compiled",
-            workers=3,
-            plan=plan,
-            compiled_plan=compiled,
-        )
-        report = None
-        if store.supports_concurrent_statements:
-            resolver.load_beliefs(rows)
-            report = resolver.run()
-            if report.pool_workers:
-                # The pooled path sizes its lanes from pool_workers, not
-                # the replay worker count.
-                assert report.workers == report.pool_workers
-            else:
-                assert report.workers == 3
-            assert serialized_relation(store) == expected
-        store.close()
-
-    def test_memory_store_clamps_workers_to_one(self):
-        network, roots, plan, compiled, rows = self._multi_region_setup()
-        resolver = BulkResolver(
-            network,
-            explicit_users=roots,
-            scheduler="compiled",
-            workers=4,
-            plan=plan,
-            compiled_plan=compiled,
-        )
-        resolver.load_beliefs(rows)
-        report = resolver.run()
-        # The in-memory backend cannot move its connection across threads:
-        # the run degrades to one worker and must say so.
-        assert report.workers == 1
-        resolver.store.close()
+    """BulkRunReport.workers counts the shard lanes that ran concurrently."""
 
     def test_sharded_compiled_run_reports_shard_lanes(self, tmp_path):
         network = figure19_network()

@@ -97,7 +97,7 @@ class TestPlanDagStructure:
         # Statement count is a plan property, untouched by the lowering.
         assert dag.statement_count() == dag.plan.statement_count()
         assert dag.stage_count >= 2
-        assert len(dag.topological_order()) == len(dag.plan.steps)
+        assert len(dag.nodes) == len(dag.plan.steps)
         # Dependencies always point backwards in plan order.
         for node in dag.nodes:
             assert all(dep < node.index for dep in node.depends_on)
@@ -202,7 +202,7 @@ class TestTopologicalReplayEquivalence:
         dag = plan.dag()
         rng = random.Random(5)
         orders = [
-            [node.index for node in dag.topological_order()],
+            [i for stage in dag.stages for i in stage],
             # stage order with each stage's independent nodes reversed
             [i for stage in dag.stages for i in reversed(stage)],
         ] + [random_topological_order(dag, rng) for _ in range(5)]
@@ -224,7 +224,7 @@ class TestTopologicalReplayEquivalence:
         rows = [("source", "k0", "v1"), ("source", "k1", "v2")]
         dag = plan.dag()
         sequential_store = replay_in_order(
-            plan, dag, [node.index for node in dag.topological_order()], rows
+            plan, dag, [i for stage in dag.stages for i in stage], rows
         )
         sequential = serialized_relation(sequential_store)
         sequential_store.close()
@@ -245,7 +245,7 @@ class TestTopologicalReplayEquivalence:
             plan = plan_resolution(tn, explicit_users=explicit)
             dag = plan.dag()
             reference = replay_in_order(
-                plan, dag, [node.index for node in dag.topological_order()], rows
+                plan, dag, [i for stage in dag.stages for i in stage], rows
             )
             expected = serialized_relation(reference)
             reference.close()

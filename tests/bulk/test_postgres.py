@@ -172,7 +172,7 @@ class TestPostgresResolvers:
     ):
         """Blocked-flood regions (anti-joined window pass + ⊥ branch) on a
         real PostgreSQL: Skeptic resolution under the compiled scheduler is
-        byte-identical to the pipelined replay and pushes the constrained
+        byte-identical to the statement-at-a-time replay and pushes the constrained
         floods down as single statements."""
         from repro.bulk.executor import SkepticBulkResolver
         from repro.workloads.bulkload import skeptic_chain_network

@@ -179,7 +179,7 @@ class TestConcurrentBulkResolver:
             assert report.shards == shards
             assert report.transactions == shards
             assert report.statements_per_shard() == reference.plan.statement_count()
-            assert report.dag_stages == resolver.dag.stage_count
+            assert report.dag_stages == resolver.plan.dag().stage_count
             assert sorted(report.per_shard_seconds) == [
                 f"shard{i}" for i in range(shards)
             ]
@@ -277,27 +277,24 @@ class TestConcurrentBulkResolver:
             with pytest.raises(BulkProcessingError):
                 ConcurrentBulkResolver(figure19_network(), shards=8, store=store)
 
-    def test_sequential_fallback_stops_replaying_after_a_failure(self):
+    def test_sequential_fallback_stops_replaying_after_a_failure(
+        self, monkeypatch
+    ):
+        import repro.bulk.executor as executor_module
+
         resolver = ConcurrentBulkResolver(
             figure19_network(), shards=3, explicit_users=BELIEF_USERS
         )
         resolver.load_beliefs(generate_objects(10, seed=6))
         replayed = []
 
-        original = ConcurrentBulkResolver._replay_shard
-
-        def recording_replay(self, shard, *args, **kwargs):
+        def recording_lane(shard, *args, **kwargs):
             replayed.append(shard)
-            if len(replayed) == 1:
-                raise BulkProcessingError("first shard dies")
-            return original(self, shard, *args, **kwargs)  # pragma: no cover - must not run
+            raise BulkProcessingError("first shard dies")
 
-        ConcurrentBulkResolver._replay_shard = recording_replay
-        try:
-            with pytest.raises(BulkProcessingError):
-                resolver.run()
-        finally:
-            ConcurrentBulkResolver._replay_shard = original
+        monkeypatch.setattr(executor_module, "_run_lane", recording_lane)
+        with pytest.raises(BulkProcessingError):
+            resolver.run()
         assert len(replayed) == 1  # shards 2 and 3 were never replayed
         resolver.store.close()
 

@@ -204,7 +204,6 @@ _PER_USER_STATEMENTS = {
     ),
     "delete_user_rows": lambda s: s.delete_user_rows(["z", "q"]),
     "delete_user_rows_for_key": lambda s: s.delete_user_rows(["z"], key="k1"),
-    "discard_user_rows": lambda s: s.discard_user_rows(["q"]),
 }
 
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bulk.backends import SqliteFileBackend
 from repro.bulk.executor import (
     SCHEDULERS,
     BulkResolver,
     ConcurrentBulkResolver,
     SkepticBulkResolver,
 )
-from repro.bulk.store import PossStore
+from repro.bulk.store import PossStore, ShardedPossStore
 from repro.core.errors import BulkProcessingError
 from repro.workloads.bulkload import BELIEF_USERS, figure19_network, generate_objects
 
@@ -147,39 +148,55 @@ class TestRunTransactionSemantics:
 
 
 class TestRollbackUnderPipelining:
-    """The rollback guarantee holds under every scheduler × shard layout."""
+    """The rollback guarantee holds under every scheduler × store layout,
+    wherever in the run the failure lands."""
 
-    @pytest.mark.parametrize("shards", (1, 2, 4))
+    @pytest.mark.parametrize("position", ("first", "middle", "last"))
+    @pytest.mark.parametrize(
+        "layout", ("memory-1", "memory-2", "memory-4", "file-1", "file-2")
+    )
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_failed_run_restores_pre_run_state(self, scheduler, shards):
-        network = figure19_network()
-        if shards == 1:
-            resolver = BulkResolver(
-                network,
-                explicit_users=BELIEF_USERS,
-                scheduler=scheduler,
-                workers=2,
+    def test_failed_run_restores_pre_run_state(
+        self, scheduler, layout, position, tmp_path
+    ):
+        kind, shards = layout.split("-")
+        shards = int(shards)
+        if kind == "file":
+            backends = [
+                SqliteFileBackend(str(tmp_path / f"rollback{i}.db"))
+                for i in range(shards)
+            ]
+            store = (
+                PossStore(backend=backends[0])
+                if shards == 1
+                else ShardedPossStore(shards, backends=backends)
             )
         else:
-            resolver = ConcurrentBulkResolver(
-                network,
-                shards=shards,
-                explicit_users=BELIEF_USERS,
-                scheduler=scheduler,
-            )
+            store = PossStore() if shards == 1 else ShardedPossStore(shards)
+        resolver_class = BulkResolver if shards == 1 else ConcurrentBulkResolver
+        resolver = resolver_class(
+            figure19_network(),
+            store=store,
+            explicit_users=BELIEF_USERS,
+            scheduler=scheduler,
+        )
         resolver.load_beliefs(generate_objects(10, seed=5))
         before = sorted(resolver.store.possible_table())
-        # Corrupt the plan mid-way: real statements have already executed
-        # inside the run transaction(s) when the unknown step is hit.
-        resolver.plan.steps.insert(len(resolver.plan.steps) // 2, "not-a-step")
+        # Corrupt the plan: past the first position, real statements have
+        # already executed inside the run transaction(s) when the unknown
+        # step is hit.
+        steps = resolver.plan.steps
+        index = {"first": 0, "middle": len(steps) // 2, "last": len(steps)}
+        steps.insert(index[position], "not-a-step")
         with pytest.raises(BulkProcessingError):
             resolver.run()
         assert sorted(resolver.store.possible_table()) == before
         assert not resolver.store.in_transaction
         # The store is reusable: the repaired plan runs to completion.
-        resolver.plan.steps.remove("not-a-step")
+        steps.remove("not-a-step")
         report = resolver.run()
         assert report.rows_inserted > 0
+        assert report.transactions == shards
         resolver.store.close()
 
 

@@ -420,18 +420,17 @@ class TestDeferredPlanMaintenance:
 
 @pytest.fixture
 def plan_derivations(monkeypatch):
-    """Count the lowerings of a plan to its step DAG and region schedule."""
-    import repro.bulk.compile as compile_module
+    """Count the lowerings of a plan to its step DAG."""
     import repro.bulk.planner as planner_module
 
-    calls = {"plan_dag": 0, "region_schedule": 0}
-    for module, name in ((planner_module, "plan_dag"), (compile_module, "region_schedule")):
+    calls = {"plan_dag": 0}
+    original = planner_module.plan_dag
 
-        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls["plan_dag"] += 1
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(planner_module, "plan_dag", counted)
     return calls
 
 
@@ -447,7 +446,7 @@ class TestWarmMaterialize:
             reports = [engine.materialize(compiled=True) for _ in range(4)]
             engine.store._connection.set_trace_callback(None)
             assert [report.plan_source for report in reports] == ["fresh"] + ["cached"] * 3
-            assert plan_derivations == {"plan_dag": 1, "region_schedule": 1}
+            assert plan_derivations == {"plan_dag": 1}
             assert len({(r.dag_stages, r.statements_saved) for r in reports}) == 1
             assert reports[0].dag_stages > 0
             # No post-run conflict scan (or any other aggregate) runs.
@@ -643,28 +642,18 @@ class TestEngineReportSubsumption:
                 bulk.transactions,
                 bulk.shards,
             )
-            assert report.scheduler == bulk.scheduler == "pipelined"
+            assert report.scheduler == bulk.scheduler == "replay"
             assert report.dag_stages == bulk.dag_stages
-            assert report.stages_overlapped == bulk.stages_overlapped
 
-    def test_pooled_materialize_mirrors_the_pool_gauges(self, tmp_path):
-        store = PossStore(backend=SqliteFileBackend(str(tmp_path / "pool.db")))
-        with ResolutionEngine.open(
-            _chain_network(), store=store, pool_workers=2
-        ) as engine:
-            report = engine.materialize(compiled=True)
-            bulk = report.bulk
-            assert report.pool_workers == bulk.pool_workers >= 1
-            assert report.pool_checkouts == bulk.pool_checkouts >= 1
-            assert report.pool_in_use_peak == bulk.pool_in_use_peak >= 1
-            assert report.pool_wait_seconds == bulk.pool_wait_seconds >= 0.0
-            assert engine.query("c") == frozenset({"v"})
-
-    def test_unpooled_materialize_reports_zero_pool_gauges(self):
-        with ResolutionEngine.open(_chain_network()) as engine:
-            report = engine.materialize(compiled=True)
-            assert report.pool_workers == 0
-            assert report.pool_checkouts == 0
+    def test_pool_workers_accepts_only_zero(self):
+        for accepted in (0, None):
+            with ResolutionEngine.open(
+                _chain_network(), pool_workers=accepted
+            ) as engine:
+                engine.materialize(compiled=True)
+                assert engine.query("c") == frozenset({"v"})
+        with pytest.raises(BulkProcessingError, match="pool_workers"):
+            ResolutionEngine.open(_chain_network(), pool_workers=2)
 
     def test_apply_report_subsumes_delta_apply_report(self):
         with ResolutionEngine.open(_chain_network()) as engine:

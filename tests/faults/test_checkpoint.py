@@ -63,8 +63,8 @@ class TestCheckpointedRun:
         report = checkpointed.run()
         assert report.checkpointed is True
         assert report.nodes_skipped == 0
-        # One transaction per DAG node plus the journaled belief load.
-        assert report.transactions == len(checkpointed.dag.nodes)
+        # Each one-step replay region commits its own transaction.
+        assert report.transactions == len(checkpointed.plan.steps)
         assert serialized_relation(checkpointed.store) == expected
         checkpointed.store.close()
 
@@ -85,7 +85,7 @@ class TestCheckpointedRun:
         report_rows = again.load_beliefs(objects)
         report = again.run()
         assert report_rows == 0  # belief marker present: nothing reloaded
-        assert report.nodes_skipped == len(again.dag.nodes)
+        assert report.nodes_skipped == len(again.plan.steps)
         assert report.statements == 0
         assert serialized_relation(store) == snapshot
         store.close()

@@ -1,27 +1,37 @@
-"""Chaos tests for the compiled scheduler: faults inside pushed-down regions.
+"""Chaos tests for region execution: faults inside the regions of a run.
 
-A compiled region is one SQL statement covering many plan steps, so the
-fault-tolerance machinery must treat it as one unit: transient faults retry
-the whole region statement, a crash between regions resumes at a region
-boundary (never inside one), and a quarantined shard degrades the run while
-the healthy shards keep executing compiled.  Every scenario is locked
-against a fault-free twin through the byte-identity oracle.
+A compiled region is one SQL statement covering many plan steps, and a
+replay region one plan step, so the fault-tolerance machinery must treat a
+region as one unit: transient faults retry the whole region statement, a
+crash between regions resumes at a region boundary (never inside one), a
+hard fault in an uncheckpointed run never leaves a prefix of the run
+visible, and a quarantined shard degrades the run while the healthy shards
+keep executing compiled.  Every scenario is locked against a fault-free
+twin through the byte-identity oracle.
 """
 
 from __future__ import annotations
 
 import random
+import sqlite3
 
 import pytest
 
 from repro.core.errors import BackendUnavailable
 from repro.core.network import TrustNetwork
 from repro.faults import FaultInjectingBackend, FaultPolicy, RetryPolicy, ScriptedFault
-from repro.bulk.backends import SqliteFileBackend, SqliteMemoryBackend
-from repro.bulk.executor import BulkResolver, ConcurrentBulkResolver
+from repro.bulk.backends import DbApiBackend, SqliteFileBackend, SqliteMemoryBackend
+from repro.bulk.compile import RegionLimits, compile_plan
+from repro.bulk.executor import SCHEDULERS, BulkResolver, ConcurrentBulkResolver
+from repro.bulk.planner import plan_resolution
 from repro.bulk.store import PossStore, ShardedPossStore
 from repro.engine import ResolutionEngine
-from repro.workloads.bulkload import BELIEF_USERS, figure19_network, generate_objects
+from repro.workloads.bulkload import (
+    BELIEF_USERS,
+    figure19_network,
+    generate_objects,
+    multi_chain_network,
+)
 
 RUN = "compiled-run"
 
@@ -40,10 +50,29 @@ def _twin_relation(network, objects, serialized_relation, scheduler="compiled"):
     return expected
 
 
+def _backend(kind, tmp_path, name):
+    if kind == "memory":
+        return SqliteMemoryBackend()
+    if kind == "file":
+        return SqliteFileBackend(str(tmp_path / f"{name}.db"))
+    path = str(tmp_path / f"{name}.db")
+    return DbApiBackend(
+        lambda: sqlite3.connect(path, check_same_thread=False),
+        name="dbapi-sqlite",
+        dialect="sqlite",
+    )
+
+
 class TestTransientFaultsInsideRegions:
-    def test_region_statements_retry_transparently(self, serialized_relation):
+    @pytest.mark.parametrize("checkpoint", (None, RUN))
+    @pytest.mark.parametrize("backend_kind", ("memory", "file"))
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_region_statements_retry_transparently(
+        self, scheduler, backend_kind, checkpoint, tmp_path, serialized_relation
+    ):
         """Probabilistic transient faults on execute hit the big region
-        statements too; the retry loop absorbs every one of them and the
+        statements too (and the BEGINs, commits and journal writes of a
+        checkpointed run); the retry loop absorbs every one of them and the
         relation matches the fault-free twin byte for byte."""
         network = figure19_network()
         objects = generate_objects(8, seed=31)
@@ -52,7 +81,7 @@ class TestTransientFaultsInsideRegions:
         saw_faults = False
         for seed in range(6):
             backend = FaultInjectingBackend(
-                SqliteMemoryBackend(),
+                _backend(backend_kind, tmp_path, f"retry{seed}"),
                 FaultPolicy(seed=seed, probability=0.25, sites=("execute",)),
             )
             store = PossStore(backend=backend, retry_policy=RETRY_FAST)
@@ -60,25 +89,33 @@ class TestTransientFaultsInsideRegions:
                 network,
                 store=store,
                 explicit_users=BELIEF_USERS,
-                scheduler="compiled",
+                scheduler=scheduler,
+                checkpoint=checkpoint,
             )
             resolver.load_beliefs(objects)
             report = resolver.run()
             assert serialized_relation(store) == expected, f"seed {seed}"
-            assert report.scheduler == "compiled"
+            assert report.scheduler == scheduler
+            assert report.checkpointed == (checkpoint is not None)
+            assert report.nodes_skipped == 0
             assert report.retries == report.faults_injected
             saw_faults = saw_faults or report.faults_injected > 0
             store.close()
         assert saw_faults  # the sweep actually injected something
 
-    def test_sharded_compiled_retries_per_shard(self, serialized_relation):
+    @pytest.mark.parametrize("checkpoint", (None, RUN))
+    @pytest.mark.parametrize("backend_kind", ("memory", "file"))
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_sharded_run_retries_per_shard(
+        self, scheduler, backend_kind, checkpoint, tmp_path, serialized_relation
+    ):
         network = figure19_network()
         objects = generate_objects(10, seed=32)
         expected = _twin_relation(network, objects, serialized_relation)
 
         backends = [
             FaultInjectingBackend(
-                SqliteMemoryBackend(),
+                _backend(backend_kind, tmp_path, f"shard{i}"),
                 FaultPolicy(seed=40 + i, probability=0.2, sites=("execute",)),
                 shard=i,
             )
@@ -89,24 +126,30 @@ class TestTransientFaultsInsideRegions:
             network,
             store=store,
             explicit_users=BELIEF_USERS,
-            scheduler="compiled",
+            scheduler=scheduler,
+            checkpoint=checkpoint,
         )
         resolver.load_beliefs(objects)
         report = resolver.run()
         assert serialized_relation(store) == expected
         assert report.retries == report.faults_injected
-        assert report.regions_compiled == resolver.compiled.region_count * 2
+        assert not store.degraded_shards
+        if scheduler == "compiled":
+            assert report.regions_compiled == resolver.compiled.region_count * 2
         store.close()
 
 
 class TestCrashAndResumeAtRegionBoundaries:
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_crash_mid_run_resumes_skipping_committed_regions(
-        self, serialized_relation, tmp_path
+        self, scheduler, serialized_relation, tmp_path
     ):
-        """Sweep the crash point across a checkpointed compiled run on a
-        file-backed store: whatever region the crash interrupts, the resume
-        re-executes exactly the uncommitted suffix and lands byte-identical
-        to the fault-free twin."""
+        """Sweep the crash point across a checkpointed run on a file-backed
+        store: whatever region the crash interrupts — the first, one in the
+        middle, the last — the committed regions form a prefix of the
+        plan's regions, and the resume re-executes (and accounts for)
+        exactly the uncommitted suffix, landing byte-identical to the
+        fault-free twin."""
         network = figure19_network()
         # A cycle below x4 adds a flood region after Figure 19's one copy
         # region, so a crash can land between two committed regions.
@@ -137,7 +180,7 @@ class TestCrashAndResumeAtRegionBoundaries:
                 network,
                 store=store,
                 explicit_users=BELIEF_USERS,
-                scheduler="compiled",
+                scheduler=scheduler,
                 checkpoint=run_id,
             )
             try:
@@ -145,20 +188,34 @@ class TestCrashAndResumeAtRegionBoundaries:
                 crashing.run()
             except BackendUnavailable:
                 saw_crash = True
-                committed = store.journal_completed(run_id)
-                markers = set(crashing.compiled.journal_markers())
-                # Only region boundaries (and the belief load) ever commit.
-                assert committed <= markers | {-1}
+                committed = store.journal_completed(run_id) - {-1}
+                regions = crashing.compiled.regions
+                markers = crashing.compiled.journal_markers()
+                # Only region boundaries ever commit, and only in order.
+                done = len(committed)
+                assert committed == set(markers[:done])
+                rest = regions[done:]
                 resumed = BulkResolver(
                     network,
                     store=store,
                     explicit_users=BELIEF_USERS,
-                    scheduler="compiled",
+                    scheduler=scheduler,
                     checkpoint=run_id,
                 )
                 resumed.load_beliefs(objects)
                 report = resumed.run()
                 assert report.checkpointed is True
+                assert report.nodes_skipped == sum(
+                    len(region.steps) for region in regions[:done]
+                )
+                assert report.transactions == len(rest)
+                assert report.statements == sum(
+                    region.statement_count() for region in rest
+                )
+                assert report.statements_saved == sum(
+                    region.replay_statement_count() - region.statement_count()
+                    for region in rest
+                )
                 saw_skip = saw_skip or report.nodes_skipped > 0
             backend.policy.schedule = ()  # disarm for verification reads
             assert serialized_relation(store) == expected, crash_at
@@ -416,65 +473,6 @@ class TestSkepticBlockedFloodChaos:
         assert saw_crash
 
 
-class TestConcurrentRegionChaos:
-    """Concurrent region workers under injected faults: the relation is
-    byte-identical to the fault-free sequential twin, with per-statement
-    retries absorbing transient errors in any worker thread."""
-
-    def _workload(self):
-        from repro.bulk.compile import RegionLimits, compile_plan
-        from repro.bulk.planner import plan_resolution
-        from repro.workloads.bulkload import multi_chain_network
-
-        network, roots = multi_chain_network(4, 20)
-        plan = plan_resolution(network, explicit_users=roots)
-        limits = RegionLimits(max_copy_edges=20, max_flood_pairs=20)
-        compiled = compile_plan(plan, limits=limits)
-        rows = [(root, f"k{i}", f"v{i}") for root in roots for i in range(3)]
-        return network, roots, plan, compiled, rows
-
-    def test_concurrent_regions_match_sequential_twin_under_faults(
-        self, serialized_relation, tmp_path
-    ):
-        network, roots, plan, compiled, rows = self._workload()
-        twin_store = PossStore()
-        twin = BulkResolver(
-            network, store=twin_store, explicit_users=roots, plan=plan
-        )
-        twin.load_beliefs(rows)
-        twin.run()
-        expected = serialized_relation(twin_store)
-        twin_store.close()
-
-        saw_faults = saw_overlap = False
-        for seed in range(6):
-            backend = FaultInjectingBackend(
-                SqliteFileBackend(str(tmp_path / f"cw{seed}.db")),
-                FaultPolicy(seed=80 + seed, probability=0.15, sites=("execute",)),
-            )
-            if not backend.supports_concurrent_statements:
-                pytest.skip("sqlite build is not serialized-threadsafe")
-            store = PossStore(backend=backend, retry_policy=RETRY_FAST)
-            resolver = BulkResolver(
-                network,
-                store=store,
-                explicit_users=roots,
-                scheduler="compiled",
-                workers=4,
-                plan=plan,
-                compiled_plan=compiled,
-            )
-            resolver.load_beliefs(rows)
-            report = resolver.run()
-            assert serialized_relation(store) == expected, f"seed {seed}"
-            assert report.workers == 4
-            assert report.retries == report.faults_injected
-            saw_faults = saw_faults or report.faults_injected > 0
-            saw_overlap = saw_overlap or report.stages_overlapped > 0
-            store.close()
-        assert saw_faults
-
-
 class TestConcurrentCheckpointedRecovery:
     """The threaded sharded recovery path: concurrent per-shard resume
     lands byte-identical, reports its lanes, and still quarantines."""
@@ -565,3 +563,76 @@ class TestConcurrentCheckpointedRecovery:
             assert serialized_relation(store) == expected, crash_at
             store.close()
         assert saw_quarantine
+
+
+class TestHardFaultNeverLeavesAPartialRun:
+    @pytest.mark.parametrize("backend_kind", ("file", "dbapi"))
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_no_partially_visible_run_wherever_the_fault_lands(
+        self, scheduler, backend_kind, tmp_path, serialized_relation
+    ):
+        """Sweep a hard (non-retryable) fault across the statement stream of
+        an uncheckpointed run over several regions: whichever region's
+        statement it kills, the run transaction rolls back and the relation
+        afterwards is exactly the loaded beliefs, never a prefix of the
+        run."""
+        network, roots = multi_chain_network(3, 6)
+        plan = plan_resolution(network, explicit_users=roots)
+        compiled_plan = compile_plan(
+            plan, limits=RegionLimits(max_copy_edges=6, max_flood_pairs=6)
+        )
+        assert compiled_plan.region_count > 1
+        rows = [(root, f"k{i}", f"v{i % 2}") for root in roots for i in range(4)]
+        twin = BulkResolver(network, plan=plan)
+        twin.load_beliefs(rows)
+        twin.run()
+        expected = serialized_relation(twin.store)
+        twin.store.close()
+
+        saw_death = False
+        saw_completion = False
+        for crash_at in range(0, 40, 2):
+            policy = FaultPolicy(
+                schedule=[
+                    ScriptedFault(site="execute", index=crash_at, kind="unavailable")
+                ],
+                sites=(),
+            )
+            try:
+                store = PossStore(
+                    backend=FaultInjectingBackend(
+                        _backend(backend_kind, tmp_path, f"death{crash_at}"), policy
+                    ),
+                    retry_policy=RETRY_FAST,
+                )
+                resolver = BulkResolver(
+                    network,
+                    store=store,
+                    plan=plan,
+                    compiled_plan=compiled_plan,
+                    scheduler=scheduler,
+                )
+                resolver.load_beliefs(rows)
+            except BackendUnavailable:
+                # The fault fired while creating the schema or loading the
+                # beliefs: no run started, not this scenario's subject.
+                continue
+            before = sorted(store.possible_table())
+            try:
+                resolver.run()
+            except BackendUnavailable:
+                saw_death = True
+                assert sorted(store.possible_table()) == before, (
+                    f"crash at execute #{crash_at} left a partial run visible"
+                )
+                assert not store.in_transaction
+            else:
+                saw_completion = True
+                # The crash index may fall beyond the run's statement
+                # stream; disarm it so it cannot fire inside this
+                # verification read.
+                policy.schedule = ()
+                assert serialized_relation(store) == expected
+            store.close()
+        assert saw_death  # the sweep really killed runs mid-way
+        assert saw_completion  # and also ran off the end of the stream

@@ -174,10 +174,6 @@ class TestFaultInjectingBackend:
         wrapped = FaultInjectingBackend(inner, FaultPolicy())
         assert wrapped.name == inner.name
         assert wrapped.supports_concurrent_replay == inner.supports_concurrent_replay
-        assert (
-            wrapped.supports_concurrent_statements
-            == inner.supports_concurrent_statements
-        )
         assert wrapped.render("SELECT ?") == inner.render("SELECT ?")
 
     def test_sites_fire_through_the_connection_surface(self):

@@ -17,7 +17,7 @@ import pytest
 from repro import ResolutionEngine
 from repro.bulk.backends import SqliteFileBackend
 from repro.bulk.executor import BulkResolver, ConcurrentBulkResolver
-from repro.bulk.store import PossStore, ShardedPossStore
+from repro.bulk.store import ShardedPossStore
 from repro.incremental import SetBelief
 from repro.obs import Tracer, export_chrome_trace
 from repro.workloads.bulkload import (
@@ -240,19 +240,6 @@ class TestPhaseSeconds:
         report = resolver.run()
         store.close()
         assert report.shards == 2
-        self._check(report)
-
-    def test_statement_workers_do_not_double_count(self, tmp_path):
-        # Statement workers only engage on stores whose driver supports
-        # concurrent replay — a file-backed sqlite store, not :memory:.
-        store = PossStore(backend=SqliteFileBackend(str(tmp_path / "w.db")))
-        resolver = BulkResolver(
-            figure19_network(), store=store, explicit_users=BELIEF_USERS, workers=4
-        )
-        resolver.load_beliefs(generate_objects(200, seed=11))
-        report = resolver.run()
-        store.close()
-        assert report.workers == 4
         self._check(report)
 
     def test_serial_run_still_attributed(self):

@@ -22,7 +22,7 @@ from repro.obs import (
 def recorded() -> Tracer:
     """A small two-thread trace: a run span, a worker lane, an instant."""
     tracer = Tracer()
-    root = tracer.start("bulk.run", scheduler="pipelined")
+    root = tracer.start("bulk.run", scheduler="replay")
     with tracer.span("statement", op="insert"):
         tracer.event("fault", site="execute")
 

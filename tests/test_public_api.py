@@ -84,7 +84,6 @@ BULK_API = [
     "PossRow",
     "PossStore",
     "RegionLimits",
-    "RegionSchedule",
     "ResolutionPlan",
     "SCHEDULERS",
     "ShardSpec",
@@ -100,8 +99,6 @@ BULK_API = [
     "plan_resolution",
     "plan_skeptic_resolution",
     "probe_max_bind_params",
-    "region_schedule",
-    "replay_dag",
     "resolve_dialect",
     "splice_compiled",
     "sqlite_dialect",
@@ -182,8 +179,8 @@ def test_sharded_engine_round_trip():
     resolver.load_beliefs([("source", "k0", "v"), ("source", "k1", "w")])
     report = resolver.run()
     assert report.shards == 2
-    assert report.dag_stages == resolver.dag.stage_count
-    assert report.scheduler == "pipelined"
+    assert report.dag_stages == resolver.plan.dag().stage_count
+    assert report.scheduler == "replay"
     assert store.possible_values("mirror", "k0") == frozenset({"v"})
     assert store.possible_values("mirror", "k1") == frozenset({"w"})
     store.close()
