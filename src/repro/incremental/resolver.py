@@ -37,6 +37,14 @@ re-resolution.  The key observations:
   ``|U| + |E|``.  The network mutators patch the structure caches, the
   edge index and the condensation in time bounded by what they touch, so
   structural deltas stay in the same cost class.
+* A multi-key session opens with one ``resolve()`` per *believer group*
+  (:meth:`DeltaResolver.for_keys`): the keys whose positive beliefs sit on
+  the same users.  Algorithm 1's copies and floods depend only on the
+  structure and on which users believe, never on the values, so resolving
+  once with each believer's index as its value leaves every user holding
+  ``S(u)``, the believers whose belief reaches it; key *k*'s ``poss_k(u)``
+  is *k*'s values at ``S(u)``.  Preferred copies alias one set, so a key
+  decodes each distinct ``S`` once.
 
 Equivalence to from-scratch resolution (``resolve`` on the mutated network)
 is locked by the property suite in ``tests/incremental``: every update
@@ -51,12 +59,12 @@ the surviving edges.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.beliefs import Value
 from repro.core.errors import NetworkError
 from repro.core.gcpause import paused_gc
-from repro.core.network import TrustNetwork, User, _coerce_explicit_belief
+from repro.core.network import TrustMapping, TrustNetwork, User, _coerce_explicit_belief
 from repro.core.resolution import ResolutionResult, resolve
 from repro.core.sccs import CondensationEngine
 from repro.incremental.deltas import (
@@ -72,6 +80,33 @@ from repro.incremental.deltas import (
 )
 
 _EMPTY: FrozenSet[Value] = frozenset()
+
+
+def _check_known(network: TrustNetwork, beliefs: Mapping[User, object]) -> None:
+    unknown = [u for u in beliefs if u not in network]
+    if unknown:
+        raise NetworkError(
+            f"belief override names unknown users: {sorted(map(str, unknown))}"
+        )
+
+
+def _check_fan_in(incoming: Mapping[User, Tuple[TrustMapping, ...]]) -> None:
+    for user, edges in incoming.items():
+        if len(edges) > 2:
+            raise NetworkError(
+                f"user {user!r} has {len(edges)} parents (max 2); "
+                "the incremental engine maintains binary networks only"
+            )
+
+
+def _check_roots(
+    incoming: Mapping[User, Tuple[TrustMapping, ...]], belief_users: Iterable[User]
+) -> None:
+    for user in belief_users:
+        if incoming.get(user):
+            raise NetworkError(
+                f"user {user!r} has both an explicit belief and parents"
+            )
 
 
 class DeltaResolver:
@@ -112,11 +147,7 @@ class DeltaResolver:
             }
         else:
             self.beliefs = dict(beliefs)
-            unknown = [u for u in self.beliefs if u not in network]
-            if unknown:
-                raise NetworkError(
-                    f"belief override names unknown users: {sorted(map(str, unknown))}"
-                )
+            _check_known(network, self.beliefs)
         self._validate_binary()
         # Built here, not in the first apply, and shared by every resolver
         # on this network.
@@ -127,26 +158,76 @@ class DeltaResolver:
         source = network if self._owns_beliefs else network._with_beliefs(self.beliefs)
         self.possible: Dict[User, FrozenSet[Value]] = dict(resolve(source).possible)
 
+    @classmethod
+    def for_keys(
+        cls,
+        network: TrustNetwork,
+        beliefs_by_key: Mapping[str, Mapping[User, Value]],
+    ) -> Dict[str, "DeltaResolver"]:
+        """Detached resolvers for several keys, one ``resolve()`` per believer group.
+
+        Equivalent to ``{key: DeltaResolver(network, beliefs) for key,
+        beliefs in beliefs_by_key.items()}``, but keys whose positive
+        beliefs sit on the same users share one resolution: it runs with
+        each believer's index in the group as its value, so every user ends
+        up holding the set of believers whose belief reaches it, and a
+        key's map decodes that set through the key's own values.  Every
+        check runs before any resolution, so a rejected key builds nothing.
+        """
+        incoming = network.incoming_map()
+        _check_fan_in(incoming)
+        checked: Set[FrozenSet[User]] = set()
+        groups: Dict[FrozenSet[User], List[Tuple[str, Dict[User, Value]]]] = {}
+        for key, beliefs in beliefs_by_key.items():
+            users = frozenset(beliefs)
+            if users not in checked:
+                _check_known(network, beliefs)
+                _check_roots(incoming, users)
+                checked.add(users)
+            positive: Dict[User, Value] = {}
+            for user, belief in beliefs.items():
+                value = _coerce_explicit_belief(belief).positive_value
+                if value is not None:
+                    positive[user] = value
+            groups.setdefault(frozenset(positive), []).append((key, positive))
+
+        network.condensation()
+        resolvers: Dict[str, DeltaResolver] = dict.fromkeys(beliefs_by_key)
+        for believers, members in groups.items():
+            order = tuple(believers)
+            sources = resolve(
+                network._with_beliefs({user: i for i, user in enumerate(order)})
+            ).possible
+            # Preferred copies alias their parent's set, so a network has
+            # far fewer distinct source sets than users.
+            distinct = {id(source): source for source in sources.values()}
+            for key, positive in members:
+                column = [positive[user] for user in order]
+                decoded = {
+                    ident: frozenset(map(column.__getitem__, source))
+                    for ident, source in distinct.items()
+                }
+                resolver = cls.__new__(cls)
+                resolver.network = network
+                resolver._owns_beliefs = False
+                resolver.beliefs = dict(beliefs_by_key[key])
+                resolver.possible = {
+                    user: decoded[id(source)] for user, source in sources.items()
+                }
+                resolvers[key] = resolver
+        return resolvers
+
     # ------------------------------------------------------------------ #
     # validation                                                          #
     # ------------------------------------------------------------------ #
 
     def _validate_binary(self) -> None:
         incoming = self.network.incoming_map()
-        for user, edges in incoming.items():
-            if len(edges) > 2:
-                raise NetworkError(
-                    f"user {user!r} has {len(edges)} parents (max 2); "
-                    "the incremental engine maintains binary networks only"
-                )
+        _check_fan_in(incoming)
         belief_users = set(self.beliefs)
         if self._owns_beliefs:
             belief_users |= set(self.network.explicit_beliefs)
-        for user in belief_users:
-            if incoming.get(user):
-                raise NetworkError(
-                    f"user {user!r} has both an explicit belief and parents"
-                )
+        _check_roots(incoming, belief_users)
 
     def validate(self, delta: Delta) -> None:
         """Reject a delta that would break the binary restrictions.

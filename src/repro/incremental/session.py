@@ -16,7 +16,10 @@ shared by every object key, while explicit beliefs vary per key.  One
 :class:`~repro.incremental.resolver.DeltaResolver` per key maintains that
 key's possible map against the shared network; structural deltas fan out to
 every key (the structure mutates once), belief deltas route to the key they
-name.
+name.  A multi-key session opens with one ``resolve()`` per believer group
+(the keys whose positive beliefs sit on the same users), not one per key:
+:meth:`~repro.incremental.resolver.DeltaResolver.for_keys` decodes every
+key of a group from that one resolution.
 
 Garbage-collector policy (ROADMAP PR-2 note): the cyclic collector is
 paused **per apply batch** — :func:`~repro.core.gcpause.paused_gc` wraps
@@ -28,6 +31,7 @@ rest of the process of cycle collection.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -116,7 +120,8 @@ class IncrementalSession:
         spans every shard all-or-nothing.
     keys:
         The object keys the session maintains (default: the single key
-        ``"k0"``).
+        ``"k0"``).  The session names them by ``str()``, so keys whose
+        ``str()`` collide (``1`` and ``"1"``) are rejected.
     beliefs_by_key:
         Optional per-key positive-belief overrides ``key -> {user: value}``;
         keys without an entry start from the network's own explicit
@@ -141,6 +146,12 @@ class IncrementalSession:
     ) -> None:
         if not keys:
             raise BulkProcessingError("a session needs at least one object key")
+        names = Counter(map(str, keys))
+        colliding = [key for key in keys if names[str(key)] > 1]
+        if colliding:
+            raise BulkProcessingError(
+                f"object keys collide once converted to str: {colliding}"
+            )
         self.network = network
         self.store = store if store is not None else PossStore()
         base_beliefs = {
@@ -164,12 +175,11 @@ class IncrementalSession:
         else:
             # Multi-key (or explicitly overridden) sessions detach belief
             # state per key; the shared network carries structure only.
-            self._resolvers = {
-                str(key): DeltaResolver(
-                    network, beliefs=dict(overrides.get(key, base_beliefs))
-                )
-                for key in keys
-            }
+            # Keys that put their beliefs on the same users share one
+            # resolve().
+            self._resolvers = DeltaResolver.for_keys(
+                network, {str(key): overrides.get(key, base_beliefs) for key in keys}
+            )
         self._default_key = str(keys[0])
         #: Row-change fragments owed to quarantined shards, in apply order:
         #: ``shard index -> [(deletes, inserts), ...]``.  Replayed (or

@@ -82,6 +82,14 @@ class TestOpenValidation:
             with pytest.raises(BulkProcessingError):
                 ResolutionEngine.open(_chain_network(), store=store, shards=2)
 
+    @pytest.mark.parametrize("keys", [(1, "1"), ("k0", "k0")])
+    def test_keys_that_collide_as_str_are_rejected(self, keys):
+        """Key 1's override must not be lost to a merged ``"1"`` key."""
+        with pytest.raises(BulkProcessingError, match="collide"):
+            ResolutionEngine.open(
+                _chain_network(), keys=keys, beliefs_by_key={keys[0]: {"a": "z"}}
+            )
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(BulkProcessingError, match="mode"):
             ResolutionEngine.open(_chain_network(), mode="turbo")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import re
 
 import pytest
 
@@ -54,6 +55,13 @@ class TestLoadingAndViews:
     def test_session_needs_keys(self, network):
         with pytest.raises(BulkProcessingError):
             IncrementalSession(network, keys=())
+
+    @pytest.mark.parametrize(
+        "keys, named", [((1, "1"), "[1, '1']"), (("k0", "k0"), "['k0', 'k0']")]
+    )
+    def test_keys_that_collide_as_str_are_rejected(self, network, keys, named):
+        with pytest.raises(BulkProcessingError, match=re.escape(named)):
+            IncrementalSession(network, keys=keys, beliefs_by_key={keys[0]: {"x3": "z"}})
 
     def test_single_key_session_keeps_the_network_authoritative(self, network):
         """With one key and no overrides, belief deltas write back to the
