@@ -56,6 +56,14 @@ keeps flood steps whole: an old component member reachable from the region
 either keeps every edge on its path from it, or one of those edges was
 changed and touched the next member.
 
+**Value-only touches.**  The plan reads each ancestral subgraph only down
+to the explicit users: an explicit user is closed from the start, so its
+incoming edges and its value never reach a step.  A touched user that is
+explicit both in the old plan and in the final network, and was not
+removed, therefore changes nothing the plan depends on, and the patch
+ignores it.  A batch that only changes believers' values returns the
+input plan itself, which :func:`splice_compiled` passes through whole.
+
 Skeptic plans (flood steps carrying blocked values) are not patched: the
 ``prefNeg`` propagation is not region-local in the plan representation, so
 :class:`repro.engine.ResolutionEngine` re-plans those from scratch.
@@ -136,10 +144,15 @@ def patch_plan(
     network:
         The network *after* the mutation.
     touched:
-        The users whose incoming edges or explicit-belief status changed —
-        the same touched set the incremental resolvers use (for a removed
-        user: its former children).  May be the union over several deltas
-        applied since ``plan`` was built (see the module docstring).
+        The users whose incoming edges or explicit belief changed — the
+        same touched set the incremental resolvers use (for a removed user:
+        its former children).  May be the union over several deltas applied
+        since ``plan`` was built (see the module docstring).  A touched user
+        that is explicit both in ``plan`` and in ``network`` (and not
+        removed) is ignored: explicit users are closed from the start, so
+        neither its value nor its incoming edges reach any step.  When that
+        leaves nothing to patch, the input ``plan`` itself comes back with
+        ``region_size == 0``.
     removed:
         Users the deltas removed from the network (possibly re-added
         since); their old steps are dropped alongside the region's.
@@ -155,6 +168,22 @@ def patch_plan(
             )
 
     new_explicit = _explicit_users(network, explicit_users)
+    removed = set(removed)
+    touched = [
+        user
+        for user in touched
+        if user in removed
+        or user not in new_explicit
+        or user not in plan.explicit_users
+    ]
+    if not touched and not removed and new_explicit == plan.explicit_users:
+        return PlanPatch(
+            plan=plan,
+            kept_steps=len(plan.steps),
+            dropped_steps=0,
+            added_steps=0,
+            region_size=0,
+        )
     region = _descendants(network, touched)
     affected: Set[User] = set(region)
     affected.update(removed)
@@ -279,6 +308,8 @@ def splice_compiled(
     backend-derived ``limits`` the original plan compiled under so the
     recompiled tail sizes its regions against the same bind budget.
     """
+    if patch.plan is compiled.plan:
+        return compiled
     steps = patch.plan.steps
     reused: List = []
     position = 0

@@ -642,18 +642,44 @@ class PossStore:
         """Running count of delta ``DELETE``/``INSERT`` statements issued."""
         return self._delta_statements
 
-    def delete_user_rows(self, users: Sequence[User], key: object = None) -> int:
-        """Delta DELETE: drop the rows of ``users`` (optionally for one key).
+    def delete_user_rows(
+        self,
+        users: Sequence[User] = (),
+        key: object = None,
+        rows: Optional[Iterable[Tuple[User, object, Value]]] = None,
+    ) -> int:
+        """Delta DELETE: drop the rows of ``users`` or exactly ``rows``.
 
-        This is the deletion half of the incremental maintenance path
-        (:mod:`repro.incremental`): instead of reloading the whole relation
-        after an update, only the rows of the users whose possible values
-        actually changed are removed and re-inserted::
+        The deletion half of the incremental maintenance path
+        (:mod:`repro.incremental`).  After an update a session deletes only
+        the rows whose value vanished, as ``(user, key, value)`` triples in
+        ``rows``: one ``executemany`` batch, one delta statement::
+
+            delete from POSS where X = ? and K = ? and V = ?
+
+        Without ``rows`` it drops every row of ``users`` (optionally for one
+        key), which is how a session rebuilds a slice from scratch::
 
             delete from POSS where X in ('x1', …, 'xn') [and K = 'k']
 
         Returns the number of rows deleted.
         """
+        if rows is not None:
+            if users or key is not None:
+                raise BulkProcessingError(
+                    "delete_user_rows() takes either rows or users/key"
+                )
+            data = [(str(user), str(k), str(value)) for user, k, value in rows]
+            if not data:
+                return 0
+            cursor = self._executemany(
+                "DELETE FROM POSS WHERE X = ? AND K = ? AND V = ?", data
+            )
+            self._count_delta()
+            self._commit()
+            # DB-API allows a rowcount of -1 when the module cannot count
+            # the rows; the number of triples then stands in.
+            return cursor.rowcount if cursor.rowcount >= 0 else len(data)
         names = [str(user) for user in users]
         if not names:
             return 0
@@ -1349,8 +1375,31 @@ class ShardedPossStore:
     # the delta statements (route by key, fan out otherwise)               #
     # ------------------------------------------------------------------ #
 
-    def delete_user_rows(self, users: Sequence[User], key: object = None) -> int:
-        """Delta DELETE: key-addressed deletes hit only the owning shard."""
+    def delete_user_rows(
+        self,
+        users: Sequence[User] = (),
+        key: object = None,
+        rows: Optional[Iterable[Tuple[User, object, Value]]] = None,
+    ) -> int:
+        """Delta DELETE: key-addressed deletes hit only the owning shard.
+
+        ``rows`` triples route one by one to their key's shard.
+        """
+        if rows is not None:
+            if users or key is not None:
+                raise BulkProcessingError(
+                    "delete_user_rows() takes either rows or users/key"
+                )
+            total = 0
+            for index, partition in enumerate(self._route_partitions(rows)):
+                if partition:
+                    with self._shard_errors(
+                        index, keys=sorted({str(row[1]) for row in partition})
+                    ):
+                        total += self.shards[index].delete_user_rows(
+                            rows=partition
+                        )
+            return total
         if key is not None:
             index = self.spec.shard_of(key)
             with self._shard_errors(index, keys=(str(key),)):

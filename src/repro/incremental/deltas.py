@@ -20,7 +20,7 @@ replayed deterministically (see :mod:`repro.workloads.updates`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Optional, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.beliefs import Value
 from repro.core.network import User
@@ -109,30 +109,39 @@ class RowChange:
     removed: bool = False
 
 
-def rows_to_delete(changes: Tuple[RowChange, ...]) -> List[str]:
-    """Users whose old ``POSS`` rows a batch of changes must delete.
+#: One ``POSS`` row: ``(user, key, value)``, each as its ``str``.
+Row = Tuple[str, str, str]
 
-    Users that previously had no rows need no ``DELETE``; removed users are
-    always deleted.  This is the single definition of the deletion half of
-    the row-change contract — :class:`DeltaLog` and the session's flush
-    both defer here.
+
+def row_diff(changes: Iterable[Tuple[str, RowChange]]) -> Tuple[List[Row], List[Row]]:
+    """The ``POSS`` rows that ``(key, change)`` pairs delete and insert.
+
+    The store holds one ``(str(user), key, str(value))`` row per possible
+    value, so a change moves only the rows of the values that vanished or
+    appeared: a user whose set went from ``{a, b}`` to ``{a, c}`` deletes
+    ``b`` and inserts ``c``, and its ``a`` row stays.  A ``DELETE`` row
+    removes every row with its ``str``, so when two old values share one
+    (``1`` and ``"1"``) the change rewrites all of the user's rows instead.
+    Returns ``(deletes, inserts)``.  This is the one definition of the
+    row-change contract; the session's flush writes exactly these rows.
     """
-    return [
-        str(change.user)
-        for change in changes
-        if change.old_values or change.removed
-    ]
-
-
-def rows_to_insert(
-    changes: Tuple[RowChange, ...], key: object
-) -> List[Tuple[str, str, str]]:
-    """The replacement ``POSS`` rows of a batch of changes for one key."""
-    return [
-        (str(change.user), str(key), str(value))
-        for change in changes
-        for value in sorted(change.new_values, key=str)
-    ]
+    deletes: List[Row] = []
+    inserts: List[Row] = []
+    delete = deletes.append
+    insert = inserts.append
+    for key, change in changes:
+        user = str(change.user)
+        old = change.old_values
+        new = change.new_values
+        if len(set(map(str, old))) == len(old):
+            vanished, appeared = old - new, new - old
+        else:
+            vanished, appeared = old, new
+        for value in vanished:
+            delete((user, key, str(value)))
+        for value in appeared:
+            insert((user, key, str(value)))
+    return deletes, inserts
 
 
 @dataclass(frozen=True)
@@ -166,14 +175,6 @@ class DeltaLog:
     def changed_users(self) -> Tuple[User, ...]:
         """The users whose possible values changed, in change order."""
         return tuple(change.user for change in self.changes)
-
-    def delete_users(self) -> List[str]:
-        """Users whose old ``POSS`` rows must be deleted from the store."""
-        return rows_to_delete(self.changes)
-
-    def insert_rows(self, key: object) -> List[Tuple[str, str, str]]:
-        """The replacement ``POSS`` rows of this log for one object ``key``."""
-        return rows_to_insert(self.changes, key)
 
     def iter_changes(self) -> Iterator[RowChange]:
         return iter(self.changes)

@@ -6,10 +6,12 @@ An :class:`IncrementalSession` keeps a relational ``POSS`` store (single
 trust network.  Where the bulk executor re-resolves and reloads the whole
 relation per run, a session applies each update's
 :class:`~repro.incremental.deltas.DeltaLog` as **delta** ``DELETE`` /
-``INSERT`` statements — only the rows of the users whose possible values
-actually changed move — inside one run-scoped transaction (one per shard on
-partitioned stores, via the same :meth:`transaction` surface the bulk
-executor uses), so a mid-apply failure leaves the relation untouched.
+``INSERT`` statements — only the rows whose value vanished from or appeared
+in a user's possible set move
+(:func:`~repro.incremental.deltas.row_diff`), one ``DELETE`` batch and one
+``INSERT`` batch per store — inside one run-scoped transaction (one per
+shard on partitioned stores, via the same :meth:`transaction` surface the
+bulk executor uses), so a mid-apply failure leaves the relation untouched.
 
 Sessions follow the bulk assumptions of Section 4: the trust structure is
 shared by every object key, while explicit beliefs vary per key.  One
@@ -52,10 +54,10 @@ from repro.incremental.deltas import (
     Delta,
     DeltaLog,
     RemoveUser,
+    Row,
     RowChange,
     is_structural,
-    rows_to_delete,
-    rows_to_insert,
+    row_diff,
 )
 from repro.incremental.resolver import DeltaResolver
 
@@ -72,9 +74,12 @@ class DeltaApplyReport:
     sum the resolvers' :class:`~repro.incremental.deltas.DeltaLog`
     counters (users visited, users re-resolved, users visited but skipped;
     the change-driven walk visits only what it recomputes, so
-    ``dirty_region == recomputed`` and ``pruned == 0``), and the row and
-    statement counters show how little the delta path moved compared to a
-    full reload.
+    ``dirty_region == recomputed`` and ``pruned == 0``).  ``rows_deleted``
+    and ``rows_inserted`` count the ``POSS`` rows the flush removed and
+    added: only values that vanished from or appeared in a user's possible
+    set, so a user whose set went from ``{a, b}`` to ``{a}`` deletes one
+    row and inserts none.  With ``statements`` they show how little the
+    delta path moved compared to a full reload.
     """
 
     deltas: int
@@ -133,7 +138,7 @@ class IncrementalSession:
 
         session = IncrementalSession(network, store=PossStore())
         report = session.apply(SetBelief("alice", "fish"))
-        report.rows_inserted        # only the changed users' rows moved
+        report.rows_inserted        # only the rows that appeared
     """
 
     def __init__(
@@ -181,10 +186,10 @@ class IncrementalSession:
                 network, {str(key): overrides.get(key, base_beliefs) for key in keys}
             )
         self._default_key = str(keys[0])
-        #: Row-change fragments owed to quarantined shards, in apply order:
-        #: ``shard index -> [(deletes, inserts), ...]``.  Replayed (or
-        #: superseded by a slice rebuild) by :meth:`recover_shard`.
-        self._pending: Dict[int, List[Tuple[Dict[str, List[str]], List[Tuple[str, str, str]]]]] = {}
+        #: Row-diff fragments owed to quarantined shards, in apply order:
+        #: ``shard index -> [(deleted rows, inserted rows), ...]``.  Replayed
+        #: (or superseded by a slice rebuild) by :meth:`recover_shard`.
+        self._pending: Dict[int, List[Tuple[List[Row], List[Row]]]] = {}
         #: The coalesced ops of the batch currently being applied — recorded
         #: *before* the store is touched, so a crash mid-apply leaves a
         #: durable-in-memory record of what the relation must converge to.
@@ -270,6 +275,7 @@ class IncrementalSession:
         try:
             with paused_gc():
                 for delta in deltas:
+                    fresh = self._fresh_users((delta,))
                     if is_structural(delta):
                         for resolver in self._resolvers.values():
                             resolver.validate(delta)
@@ -294,16 +300,7 @@ class IncrementalSession:
                             else str(delta.key)
                         )
                         logs.append((key, self.resolver(key).apply(delta)))
-                    # A delta can introduce brand-new users (a belief on a
-                    # fresh user, a trust edge with a fresh endpoint); every
-                    # key's map gains their (empty) entries so the in-memory
-                    # states stay aligned with the shared user set.
-                    if not isinstance(delta, RemoveUser):
-                        for attribute in ("user", "child", "parent"):
-                            user = getattr(delta, attribute, None)
-                            if user is not None:
-                                for resolver in self._resolvers.values():
-                                    resolver.ensure_user(user)
+                    self._ensure_users(fresh)
         except (NetworkError, BulkProcessingError):
             # A validation rejection mutated nothing, but the deltas before
             # it did: land their changes so the relation keeps matching the
@@ -432,6 +429,7 @@ class IncrementalSession:
         # resolver or store state mutates, so a failure at any later point
         # can rebuild/resync to the exact post-batch state.
         self._pending_batch = tuple(ops)
+        fresh = self._fresh_users(ops)
         try:
             with paused_gc():
                 first = True
@@ -478,15 +476,7 @@ class IncrementalSession:
                             dirty=log.dirty_region, recomputed=log.recomputed
                         )
                         tracer.finish(key_span)
-                # New users introduced by the batch gain their (empty)
-                # entries in every key's map, as in apply().
-                for delta in ops:
-                    if not isinstance(delta, RemoveUser):
-                        for attribute in ("user", "child", "parent"):
-                            user = getattr(delta, attribute, None)
-                            if user is not None:
-                                for resolver in self._resolvers.values():
-                                    resolver.ensure_user(user)
+                self._ensure_users(fresh)
         except (NetworkError, BulkProcessingError):
             # Mid-batch rejection: the shared network holds the prefix that
             # succeeded, but resolvers processed *after* the failing one —
@@ -538,6 +528,37 @@ class IncrementalSession:
             logs=tuple(logs),
         )
 
+    def _fresh_users(self, deltas: Sequence[Delta]) -> List[User]:
+        """The users ``deltas`` may add to the network, probed before they run.
+
+        Between applies every key's map holds the same users, so a user is
+        missing from the first map exactly when it is missing from all of
+        them.  After ``deltas``, a user they name can lack an entry only if
+        it lacks one now or one of ``deltas`` removes it.
+        """
+        known = next(iter(self._resolvers.values())).possible
+        removed = {delta.user for delta in deltas if isinstance(delta, RemoveUser)}
+        fresh: List[User] = []
+        for delta in deltas:
+            if isinstance(delta, RemoveUser):
+                continue
+            for attribute in ("user", "child", "parent"):
+                user = getattr(delta, attribute, None)
+                if user is not None and (user not in known or user in removed):
+                    fresh.append(user)
+        return fresh
+
+    def _ensure_users(self, users: List[User]) -> None:
+        """Give new network users their (empty) entry in every key's map.
+
+        A delta can introduce brand-new users (a belief on a fresh user, a
+        trust edge with a fresh endpoint); every key's map gains them so
+        the in-memory states stay aligned with the shared user set.
+        """
+        for user in users:
+            for resolver in self._resolvers.values():
+                resolver.ensure_user(user)
+
     def _flush(
         self, logs: List[Tuple[str, DeltaLog]]
     ) -> Tuple[int, int, int, int, int, bool]:
@@ -546,8 +567,9 @@ class IncrementalSession:
         Returns ``(users_changed, rows_deleted, rows_inserted, statements,
         transactions, recovered)``.  Per (key, user) only the *net* effect
         moves: the first old value set is compared against the last new
-        one, so a batch that round-trips a user back to its old rows
-        touches nothing.
+        one, and :func:`~repro.incremental.deltas.row_diff` turns that pair
+        into the rows that vanished and appeared, so a batch that
+        round-trips a user back to its old rows touches nothing.
 
         Crash consistency: the in-memory resolvers already hold the
         post-batch state when this runs, so a backend failure here never
@@ -557,30 +579,29 @@ class IncrementalSession:
         :meth:`recover_shard`, and the healthy shards' fragments retried,
         so the serving subset converges to the exact post-batch state.
         """
-        net: Dict[Tuple[str, str], RowChange] = {}
+        net: Dict[Tuple[str, User], RowChange] = {}
         for key, log in logs:
             for change in log.changes:
-                slot = (key, str(change.user))
+                slot = (key, change.user)
                 first = net.get(slot)
-                net[slot] = RowChange(
-                    user=str(change.user),
-                    old_values=first.old_values if first else change.old_values,
-                    new_values=change.new_values,
-                    removed=change.removed or bool(first and first.removed),
+                net[slot] = (
+                    change
+                    if first is None
+                    else RowChange(
+                        user=change.user,
+                        old_values=first.old_values,
+                        new_values=change.new_values,
+                        removed=change.removed or first.removed,
+                    )
                 )
-
-        deletes: Dict[str, List[str]] = {}
-        inserts: List[Tuple[str, str, str]] = []
-        users_changed = 0
-        for (key, _user), change in net.items():
-            if change.old_values == change.new_values:
-                continue
-            users_changed += 1
-            netted = (change,)
-            to_delete = rows_to_delete(netted)
-            if to_delete:
-                deletes.setdefault(key, []).extend(to_delete)
-            inserts.extend(rows_to_insert(netted, key))
+        changed = [
+            (key, change)
+            for (key, _user), change in net.items()
+            if change.old_values != change.new_values
+        ]
+        deletes, inserts = row_diff(changed)
+        deletes.sort()
+        inserts.sort()
 
         statements_before = self.store.delta_statements
         transactions_before = self.store.transactions
@@ -594,11 +615,9 @@ class IncrementalSession:
             else:
                 try:
                     with self.store.transaction():
-                        for key, users in deletes.items():
-                            rows_deleted += self.store.delete_user_rows(
-                                sorted(users), key=key
-                            )
-                        rows_inserted += self.store.insert_rows(sorted(inserts))
+                        rows_deleted, rows_inserted = _write_rows(
+                            self.store, deletes, inserts
+                        )
                 except BackendError:
                     # The transaction rolled back (or the connection died
                     # mid-flight); the resolvers hold the truth.  Reconcile
@@ -607,10 +626,10 @@ class IncrementalSession:
                     self.store.ensure_available()
                     self.resync()
                     recovered = True
-                    rows_deleted = sum(len(users) for users in deletes.values())
+                    rows_deleted = len(deletes)
                     rows_inserted = len(inserts)
         return (
-            users_changed,
+            len(changed),
             rows_deleted,
             rows_inserted,
             self.store.delta_statements - statements_before,
@@ -619,31 +638,29 @@ class IncrementalSession:
         )
 
     def _flush_sharded(
-        self,
-        deletes: Dict[str, List[str]],
-        inserts: List[Tuple[str, str, str]],
+        self, deletes: List[Row], inserts: List[Row]
     ) -> Tuple[int, int, bool]:
-        """Land net row changes on a sharded store, degrading per shard.
+        """Land a row diff on a sharded store, degrading per shard.
 
-        The batch's changes partition cleanly by the owning shard (deletes
-        route by object key, inserts by the row's key column), so a dead
-        shard costs only its own fragment: the fragment is queued in
-        ``self._pending`` for :meth:`recover_shard`, the shard is
-        quarantined, and the remaining fragments are retried in a fresh
-        healthy-shards transaction.  Returns ``(rows_deleted,
-        rows_inserted, recovered)``.
+        The diff partitions cleanly by the owning shard (every row routes by
+        its key column), so a dead shard costs only its own fragment: the
+        fragment is queued in ``self._pending`` for :meth:`recover_shard`,
+        the shard is quarantined, and the remaining fragments are retried in
+        a fresh healthy-shards transaction.  The retry writes each fragment
+        idempotently (see :func:`_write_rows`): shards commit one after
+        another, so a shard may already hold its fragment when a later
+        shard's commit fails.  Returns ``(rows_deleted, rows_inserted,
+        recovered)``.
         """
         store = self.store
         assert isinstance(store, ShardedPossStore)
-        fragments: Dict[int, Tuple[Dict[str, List[str]], List[Tuple[str, str, str]]]] = {}
-        for key, users in deletes.items():
-            index = store.spec.shard_of(key)
-            fragment = fragments.setdefault(index, ({}, []))
-            fragment[0][key] = sorted(users)
-        for row in sorted(inserts):
-            index = store.spec.shard_of(row[1])
-            fragment = fragments.setdefault(index, ({}, []))
-            fragment[1].append(row)
+        fragments: Dict[int, Tuple[List[Row], List[Row]]] = {
+            index: fragment
+            for index, fragment in enumerate(
+                zip(store.spec.partition_rows(deletes), store.spec.partition_rows(inserts))
+            )
+            if fragment[0] or fragment[1]
+        }
 
         recovered = False
         # Fragments owed to shards that are already quarantined go straight
@@ -654,24 +671,24 @@ class IncrementalSession:
                 recovered = True
 
         rows_deleted = rows_inserted = 0
+        retry = False
         while fragments:
             failed: Optional[int] = None
             attempt_deleted = attempt_inserted = 0
             try:
                 with store.transaction():
                     for index in sorted(fragments):
-                        frag_deletes, frag_inserts = fragments[index]
-                        shard = store.shards[index]
                         try:
-                            for key, users in frag_deletes.items():
-                                attempt_deleted += shard.delete_user_rows(
-                                    users, key=key
-                                )
-                            if frag_inserts:
-                                attempt_inserted += shard.insert_rows(frag_inserts)
+                            deleted, inserted = _write_rows(
+                                store.shards[index],
+                                *fragments[index],
+                                idempotent=retry,
+                            )
                         except BackendUnavailable:
                             failed = index
                             raise
+                        attempt_deleted += deleted
+                        attempt_inserted += inserted
             except BackendUnavailable as error:
                 if failed is None and isinstance(error, ShardUnavailable):
                     failed = error.shard
@@ -697,6 +714,7 @@ class IncrementalSession:
                         fragments.pop(failed)
                     )
                 recovered = True
+                retry = True
                 continue
             rows_deleted += attempt_deleted
             rows_inserted += attempt_inserted
@@ -735,10 +753,7 @@ class IncrementalSession:
         if pending:
             with shard.transaction():
                 for frag_deletes, frag_inserts in pending:
-                    for key, users in frag_deletes.items():
-                        shard.delete_user_rows(users, key=key)
-                    if frag_inserts:
-                        shard.insert_rows(frag_inserts)
+                    _write_rows(shard, frag_deletes, frag_inserts, idempotent=True)
         expected = sorted(
             row for row in self.rows() if store.spec.shard_of(row[1]) == index
         )
@@ -812,3 +827,25 @@ class IncrementalSession:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _write_rows(
+    store: PossStore,
+    deletes: List[Row],
+    inserts: List[Row],
+    idempotent: bool = False,
+) -> Tuple[int, int]:
+    """Write one row diff: one ``DELETE`` batch, then one ``INSERT`` batch.
+
+    Every flush goes through here: the single store, each shard's fragment
+    and the replay of a quarantined shard's queue.  ``idempotent`` also
+    deletes the rows about to be inserted, so a fragment that may already
+    have landed (a shard committed before a later one failed, or died
+    mid-commit) is rewritten rather than duplicated.  Returns ``(rows
+    deleted, rows inserted)``.
+    """
+    if idempotent:
+        deletes = deletes + inserts
+    deleted = store.delete_user_rows(rows=deletes) if deletes else 0
+    inserted = store.insert_rows(inserts) if inserts else 0
+    return deleted, inserted

@@ -288,8 +288,8 @@ class TestDbApiRenderingThroughTheStore:
         ]
 
     def test_numeric_delta_delete_renders_in_list_and_key(self):
-        """The incremental engine's delta DELETE — ``X IN (…) AND K = ?`` —
-        through the numeric paramstyle: positions cover the IN list first,
+        """The whole-user delta DELETE — ``X IN (…) AND K = ?``, a session's
+        slice rebuild — through the numeric paramstyle: positions cover the IN list first,
         the key last, and the parameters arrive in that order."""
         store, connection = self._store_and_connection("numeric")
         store.delete_user_rows(["x1", "x2", "x3"], key="k7")
@@ -323,6 +323,19 @@ class TestDbApiRenderingThroughTheStore:
         assert first_params == (*users[:500], "k0")
         assert second_params == ("x500", "k0")
         assert store.delta_statements == 2
+
+    def test_numeric_row_delete_is_one_executemany_batch(self):
+        """A session flush deletes exact ``(X, K, V)`` rows: one
+        ``executemany`` batch, counted as one delta statement."""
+        store, connection = self._store_and_connection("numeric")
+        store.delete_user_rows(rows=[("u", "k0", "v"), ("w", 1, "z")])
+        deletes = self._delta_sql(connection)
+        assert [params for _sql, params in deletes] == [("u", "k0", "v"), ("w", "1", "z")]
+        for sql, _params in deletes:
+            assert sql == "DELETE FROM POSS WHERE X = :1 AND K = :2 AND V = :3"
+        assert store.delta_statements == 1
+        assert store.delete_user_rows(rows=[]) == 0
+        assert store.delta_statements == 1
 
     def test_numeric_delta_insert_renders_row_placeholders(self):
         store, connection = self._store_and_connection("numeric")

@@ -430,3 +430,127 @@ class TestPatchPlanUnits:
         tn.remove_trust("b", "c")
         with pytest.raises(BulkProcessingError, match="straddles"):
             patch_plan(plan, tn, {"c"})
+
+
+class TestValueOnlyTouches:
+    """A touched user that is explicit before and after the deltas reaches
+    no step: the patch ignores it, and returns the input plan when nothing
+    else is left."""
+
+    def _network(self):
+        tn = TrustNetwork()
+        tn.add_trust("b", "a", priority=1)
+        tn.add_trust("c", "b", priority=1)
+        tn.add_trust("p", "c", priority=1)
+        tn.add_trust("p", "q", priority=1)
+        tn.add_trust("q", "p", priority=1)
+        tn.add_trust("e", "d", priority=1)
+        tn.set_explicit_belief("a", "v")
+        tn.set_explicit_belief("d", "w")
+        return tn
+
+    def test_value_only_touches_return_the_same_plan(self):
+        tn = self._network()
+        plan = plan_resolution(tn)
+        compiled = compile_plan(plan)
+        tn.set_explicit_belief("a", "changed")
+        tn.set_explicit_belief("d", "changed")
+        patch = patch_plan(plan, tn, {"a", "d"})
+        assert patch.plan is plan
+        assert patch.region_size == 0
+        assert (patch.kept_steps, patch.dropped_steps, patch.added_steps) == (
+            len(plan.steps),
+            0,
+            0,
+        )
+        assert splice_compiled(compiled, patch) is compiled
+
+    def test_value_only_touches_beside_a_structural_one_are_ignored(self):
+        tn = self._network()
+        plan = plan_resolution(tn)
+        tn.set_explicit_belief("a", "changed")
+        tn.add_trust("f", "e", priority=1)
+        patch = patch_plan(plan, tn, {"a", "f"})
+        assert patch.region_size == 1  # only f; a's chain is not re-planned
+        assert patch.kept_steps == len(plan.steps)
+
+    def test_a_removed_believer_is_still_patched(self):
+        tn = self._network()
+        plan = plan_resolution(tn)
+        children = set(tn.children("a"))
+        tn.remove_user("a")
+        tn.set_explicit_belief("a", "back")
+        tn.add_trust("b", "a", priority=1)
+        patch = patch_plan(plan, tn, children | {"a"}, removed={"a"})
+        fresh = plan_resolution(tn)
+        closers = lambda p: {str(u) for s in p.steps for u in step_io(s)[1]}
+        assert closers(patch.plan) == closers(fresh)
+
+    def test_skeptic_plans_are_still_rejected(self):
+        tn = TrustNetwork()
+        tn.add_trust("p", "source", priority=2)
+        tn.add_trust("p", "filter", priority=1)
+        tn.set_explicit_belief("source", "v1")
+        plan = plan_skeptic_resolution(
+            tn, positive_users=["source"], negative_constraints={"filter": ["v1"]}
+        )
+        assert any(isinstance(s, FloodStep) and s.blocked for s in plan.steps)
+        tn.set_explicit_belief("source", "v2")
+        with pytest.raises(BulkProcessingError, match="Skeptic"):
+            patch_plan(plan, tn, {"source"})
+
+    def test_belief_round_trip_across_two_deferred_patches(self, serialized_relation):
+        """An explicit user loses its belief and gains a parent (patch 1),
+        then drops the parent and regains its belief (patch 2); other
+        believers change value all along.  Each patch replays like a fresh
+        plan, and so does one patch over the whole stream, which the
+        value-only rule turns into the input plan itself."""
+        rng = random.Random(1818)
+        checked = same_plan = 0
+        for trial in range(80):
+            network = _random_belief_network(rng)
+            explicit = sorted(
+                (u for u, b in network.explicit_beliefs.items() if b.has_positive),
+                key=str,
+            )
+            user = rng.choice(explicit)
+            others = [u for u in sorted(network.users, key=str) if u != user]
+            parent = rng.choice(others)
+            value = network.explicit_belief(user).positive_value
+            start = plan_resolution(network)
+
+            def value_touches():
+                touched = set()
+                for other in explicit:
+                    if other != user and rng.random() < 0.5:
+                        network.set_explicit_belief(other, rng.choice(["v1", "v2", "v3"]))
+                        touched.add(other)
+                return touched
+
+            network.remove_explicit_belief(user)
+            network.add_trust(user, parent, priority=rng.choice([1, 2, 3]))
+            first = patch_plan(start, network, {user} | value_touches())
+            self._check(first.plan, network, rng, serialized_relation, trial)
+
+            network.remove_trust(user, parent)
+            network.set_explicit_belief(user, value)
+            touched = {user} | value_touches()
+            second = patch_plan(first.plan, network, touched)
+            self._check(second.plan, network, rng, serialized_relation, trial)
+
+            whole = patch_plan(start, network, touched | {user})
+            assert whole.plan is start, f"trial {trial}"
+            same_plan += 1
+            self._check(whole.plan, network, rng, serialized_relation, trial)
+            checked += 1
+        assert checked == same_plan == 80
+
+    @staticmethod
+    def _check(plan, network, rng, serialized_relation, trial):
+        fresh = plan_resolution(network)
+        assert len(plan_dag(plan).nodes) == len(plan.steps)
+        rows = _belief_rows(network, rng)
+        if rows:
+            assert _replay(plan, rows, serialized_relation) == _replay(
+                fresh, rows, serialized_relation
+            ), f"trial {trial}"

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from repro.bulk.store import BOTTOM_VALUE, PossRow, PossStore
+from repro.core.errors import BulkProcessingError, ShardUnavailable
 
 
 @pytest.fixture
@@ -137,6 +138,16 @@ class TestDeltaStatements:
         assert store.possible_values("a", "k2") == frozenset({"w"})
         assert store.delete_user_rows([], key="k1") == 0
 
+    def test_delete_rows_removes_exactly_the_named_rows(self, store):
+        store.insert_rows([("a", "k1", "v"), ("a", "k1", "w"), ("a", "k2", "v")])
+        assert store.delete_user_rows(rows=[("a", "k1", "v"), ("a", "k1", "gone")]) == 1
+        assert store.possible_values("a", "k1") == frozenset({"w"})
+        assert store.possible_values("a", "k2") == frozenset({"v"})
+        assert store.delta_statements == 2  # one INSERT batch, one DELETE batch
+        assert store.delete_user_rows(rows=[]) == 0
+        with pytest.raises(BulkProcessingError, match="either rows"):
+            store.delete_user_rows(["a"], rows=[("a", "k1", "w")])
+
     def test_delta_statements_join_run_transactions(self, store):
         store.insert_rows([("a", "k1", "v")])
         with pytest.raises(RuntimeError):
@@ -161,6 +172,19 @@ class TestShardedDeltaStatements:
         assert sum(after) - sum(before) == 1  # only the owning shard moved
         assert owning.delta_statements == after[store.spec.shard_of("k1")]
         assert store.possible_values("a", "k2") == frozenset({"w"})
+        store.close()
+
+    def test_row_delete_routes_each_row_to_its_keys_shard(self):
+        from repro.bulk.store import ShardedPossStore
+
+        store = ShardedPossStore(2)
+        keys = ["k0", "k1", "k4"]
+        store.insert_rows([("a", key, "v") for key in keys] + [("b", "k0", "v")])
+        assert store.delete_user_rows(rows=[("a", key, "v") for key in keys]) == 3
+        assert store.possible_table() == [PossRow("b", "k0", "v")]
+        store.quarantine(store.spec.shard_of("k0"))
+        with pytest.raises(ShardUnavailable):
+            store.delete_user_rows(rows=[("b", "k0", "v")])
         store.close()
 
     def test_unscoped_delete_fans_out(self):

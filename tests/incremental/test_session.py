@@ -82,11 +82,18 @@ class TestDeltaApplication:
         report = session.apply(SetBelief("x4", "v"))
         # x4 flips, the x1/x2 cycle collapses; x3 is untouched.
         assert report.users_changed == 3
-        assert report.rows_deleted == 5  # x4 (1 row) + x1, x2 (2 rows each)
-        assert report.rows_inserted == 3
+        # Only the rows whose value vanished or appeared move: x4's old
+        # value goes and "v" comes; x1 and x2 keep "v" and lose their
+        # other value.
+        assert report.rows_deleted == 3
+        assert report.rows_inserted == 1
         assert report.statements == 2  # one DELETE batch + one INSERT batch
         assert report.transactions == 1
         assert session.store.row_count() == rows_before - 2
+        assert (
+            session.store.row_count()
+            == rows_before - report.rows_deleted + report.rows_inserted
+        )
         assert session.store.possible_values("x1", "k0") == frozenset({"v"})
         session.close()
 
@@ -226,9 +233,9 @@ class TestGcBatchScoping:
         observed = []
         original = PossStore.delete_user_rows
 
-        def observing_delete(self, users, key=None):
+        def observing_delete(self, *args, **kwargs):
             observed.append(gc.isenabled())
-            return original(self, users, key=key)
+            return original(self, *args, **kwargs)
 
         session = IncrementalSession(network, store=PossStore())
         assert gc.isenabled(), "session construction must restore the GC"
