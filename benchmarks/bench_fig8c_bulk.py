@@ -196,13 +196,15 @@ def test_fig8c_shard_sweep(bench_json_records, bench_report_lines):
 
 def test_fig8c_compiled_sweep(bench_json_records, bench_report_lines):
     """The compiled-execution experiment: whole acyclic regions pushed into
-    the engine as recursive CTEs vs. statement-at-a-time replay, on the
-    deep chain workload the compiler targets.  The structural invariants
-    are hard gates (every cell compiles its regions and executes strictly
-    fewer statements than replay); the measured wall-clock win is recorded
-    in BENCH_resolution.json (fig8c_bulk/compiled/..., 1.3-1.8x on 2
-    shards and 2.0-2.2x on 4 shards on a 2-vCPU host).  The speedup gate
-    is a sanity bound rather than >1.0: on an oversubscribed CI runner
+    the engine as one ancestor-join statement each vs. statement-at-a-time
+    replay, on the deep chain workload the compiler targets.  The
+    structural invariants are hard gates (every cell compiles its regions
+    and executes strictly fewer statements than replay); the measured
+    wall-clock win is recorded in BENCH_resolution.json
+    (fig8c_bulk/compiled/..., 2.8x on 2 shards and 4.6x on 4 shards on a
+    2-vCPU host; the mean over both cells read 3.3-3.7x in three warm runs
+    there).  The speedup gate is a sanity bound rather than >1.0: on an
+    oversubscribed CI runner
     statement-dispatch overhead shrinks relative to I/O noise, and flaking
     the suite on that would gate merges on machine weather, not on code."""
     sweep = fig8c_bulk.run_compiled_sweep(
@@ -214,7 +216,7 @@ def test_fig8c_compiled_sweep(bench_json_records, bench_report_lines):
     assert summary["total_statements_saved"] > 0, summary
     assert summary["mean_speedup_vs_replay"] > 0.8, summary
     bench_report_lines.append(
-        "Figure 8c — compiled sweep (recursive-CTE regions vs. replay)"
+        "Figure 8c — compiled sweep (ancestor-join copy regions vs. replay)"
     )
     bench_report_lines.append(
         format_table(
@@ -302,7 +304,7 @@ def test_fig8c_observability_overhead(bench_json_records, bench_report_lines):
 
 def test_fig8c_skeptic_compiled_sweep(bench_json_records, bench_report_lines):
     """The Skeptic compiled-execution experiment: blocked floods pushed down
-    as one anti-joined window statement each (plus the ⊥ branch) against the
+    as one anti-joined DISTINCT statement each (plus the ⊥ branch) against the
     two-statement-per-constrained-group replay.  Structural invariants are
     hard gates; the wall-clock win is recorded under
     fig8c_bulk/compiled/skeptic/... with the usual >0.8 sanity bound (see

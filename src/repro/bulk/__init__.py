@@ -21,9 +21,10 @@ The package splits the bulk path into four layers:
   (:func:`patch_plan`, consumed by :class:`repro.engine.ResolutionEngine`);
 * :mod:`repro.bulk.compile` / :mod:`repro.bulk.sql` — compiles a plan into
   contiguous *regions* (:func:`compile_plan`): runs of acyclic copies
-  collapse into one recursive-CTE statement each, flood steps into one
-  window-function stage each, with statement-at-a-time replay as the
-  per-region fallback on dialects that lack the feature.  The ``replay``
+  collapse into one flat join against their compile-time frontier
+  ancestors each, independent flood steps into one ``SELECT DISTINCT``
+  stage each, with statement-at-a-time replay on a store without a SQL
+  dialect.  The ``replay``
   scheduler lowers a plan to one-step replay regions instead; the run loop
   in :mod:`repro.bulk.executor` executes either;
   :func:`splice_compiled` carries a compiled plan across a patch.

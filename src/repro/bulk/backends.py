@@ -359,22 +359,17 @@ class SqlBackend:
         """The engine's region-compilation dialect, or ``None``.
 
         A dialect (see :mod:`repro.bulk.sql`) lets the compiled scheduler
-        push whole plan regions into the engine as recursive CTEs and
-        window-function passes.  ``None`` — the conservative default for
-        unknown engines — makes every region fall back to
-        statement-at-a-time replay.
+        push every plan region into the engine as one flat ``INSERT …
+        SELECT``.  ``None`` — the conservative default for unknown
+        engines — makes every region fall back to statement-at-a-time
+        replay.
         """
         return None
 
     @property
     def supports_compiled_regions(self) -> bool:
-        """Whether the engine evaluates both compiled region shapes natively."""
-        dialect = self.compiled_dialect
-        return (
-            dialect is not None
-            and dialect.supports_copy_regions
-            and dialect.supports_flood_stages
-        )
+        """Whether the engine has a dialect, i.e. compiles every region kind."""
+        return self.compiled_dialect is not None
 
     @property
     def max_bind_params(self) -> int:

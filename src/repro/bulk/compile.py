@@ -7,20 +7,22 @@ module partitions the step sequence of a :class:`~repro.bulk.planner
 .ResolutionPlan` into *compiled regions*:
 
 ``copy`` regions
-    A maximal run of consecutive (grouped) copy steps.  All copy edges of
-    the run are handed to the engine as one recursive CTE
-    (:meth:`~repro.bulk.sql.SqlDialect.copy_region_statement`): the edges
-    form a forest rooted at the region's closed frontier — every child is
-    closed exactly once by Algorithm 1, so recursion from the frontier
-    reaches each child's rows without ever reading a row the region itself
-    has not yet derived.  The acyclic portion of a chain plan therefore
-    executes as a *single* statement.
+    A maximal run of consecutive (grouped) copy steps.  The edges of the
+    run form a forest rooted at the region's closed frontier — every child
+    is closed exactly once by Algorithm 1, and a copy only duplicates its
+    parent's rows — so each child ends up with exactly the rows of its
+    frontier ancestor.  The compiler resolves those ancestors once per
+    region (:attr:`CompiledRegion.ancestors`), and the engine lands every
+    child's rows with one flat ``VALUES`` join against ``POSS``
+    (:meth:`~repro.bulk.sql.SqlDialect.copy_region_statement`), never
+    reading a row the region itself has not yet derived.  The acyclic
+    portion of a chain plan therefore executes as a *single* statement.
 
 ``flood`` regions
     A maximal run of consecutive unblocked flood steps whose parents are
     disjoint from the members of every flood already in the region (local
     independence).  Such a stage reads only rows committed before the
-    region, so one window-function pass
+    region, so one ``SELECT DISTINCT`` pass
     (:meth:`~repro.bulk.sql.SqlDialect.flood_stage_statement`) floods all
     members at once.  A flood that reads an earlier flood's members starts
     a new region — preserving the replay's stage-by-stage semantics.
@@ -29,7 +31,7 @@ module partitions the step sequence of a :class:`~repro.bulk.planner
     A maximal run of consecutive *blocked* (Skeptic) flood steps under the
     same independence rule as unblocked floods.  The members' candidate
     rows are anti-joined against a per-member ``VALUES`` blocklist feeding
-    the same ``ROW_NUMBER()`` de-dupe, plus a ``⊥`` branch for the rejected
+    the same ``DISTINCT`` de-dupe, plus a ``⊥`` branch for the rejected
     values (:meth:`~repro.bulk.sql.SqlDialect.blocked_flood_statement`), so
     `SkepticBulkResolver` compiles instead of falling back to replay.  The
     blocklist's bound parameters count against the same bind budget as the
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import BulkProcessingError
 from repro.bulk.planner import (
@@ -109,6 +111,34 @@ class RegionLimits:
         return cls(max_copy_edges=cap, max_flood_pairs=cap)
 
 
+def frontier_ancestors(
+    edges: Sequence[Tuple[str, str]],
+) -> Tuple[Tuple[str, str], ...]:
+    """Map each ``(child, parent)`` copy edge to ``(child, frontier ancestor)``.
+
+    Follows parent pointers with memoisation, so a region costs
+    ``O(edges)`` however deep its chains run.  Raises
+    :class:`~repro.core.errors.BulkProcessingError` on a cycle, which no
+    plan produces: a cyclic copy run would have no frontier to read from.
+    """
+    parent_of = dict(edges)
+    ancestor_of: Dict[str, str] = {}
+    for child, _parent in edges:
+        path: List[str] = []
+        node = child
+        while node in parent_of and node not in ancestor_of:
+            path.append(node)
+            if len(path) > len(parent_of):
+                raise BulkProcessingError(
+                    f"copy edges form a cycle through {child!r}"
+                )
+            node = parent_of[node]
+        root = ancestor_of.get(node, node)
+        for member in path:
+            ancestor_of[member] = root
+    return tuple((child, ancestor_of[child]) for child, _parent in edges)
+
+
 @dataclass(frozen=True)
 class CompiledRegion:
     """One contiguous run of plan steps executed as (at most) one statement.
@@ -118,7 +148,8 @@ class CompiledRegion:
     ``(member, parent)`` pairs, ``blocked_flood`` regions the pairs plus
     the flattened ``(member, blocked value)`` blocklist; ``replay`` regions
     carry none of these and fall back to statement-at-a-time execution of
-    ``steps``.
+    ``steps``.  A ``copy`` region's compiled statement reads
+    :attr:`ancestors`, derived from ``edges`` once per region.
     """
 
     kind: str
@@ -148,13 +179,25 @@ class CompiledRegion:
         return self._replay_statements
 
     @cached_property
+    def ancestors(self) -> Tuple[Tuple[str, str], ...]:
+        """One ``(child, frontier ancestor)`` pair per copy edge, in edge order.
+
+        The frontier ancestor is the first parent up the region's parent
+        pointers that is no edge's child: a user closed before the region,
+        whose rows every child below it copies.  Cached, like
+        :attr:`fingerprint`, so a warm materialize never walks the forest
+        again.
+        """
+        return frontier_ancestors(self.edges)
+
+    @cached_property
     def fingerprint(self) -> "str | None":
         """Content key of the per-store compiled-statement cache.
 
         Two regions with equal kind/edges/pairs/blocked render identical
         SQL and parameters, so the rendered statement of one can serve the
         other — that is what lets repeated runs and incremental re-applies
-        skip re-rendering the compiled CTEs.  ``replay`` regions return
+        skip re-rendering the compiled statements.  ``replay`` regions return
         ``None``: they carry opaque step objects, not statement inputs,
         and are never cached.  The key is the full rendering of those
         inputs, not a digest of it: two regions can share a key only when

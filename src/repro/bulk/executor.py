@@ -16,8 +16,8 @@ how the plan is lowered to regions:
   the conflicts among them.
 * ``compiled`` partitions the plan into copy / flood / blocked-flood
   regions (:func:`~repro.bulk.compile.compile_plan`) that the engine
-  evaluates as one statement each, falling back to replay per region
-  where the store's dialect cannot.
+  evaluates as one statement each, falling back to replay on a store
+  without a dialect.
 
 Without a checkpoint the whole run is **one transaction** (per shard): a
 mid-run :class:`~repro.core.errors.BulkProcessingError` rolls the relation
@@ -199,33 +199,18 @@ class _PhaseClock:
             }
 
 
-def _region_supported(store, region: CompiledRegion) -> bool:
-    """Whether ``store``'s dialect can evaluate this region as one statement."""
-    dialect = getattr(store, "compiled_dialect", None)
-    if dialect is None:
-        return False
-    if region.kind == "copy":
-        return bool(region.edges) and dialect.supports_copy_regions
-    if region.kind == "flood":
-        return bool(region.pairs) and dialect.supports_flood_stages
-    if region.kind == "blocked_flood":
-        return bool(region.pairs) and getattr(
-            dialect, "supports_blocked_floods", False
-        )
-    return False
-
-
 def _execute_region(
     store, region: CompiledRegion, clock: "_PhaseClock"
 ) -> Tuple[int, bool]:
     """Execute one region on one store; returns (rows, compiled?).
 
-    Capability dispatch happens here, per region and per store: a region
-    the store's dialect can evaluate runs as one pushed-down statement;
-    anything else — ``replay`` regions, dialect gaps — replays the
-    region's steps statement-at-a-time through the shared
-    :func:`_replay_step` dispatcher.  Either way the region's effect on the
-    relation is identical, which is what the differential suite locks.
+    Dispatch happens here, per region and per store: on a store with a
+    dialect every ``copy``, ``flood`` and ``blocked_flood`` region runs as
+    one pushed-down statement; ``replay`` regions, and every region of a
+    store without a dialect, replay the region's steps statement-at-a-time
+    through the shared :func:`_replay_step` dispatcher.  Either way the
+    region's effect on the relation is identical, which is what the
+    differential suite locks.
     Fence-only flood regions (members closed without any closed parent —
     no pairs to flood) insert nothing under replay too, so they complete
     in zero statements regardless of dialect, matching their
@@ -239,11 +224,12 @@ def _execute_region(
             "region", kind=region.kind, shard=store.trace_shard
         )
     try:
-        if _region_supported(store, region):
+        # Only compiled kinds carry edges or pairs; ``replay`` regions never do.
+        if (region.edges or region.pairs) and store.compiled_dialect is not None:
             started = time.perf_counter()
             if region.kind == "copy":
                 rows = store.copy_region(
-                    region.edges, fingerprint=region.fingerprint
+                    region.ancestors, fingerprint=region.fingerprint
                 )
                 phase = "copy"
             elif region.kind == "blocked_flood":
@@ -414,6 +400,36 @@ class _PlanExecutor:
             tracer.metrics.histogram(f"phase.{phase}", seconds)
         report.trace = tracer
         return report
+
+    def _insert_beliefs(self, rows: List[Tuple[User, object, Value]]) -> int:
+        """Insert the explicit belief rows, journaled under a checkpoint.
+
+        Under a checkpoint run id the load commits atomically with its
+        ``JOURNAL_BELIEFS_NODE`` marker (per shard), so a resumed run that
+        loads the same rows again neither duplicates nor skips them.
+        """
+        run_id = self._checkpoint
+        if run_id is None:
+            return self.store.insert_explicit_beliefs(rows)
+        store = self.store
+        if isinstance(store, ShardedPossStore):
+            partitions = store.spec.partition_rows(rows)
+            inserted = 0
+            for index, shard in enumerate(store.shards):
+                if store.is_degraded(index):
+                    continue
+                if JOURNAL_BELIEFS_NODE in shard.journal_completed(run_id):
+                    continue
+                with shard.transaction():
+                    inserted += shard.insert_explicit_beliefs(partitions[index])
+                    shard.journal_record(run_id, JOURNAL_BELIEFS_NODE)
+            return inserted
+        if JOURNAL_BELIEFS_NODE in store.journal_completed(run_id):
+            return 0
+        with store.transaction():
+            inserted = store.insert_explicit_beliefs(rows)
+            store.journal_record(run_id, JOURNAL_BELIEFS_NODE)
+        return inserted
 
     @property
     def compiled(self) -> CompiledPlan:
@@ -695,33 +711,7 @@ class BulkResolver(_PlanExecutor):
         """
         rows = list(rows)
         self._register_beliefs(rows)
-        if self._checkpoint is not None:
-            return self._load_beliefs_checkpointed(rows)
-        return self.store.insert_explicit_beliefs(rows)
-
-    def _load_beliefs_checkpointed(
-        self, rows: List[Tuple[User, object, Value]]
-    ) -> int:
-        run_id = self._checkpoint
-        store = self.store
-        if isinstance(store, ShardedPossStore):
-            partitions = store.spec.partition_rows(rows)
-            inserted = 0
-            for index, shard in enumerate(store.shards):
-                if store.is_degraded(index):
-                    continue
-                if JOURNAL_BELIEFS_NODE in shard.journal_completed(run_id):
-                    continue
-                with shard.transaction():
-                    inserted += shard.insert_explicit_beliefs(partitions[index])
-                    shard.journal_record(run_id, JOURNAL_BELIEFS_NODE)
-            return inserted
-        if JOURNAL_BELIEFS_NODE in store.journal_completed(run_id):
-            return 0
-        with store.transaction():
-            inserted = store.insert_explicit_beliefs(rows)
-            store.journal_record(run_id, JOURNAL_BELIEFS_NODE)
-        return inserted
+        return self._insert_beliefs(rows)
 
 
 class ConcurrentBulkResolver(BulkResolver):
@@ -801,8 +791,8 @@ class SkepticBulkResolver(_PlanExecutor):
     by the ⊥ sentinel, matching Algorithm 2's use of ⊥ during flooding.
     The run loop is shared with :class:`BulkResolver`, and the ``compiled``
     scheduler pushes constrained flood steps down as blocked-flood regions
-    (anti-joined window pass plus the ⊥ branch in one statement) on
-    dialects that support them.
+    (anti-joined ``DISTINCT`` pass plus the ⊥ branch in one statement) on
+    every store with a dialect.
     """
 
     def __init__(
@@ -835,11 +825,15 @@ class SkepticBulkResolver(_PlanExecutor):
         )
 
     def load_beliefs(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
-        """Load the per-object positive beliefs of the positive users."""
+        """Load the per-object positive beliefs of the positive users.
+
+        Journaled under a checkpoint run id, like
+        :meth:`BulkResolver.load_beliefs`.
+        """
         rows = list(rows)
         for _user, key, _value in rows:
             self._loaded_objects.add(str(key))
-        return self.store.insert_explicit_beliefs(rows)
+        return self._insert_beliefs(rows)
 
     def bottom_value(self) -> str:
         """The sentinel representing ⊥ in the relation."""

@@ -2,9 +2,7 @@
 
 from repro.bulk.sql.dialect import (
     POSTGRES_DIALECT,
-    SQLITE_BLOCKED_FLOOD_VERSION,
     SQLITE_CTE_VERSION,
-    SQLITE_WINDOW_VERSION,
     SqlDialect,
     resolve_dialect,
     sqlite_dialect,
@@ -12,9 +10,7 @@ from repro.bulk.sql.dialect import (
 
 __all__ = [
     "POSTGRES_DIALECT",
-    "SQLITE_BLOCKED_FLOOD_VERSION",
     "SQLITE_CTE_VERSION",
-    "SQLITE_WINDOW_VERSION",
     "SqlDialect",
     "resolve_dialect",
     "sqlite_dialect",

@@ -1,24 +1,27 @@
-"""SQL dialects for compiled region execution (recursive CTEs, windows).
+"""SQL dialects for compiled region execution.
 
 The statement-at-a-time replay of :mod:`repro.bulk.executor` drives the
 database from Python: one round trip per plan step.  Compiled execution
 (:mod:`repro.bulk.compile`) pushes whole plan regions *into* the engine —
-one ``INSERT … WITH RECURSIVE`` per acyclic region of copy steps, one
-window-function pass per stage of independent floods — which needs two SQL
-features the canonical ``INSERT … SELECT`` statements of the store do not:
-common table expressions with recursion, and window functions.
+one flat ``INSERT … SELECT`` per region of copy steps, one per stage of
+independent floods — each joining a ``VALUES`` list of compile-time pairs
+against the indexed ``POSS`` relation.  No statement recurses or sorts
+through a window: everything that depends only on the plan (each copy
+child's frontier ancestor) is computed once by the compiler, and the
+floods de-duplicate with ``SELECT DISTINCT`` exactly as the replay floods
+do.
 
-A :class:`SqlDialect` declares which of the two region shapes an engine can
-evaluate natively and renders them in the store's canonical ``qmark``
-placeholder style (the backend's :meth:`~repro.bulk.backends.SqlBackend
-.render` still rewrites placeholders per driver, exactly as for the replay
-statements).  Engines without a dialect — or without one of the two
-features — fall back to statement-at-a-time replay *per region*, so a
-partially capable engine still compiles what it can.
+A :class:`SqlDialect` renders those statements in the store's canonical
+``qmark`` placeholder style (the backend's :meth:`~repro.bulk.backends
+.SqlBackend.render` still rewrites placeholders per driver, exactly as for
+the replay statements).  An engine either has a dialect, and then compiles
+every region kind, or has none, and then replays every region
+statement-at-a-time.
 
-Both statement shapes use the ``VALUES`` auto-naming convention
-(``column1``/``column2``) shared by sqlite and PostgreSQL, the same idiom
-the store's grouped copy and flood statements already rely on.
+Every statement uses the ``VALUES`` auto-naming convention
+(``column1``/``column2``) or a non-recursive ``WITH`` list, both shared by
+sqlite (3.8.3 and later) and PostgreSQL, the same idioms the store's
+grouped copy and flood statements already rely on.
 """
 
 from __future__ import annotations
@@ -30,101 +33,74 @@ from typing import Optional, Sequence, Tuple
 
 from repro.core.errors import BulkProcessingError
 
-#: First sqlite release evaluating (recursive) common table expressions.
+#: First sqlite release evaluating ``VALUES`` subqueries and ``WITH`` lists.
 SQLITE_CTE_VERSION = (3, 8, 3)
-
-#: First sqlite release evaluating window functions.
-SQLITE_WINDOW_VERSION = (3, 25, 0)
-
-#: First sqlite release the blocked-flood shape targets: window functions
-#: appeared in 3.25, but compound window queries mixing correlated
-#: subqueries (the anti-join against the blocklist CTE) were only fixed
-#: across the 3.25–3.28 window-function bugfix series, so the dialect
-#: gates the shape on 3.28.
-SQLITE_BLOCKED_FLOOD_VERSION = (3, 28, 0)
 
 
 @dataclass(frozen=True)
 class SqlDialect:
     """How one engine family evaluates compiled plan regions.
 
-    ``supports_copy_regions`` gates the recursive-CTE statement (one per
-    acyclic region of copy steps); ``supports_flood_stages`` gates the
-    window-function statement (one per stage of independent floods);
-    ``supports_blocked_floods`` gates the Skeptic blocked-flood statement
-    (the flood shape anti-joined against a per-member blocklist).  The
-    render methods emit canonical ``?``-placeholder SQL against the
+    The render methods emit canonical ``?``-placeholder SQL against the
     ``POSS(X, K, V)`` relation plus the flat parameter tuple.
     """
 
     name: str
-    supports_copy_regions: bool = True
-    supports_flood_stages: bool = True
-    supports_blocked_floods: bool = True
 
     def copy_region_statement(
-        self, edges: Sequence[Tuple[str, str]]
+        self, ancestors: Sequence[Tuple[str, str]]
     ) -> Tuple[str, Tuple[str, ...]]:
-        """One recursive CTE closing every ``(child, parent)`` copy edge.
+        """One flat join closing every copy child of a region.
 
-        The edges of a region form a forest rooted at the region's *closed
-        frontier* (parents closed before the region — every child is closed
-        exactly once, so a parent that is no edge's child is frontier).  A
-        copy only ever duplicates its parent's rows, so every region child
-        ends up with exactly the rows of its frontier *ancestor*: the
-        recursion therefore runs over the **edge list** — computing the
-        ``(child, ancestor)`` closure in ``O(edges)`` queue rows — and one
-        flat indexed join against ``POSS`` then lands every child's rows.
-        (Recursing over the copied rows themselves would re-scan the edge
-        VALUES once per row — ``O(rows × edges)`` — which is why the closure
-        runs first.)  The plain join preserves row multiplicities exactly as
-        the replay copies do (they are not ``DISTINCT`` either), so the
-        compiled region is byte-identical to replaying its steps one
-        statement at a time.
+        ``ancestors`` holds one ``(child, frontier ancestor)`` pair per copy
+        edge of the region (:attr:`~repro.bulk.compile.CompiledRegion
+        .ancestors`).  The region's edges form a forest rooted at its
+        *closed frontier* (parents closed before the region), and a copy
+        only ever duplicates its parent's rows, so every child ends up with
+        exactly the rows of its frontier ancestor.  The compiler resolves
+        that ancestor once per region, so the statement is one ``VALUES``
+        list joined against ``POSS`` through its ``X`` index: one row per
+        child, two bound parameters per edge, and no recursion (a
+        recursive CTE over the edge ``VALUES`` re-scans them once per queue
+        row, ``O(edges²)`` on sqlite).  The plain join preserves row
+        multiplicities exactly as the replay copies do (they are not
+        ``DISTINCT`` either), so the compiled region is byte-identical to
+        replaying its steps one statement at a time.
         """
-        if not edges:
+        if not ancestors:
             raise BulkProcessingError("a copy region needs at least one edge")
-        values = ",".join("(?, ?)" for _ in edges)
+        values = ",".join("(?, ?)" for _ in ancestors)
         sql = (
-            "INSERT INTO POSS (X, K, V) WITH RECURSIVE "
-            f"COPY_EDGES(CHILD, PARENT) AS (VALUES {values}), "
-            "CLOSURE(CHILD, ANCESTOR) AS ("
-            "SELECT CHILD, PARENT FROM COPY_EDGES "
-            "WHERE PARENT NOT IN (SELECT CHILD FROM COPY_EDGES) "
-            "UNION ALL "
-            "SELECT e.CHILD, c.ANCESTOR FROM COPY_EDGES AS e "
-            "JOIN CLOSURE AS c ON c.CHILD = e.PARENT) "
-            "SELECT cl.CHILD, s.K, s.V FROM CLOSURE AS cl "
-            "JOIN POSS AS s ON s.X = cl.ANCESTOR"
+            "INSERT INTO POSS (X, K, V) SELECT cl.column1, s.K, s.V "
+            f"FROM (VALUES {values}) AS cl "
+            "JOIN POSS AS s ON s.X = cl.column2"
         )
         parameters = tuple(
-            text for child, parent in edges for text in (str(child), str(parent))
+            text
+            for child, ancestor in ancestors
+            for text in (str(child), str(ancestor))
         )
         return sql, parameters
 
     def flood_stage_statement(
         self, pairs: Sequence[Tuple[str, str]]
     ) -> Tuple[str, Tuple[str, ...]]:
-        """One window pass flooding every ``(member, parent)`` pair at once.
+        """One pass flooding every ``(member, parent)`` pair at once.
 
         Each member receives the *distinct* ``(K, V)`` union over its own
-        parents — ``ROW_NUMBER()`` partitioned by ``(member, K, V)`` keeps
-        exactly one copy per member, replicating the per-step
-        ``SELECT DISTINCT`` of the replay flood.  Sound only for floods
-        whose parents were all closed before the stage (the compiler's
-        independence condition): the statement reads committed ``POSS``
-        rows, never its own inserts.
+        parents: ``SELECT DISTINCT`` on ``(member, K, V)`` keeps exactly
+        one copy per member, replicating the per-step ``SELECT DISTINCT``
+        of the replay flood.  Sound only for floods whose parents were all
+        closed before the stage (the compiler's independence condition):
+        the statement reads committed ``POSS`` rows, never its own inserts.
         """
         if not pairs:
             raise BulkProcessingError("a flood stage needs at least one pair")
         values = ",".join("(?, ?)" for _ in pairs)
         sql = (
-            "INSERT INTO POSS (X, K, V) SELECT X, K, V FROM ("
-            "SELECT mp.column1 AS X, s.K AS K, s.V AS V, "
-            "ROW_NUMBER() OVER (PARTITION BY mp.column1, s.K, s.V) AS RN "
+            "INSERT INTO POSS (X, K, V) SELECT DISTINCT mp.column1, s.K, s.V "
             f"FROM (VALUES {values}) AS mp "
-            "JOIN POSS AS s ON s.X = mp.column2) AS RANKED "
-            "WHERE RN = 1"
+            "JOIN POSS AS s ON s.X = mp.column2"
         )
         parameters = tuple(
             text for member, parent in pairs for text in (str(member), str(parent))
@@ -144,12 +120,13 @@ class SqlDialect:
 
         * the candidate ``(member, K, V)`` rows are anti-joined (``NOT
           EXISTS``) against a per-member ``BLOCKLIST(MEMBER, V)`` ``VALUES``
-          relation before the ``ROW_NUMBER()`` de-dupe, so a member never
-          receives a value its forced constraints reject;
+          relation before the ``DISTINCT``, so a member never receives a
+          value its forced constraints reject;
         * a second branch inserts one ``⊥`` row per ``(member, K)`` whose
           parents held at least one blocked value — the positive record
-          that *something* was rejected, partitioned by ``(member, K)`` so
-          it lands exactly once, matching the replay's ``DISTINCT s.K``.
+          that *something* was rejected, de-duplicated on ``(member, K)``
+          with the ``⊥`` constant added outside the ``DISTINCT`` (the
+          replay's ``DISTINCT s.K`` idiom), so it lands exactly once.
 
         Members with no blocklist entry pass the anti-join vacuously and
         contribute nothing to the ``⊥`` branch, so mixed regions (some
@@ -169,23 +146,18 @@ class SqlDialect:
             "INSERT INTO POSS (X, K, V) "
             f"WITH FLOOD_PAIRS(MEMBER, PARENT) AS (VALUES {pair_values}), "
             f"BLOCKLIST(MEMBER, V) AS (VALUES {block_values}) "
-            "SELECT X, K, V FROM ("
-            "SELECT mp.MEMBER AS X, s.K AS K, s.V AS V, "
-            "ROW_NUMBER() OVER (PARTITION BY mp.MEMBER, s.K, s.V) AS RN "
+            "SELECT DISTINCT mp.MEMBER, s.K, s.V "
             "FROM FLOOD_PAIRS AS mp "
             "JOIN POSS AS s ON s.X = mp.PARENT "
             "WHERE NOT EXISTS (SELECT 1 FROM BLOCKLIST AS bl "
-            "WHERE bl.MEMBER = mp.MEMBER AND bl.V = s.V)) AS ALLOWED "
-            "WHERE RN = 1 "
+            "WHERE bl.MEMBER = mp.MEMBER AND bl.V = s.V) "
             "UNION ALL "
-            "SELECT X, K, V FROM ("
-            "SELECT mp.MEMBER AS X, s.K AS K, ? AS V, "
-            "ROW_NUMBER() OVER (PARTITION BY mp.MEMBER, s.K) AS RN "
+            "SELECT r.MEMBER, r.K, ? FROM ("
+            "SELECT DISTINCT mp.MEMBER AS MEMBER, s.K AS K "
             "FROM FLOOD_PAIRS AS mp "
             "JOIN POSS AS s ON s.X = mp.PARENT "
             "JOIN BLOCKLIST AS bl "
-            "ON bl.MEMBER = mp.MEMBER AND bl.V = s.V) AS REJECTED "
-            "WHERE RN = 1"
+            "ON bl.MEMBER = mp.MEMBER AND bl.V = s.V) AS r"
         )
         parameters = (
             tuple(
@@ -211,19 +183,12 @@ POSTGRES_DIALECT = SqlDialect(name="postgres")
 def sqlite_dialect() -> Optional[SqlDialect]:
     """The dialect of the linked sqlite library, or ``None`` below 3.8.3.
 
-    Recursive CTEs arrived in sqlite 3.8.3 and window functions in 3.25;
-    the dialect's capability flags reflect the runtime library, so the
-    same wheel degrades gracefully on an ancient system sqlite.
+    ``VALUES`` subqueries and ``WITH`` lists arrived in sqlite 3.8.3; an
+    older system library has no dialect, so every region replays.
     """
-    version = sqlite3.sqlite_version_info
-    if version < SQLITE_CTE_VERSION:
+    if sqlite3.sqlite_version_info < SQLITE_CTE_VERSION:
         return None
-    return SqlDialect(
-        name="sqlite",
-        supports_copy_regions=True,
-        supports_flood_stages=version >= SQLITE_WINDOW_VERSION,
-        supports_blocked_floods=version >= SQLITE_BLOCKED_FLOOD_VERSION,
-    )
+    return SqlDialect(name="sqlite")
 
 
 def resolve_dialect(

@@ -408,8 +408,8 @@ class PossStore:
 
     @property
     def supports_compiled_regions(self) -> bool:
-        """Whether the backend evaluates both compiled region shapes natively."""
-        return getattr(self._backend, "supports_compiled_regions", False)
+        """Whether the backend has a dialect, i.e. compiles every region kind."""
+        return self.compiled_dialect is not None
 
     @property
     def max_bind_params(self) -> int:
@@ -873,36 +873,49 @@ class PossStore:
     # the compiled region statements                                       #
     # ------------------------------------------------------------------ #
 
-    def copy_region(
-        self,
-        edges: Sequence[Tuple[str, str]],
-        fingerprint: Optional[str] = None,
-    ) -> int:
-        """Compiled Step-1 region: close all ``(child, parent)`` copy edges.
+    def _run_region(self, fingerprint: Optional[str], render) -> int:
+        """Execute one compiled region statement, ``render(dialect)``.
 
-        One recursive CTE (see
-        :meth:`~repro.bulk.sql.SqlDialect.copy_region_statement`) replaces
-        one replay statement per copy step of the region.  Raises
-        :class:`~repro.core.errors.BulkProcessingError` when the backend's
-        dialect cannot evaluate recursive CTEs — callers (the compiled
-        scheduler) check :attr:`compiled_dialect` and fall back to replay
-        instead of calling this blind.  ``fingerprint`` (the region's
-        content hash) keys the statement cache so repeated runs skip
-        re-building and re-rendering the CTE text.
+        Raises :class:`~repro.core.errors.BulkProcessingError` on a backend
+        without a dialect: callers (the run loop) check
+        :attr:`compiled_dialect` and replay the region statement-at-a-time
+        instead of calling a region statement blind.
         """
         dialect = self.compiled_dialect
-        if dialect is None or not dialect.supports_copy_regions:
+        if dialect is None:
             raise BulkProcessingError(
-                f"{self.backend_name} has no recursive-CTE dialect; "
+                f"{self.backend_name} has no SQL dialect; "
                 f"replay the region statement-at-a-time instead"
             )
         sql, rendered, parameters = self._statement_for(
-            fingerprint, lambda: dialect.copy_region_statement(edges)
+            fingerprint, lambda: render(dialect)
         )
         cursor = self._execute(sql, parameters, rendered=rendered)
         self._count_bulk()
         self._commit()
         return cursor.rowcount
+
+    def copy_region(
+        self,
+        ancestors: Sequence[Tuple[str, str]],
+        fingerprint: Optional[str] = None,
+    ) -> int:
+        """Compiled Step-1 region: close every copy child of a region at once.
+
+        ``ancestors`` holds one ``(child, frontier ancestor)`` pair per copy
+        edge (:attr:`~repro.bulk.compile.CompiledRegion.ancestors`, which
+        :func:`~repro.bulk.compile.frontier_ancestors` derives from the
+        region's ``(child, parent)`` edges).  One flat ``VALUES`` join (see
+        :meth:`~repro.bulk.sql.SqlDialect.copy_region_statement`) replaces
+        one replay statement per copy step of the region.  Raises
+        :class:`~repro.core.errors.BulkProcessingError` on a backend
+        without a dialect.  ``fingerprint`` (the region's content key)
+        keys the statement cache so repeated runs skip re-building and
+        re-rendering the statement.
+        """
+        return self._run_region(
+            fingerprint, lambda dialect: dialect.copy_region_statement(ancestors)
+        )
 
     def flood_stage(
         self,
@@ -911,24 +924,14 @@ class PossStore:
     ) -> int:
         """Compiled Step-2 stage: flood all ``(member, parent)`` pairs.
 
-        One window-function pass (see
+        One ``SELECT DISTINCT`` pass (see
         :meth:`~repro.bulk.sql.SqlDialect.flood_stage_statement`) replaces
-        one replay statement per flood step of the stage.  Same capability
+        one replay statement per flood step of the stage.  Same dialect
         and caching contract as :meth:`copy_region`.
         """
-        dialect = self.compiled_dialect
-        if dialect is None or not dialect.supports_flood_stages:
-            raise BulkProcessingError(
-                f"{self.backend_name} has no window-function dialect; "
-                f"replay the stage statement-at-a-time instead"
-            )
-        sql, rendered, parameters = self._statement_for(
-            fingerprint, lambda: dialect.flood_stage_statement(pairs)
+        return self._run_region(
+            fingerprint, lambda dialect: dialect.flood_stage_statement(pairs)
         )
-        cursor = self._execute(sql, parameters, rendered=rendered)
-        self._count_bulk()
-        self._commit()
-        return cursor.rowcount
 
     def blocked_flood(
         self,
@@ -938,27 +941,19 @@ class PossStore:
     ) -> int:
         """Compiled Skeptic stage: flood pairs around a per-member blocklist.
 
-        One anti-joined window pass (see
+        One anti-joined ``SELECT DISTINCT`` pass plus a ``⊥`` branch (see
         :meth:`~repro.bulk.sql.SqlDialect.blocked_flood_statement`) replaces
         the per-constraint-group replay statements of
         :meth:`flood_component_skeptic` — filtered values and ``⊥`` rows in
-        a single statement.  Same capability and caching contract as
+        a single statement.  Same dialect and caching contract as
         :meth:`copy_region`.
         """
-        dialect = self.compiled_dialect
-        if dialect is None or not getattr(dialect, "supports_blocked_floods", False):
-            raise BulkProcessingError(
-                f"{self.backend_name} has no blocked-flood dialect; "
-                f"replay the stage statement-at-a-time instead"
-            )
-        sql, rendered, parameters = self._statement_for(
+        return self._run_region(
             fingerprint,
-            lambda: dialect.blocked_flood_statement(pairs, blocked, BOTTOM_VALUE),
+            lambda dialect: dialect.blocked_flood_statement(
+                pairs, blocked, BOTTOM_VALUE
+            ),
         )
-        cursor = self._execute(sql, parameters, rendered=rendered)
-        self._count_bulk()
-        self._commit()
-        return cursor.rowcount
 
     # ------------------------------------------------------------------ #
     # queries                                                              #
@@ -978,8 +973,13 @@ class PossStore:
         return values if len(values) == 1 else frozenset()
 
     def possible_table(self) -> List[PossRow]:
-        """The full (distinct) content of the relation."""
-        cursor = self._execute("SELECT DISTINCT X, K, V FROM POSS")
+        """The full content of the relation: every stored row.
+
+        Duplicates are kept, so an equivalence check built on this (the
+        test suites' serialized relations, :meth:`IncrementalSession
+        .recover_shard`'s slice check) sees a row that was written twice.
+        """
+        cursor = self._execute("SELECT X, K, V FROM POSS")
         return [PossRow(*row) for row in cursor.fetchall()]
 
     def certain_snapshot(self) -> Dict[Tuple[str, str], str]:
@@ -1472,7 +1472,7 @@ class ShardedPossStore:
 
     def copy_region(
         self,
-        edges: Sequence[Tuple[str, str]],
+        ancestors: Sequence[Tuple[str, str]],
         fingerprint: Optional[str] = None,
     ) -> int:
         """Compiled Step-1 region on every shard."""
@@ -1480,7 +1480,7 @@ class ShardedPossStore:
         total = 0
         for index, shard in self._healthy():
             with self._shard_errors(index):
-                total += shard.copy_region(edges, fingerprint=fingerprint)
+                total += shard.copy_region(ancestors, fingerprint=fingerprint)
         return total
 
     def flood_stage(
@@ -1544,9 +1544,9 @@ class ShardedPossStore:
             return self.shard_for(key).certain_values(user, key)
 
     def possible_table(self) -> List[PossRow]:
-        """The full (distinct) content of the relation across shards.
+        """The full content of the relation across shards, every stored row.
 
-        Shards hold disjoint key sets, so concatenation needs no dedup.
+        Shards hold disjoint key sets, so the concatenation is the relation.
         Whole-relation *reads* degrade gracefully: quarantined shards are
         skipped, so the answer covers the serving shards' keys only (the
         consistent-query-answering posture — answer what the healthy data

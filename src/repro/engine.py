@@ -529,11 +529,10 @@ class ResolutionEngine:
 
         With ``compiled=True`` the plan is region-compiled
         (:func:`repro.bulk.compile.compile_plan`) and executed through the
-        ``compiled`` scheduler: acyclic runs collapse into recursive-CTE
-        copy regions and flood steps into window-function stages wherever
-        the store's SQL dialect supports them, with statement-at-a-time
-        replay as the per-region fallback — the relation is byte-identical
-        either way.  The compiled plan is cached and spliced whenever
+        ``compiled`` scheduler: acyclic runs collapse into copy regions and
+        flood steps into flood stages, one statement each, on any store
+        with a SQL dialect, and replay statement-at-a-time on a store
+        without one — the relation is byte-identical either way.  The compiled plan is cached and spliced whenever
         the plan is patched (:func:`repro.bulk.planpatch.splice_compiled`).
         Its checkpoints use a run id distinct from the step-at-a-time
         journal, so a resume never mixes the two region granularities.

@@ -21,10 +21,10 @@ statement count stays at the unsharded plan's count while each shard only
 touches its slice of the objects.  :func:`run_compiled_sweep` measures
 the compiled scheduler against statement-at-a-time replay on a deep chain
 workload: the acyclic run is pushed into the engine as a handful of
-recursive-CTE statements per shard, shedding the per-statement round trip
+copy-region statements per shard, shedding the per-statement round trip
 that replay pays ``depth`` times over.  Two satellites extend it:
 :func:`run_skeptic_compiled_sweep` (blocked floods pushed down as one
-anti-joined window statement each, against the two-statement Skeptic
+anti-joined ``DISTINCT`` statement each, against the two-statement Skeptic
 replay) and :func:`run_pg_parallel_sweep` (``SET max_parallel_workers_per_gather`` on
 big region statements, gated on ``REPRO_PG_DSN``).
 
@@ -356,7 +356,8 @@ def run_compiled_sweep(
     The workload is a ``depth``-stage chain (:func:`chain_network`): under
     replay it costs ``depth`` copy statements per shard, under
     the ``compiled`` scheduler the acyclic run collapses into a handful of
-    recursive-CTE regions (one per ``MAX_COPY_EDGES`` edges), so the wall
+    copy regions (one statement per region of at most ``max_copy_edges``
+    edges, sized from the store's bind limit), so the wall
     clock drops by the per-statement scheduling overhead times ``depth``.
     The defaults pick the regime the compiler targets — deep plans over
     modest row volumes, where statement dispatch (not row insertion)
@@ -433,7 +434,7 @@ def run_skeptic_compiled_sweep(
     blocked values, so under replay every constrained group costs two
     statements (filtered values plus the ⊥ rows) while the ``compiled``
     scheduler pushes each run of blocked floods down as one anti-joined
-    window statement.  Rows record both scheduler times plus the compiled
+    ``DISTINCT`` statement.  Rows record both scheduler times plus the compiled
     run's region and statement accounting — ``regions_compiled > 0`` and
     ``statements_saved > 0`` are the acceptance invariants.
     """

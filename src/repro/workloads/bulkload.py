@@ -65,8 +65,8 @@ def chain_network(depth: int) -> TrustNetwork:
     predecessor, so the grouped plan is ``depth`` single-parent copy steps
     whose dependency DAG is one long chain — ``dag_stages == depth``.  This
     is the deep-chain workload of the compiled-versus-replay experiments:
-    replay pays one statement per link, the compiled plan one recursive CTE
-    per region.
+    replay pays one statement per link, the compiled plan one copy-region
+    statement per region.
     """
     if depth < 1:
         raise WorkloadError("a chain needs at least one derived user")

@@ -1,18 +1,20 @@
 """Differential tests for plan execution through the run loop.
 
-The acceptance property of the compiled scheduler: partitioning a plan into
-regions — recursive-CTE copy regions, window-function flood stages, replay
-fallbacks — and executing each region as one pushed-down SQL statement must
-produce a relation byte-identical to the sequential plan-order replay, on
-hundreds of randomized networks, for shard counts {1, 2, 4} and for
-in-memory sqlite, sqlite-file and DB-API backends.  A dialect gap never
-changes the relation, only how many statements it took.
+The acceptance property of the compiled scheduler: partitioning a plan
+into regions — flat ancestor-join copy regions, ``DISTINCT`` flood
+stages, replay fallbacks — and executing each region as one pushed-down
+SQL statement must produce a relation byte-identical to the sequential
+plan-order replay, on hundreds of randomized networks, for shard counts
+{1, 2, 4} and for in-memory sqlite, sqlite-file and DB-API backends.  A
+missing dialect never changes the relation, only how many statements it
+took.
 """
 
 from __future__ import annotations
 
 import random
 import sqlite3
+from collections import Counter
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.bulk.compile import (
     RegionLimits,
     compile_plan,
     compile_steps,
+    frontier_ancestors,
     replay_plan,
 )
 from repro.bulk.executor import (
@@ -175,7 +178,7 @@ class TestCompiledEquivalenceProperty:
                 compiled.replay_statement_count() - compiled.statement_count()
             ) * shards
             store.close()
-        # The generator must actually exercise the window-function path.
+        # The generator must actually exercise the flood-stage path.
         assert flood_regions > 20
 
     def test_single_store_compiled_is_byte_identical(
@@ -461,7 +464,7 @@ class TestResumedRunAccounting:
 
 
 class TestStatementCollapse:
-    """The headline win: long acyclic runs become one recursive CTE."""
+    """The headline win: long acyclic runs become one copy-region statement."""
 
     def test_400_chain_collapses_to_one_statement(self, serialized_relation):
         network = chain_network(400)
@@ -643,7 +646,7 @@ class TestRegionBoundaries:
             "blocked_flood"
         ]
         # A blocked flood reading a member closed by the open run must not
-        # share its statement: the window pass would miss the fresh rows.
+        # share its statement: the flood pass would miss the fresh rows.
         assert [r.kind for r in compile_steps([first, dependent])] == [
             "blocked_flood",
             "blocked_flood",
@@ -699,8 +702,92 @@ class TestRegionBoundaries:
         assert [region.kind for region in regions] == ["replay"]
 
 
+def _forest_network():
+    """Two explicit roots, each under a copy forest of depth >= 3, feeding a
+    flood stage that a second copy chain hangs from.
+
+    ``r1 → a1 → a2 → a3`` with ``a1 → b2 → b3`` branching off, and
+    ``r2 → c1 → c2 → c3 → c4``; the 2-cycle ``p ⇄ q`` floods from ``a3`` and
+    ``c3``; ``z1 → z2 → z3`` copies from ``p`` after the flood.
+    """
+    tn = TrustNetwork()
+    for child, parent in [
+        ("a1", "r1"), ("a2", "a1"), ("a3", "a2"), ("b2", "a1"), ("b3", "b2"),
+        ("c1", "r2"), ("c2", "c1"), ("c3", "c2"), ("c4", "c3"),
+        ("p", "q"), ("p", "a3"), ("q", "p"), ("q", "c3"),
+        ("z1", "p"), ("z2", "z1"), ("z3", "z2"),
+    ]:
+        tn.add_trust(child, parent, priority=1)
+    tn.set_explicit_belief("r1", "v")
+    tn.set_explicit_belief("r2", "v")
+    return tn
+
+
+class TestCopyRegionForest:
+    """Copy regions land each child's rows from its compile-time frontier
+    ancestor: one flat join, no recursion."""
+
+    def test_frontier_ancestors_follow_parent_pointers_to_the_frontier(self):
+        edges = (("a3", "a2"), ("a1", "r1"), ("a2", "a1"), ("c1", "r2"), ("b2", "a1"))
+        assert frontier_ancestors(edges) == (
+            ("a3", "r1"), ("a1", "r1"), ("a2", "r1"), ("c1", "r2"), ("b2", "r1"),
+        )
+        with pytest.raises(BulkProcessingError):
+            frontier_ancestors((("x", "y"), ("y", "x")))
+
+    def test_multi_level_forest_matches_replay_as_a_multiset(self):
+        tn = _forest_network()
+        explicit = ["r1", "r2"]
+        plan = plan_resolution(tn, explicit_users=explicit)
+        compiled = compile_plan(plan)
+        assert [region.kind for region in compiled.regions] == [
+            "copy", "flood", "copy"
+        ]
+        forest = dict(compiled.regions[0].ancestors)
+        assert forest == {
+            "a1": "r1", "a2": "r1", "a3": "r1", "b2": "r1", "b3": "r1",
+            "c1": "r2", "c2": "r2", "c3": "r2", "c4": "r2",
+        }
+        assert dict(compiled.regions[2].ancestors) == {
+            "z1": "p", "z2": "p", "z3": "p"
+        }
+        rows = [
+            ("r1", "k0", "v1"), ("r2", "k0", "v2"),
+            ("r1", "k1", "v1"), ("r2", "k1", "v1"),
+            ("r1", "k2", "v3"), ("r2", "k2", "v3"),
+        ]
+        relations = {}
+        for scheduler in ("replay", "compiled"):
+            store = PossStore()
+            resolver = BulkResolver(
+                tn, store=store, explicit_users=explicit, scheduler=scheduler
+            )
+            resolver.load_beliefs(rows)
+            report = resolver.run()
+            relations[scheduler] = Counter(
+                store._execute("SELECT X, K, V FROM POSS").fetchall()
+            )
+            store.close()
+        assert report.regions_compiled == 3
+        assert relations["compiled"] == relations["replay"]
+        assert max(relations["compiled"].values()) == 1
+        assert relations["compiled"][("z3", "k0", "v1")] == 1
+        assert relations["compiled"][("z3", "k0", "v2")] == 1
+
+    def test_no_region_statement_recurses_or_uses_a_window(self):
+        dialect = SqlDialect(name="sqlite")
+        statements = [
+            dialect.copy_region_statement([("a", "r"), ("b", "r")]),
+            dialect.flood_stage_statement([("p", "a"), ("p", "b")]),
+            dialect.blocked_flood_statement([("p", "a")], [("p", "v")], "_"),
+        ]
+        for sql, _parameters in statements:
+            assert "RECURSIVE" not in sql.upper()
+            assert "OVER (" not in sql.upper()
+
+
 class TestDialectFallback:
-    """Capability gaps degrade to replay, never to a different relation."""
+    """A store without a dialect replays, never to a different relation."""
 
     def test_dialectless_dbapi_backend_falls_back_to_replay(
         self, tmp_path, serialized_relation
@@ -727,47 +814,6 @@ class TestDialectFallback:
         assert report.statements == resolver.plan.statement_count()
         assert report.statements_saved == 0
         store.close()
-
-    def test_partial_dialect_compiles_only_the_supported_regions(
-        self, tmp_path, serialized_relation
-    ):
-        """A dialect without window functions replays floods but still
-        collapses copy regions — mirroring sqlite between 3.8.3 and 3.25."""
-        tn = TrustNetwork()
-        tn.add_trust("b", "a", priority=1)
-        tn.add_trust("c", "b", priority=1)
-        tn.add_trust("p", "c", priority=1)
-        tn.add_trust("p", "q", priority=1)
-        tn.add_trust("q", "p", priority=1)
-        tn.set_explicit_belief("a", "v")
-        rows = [("a", "k0", "v1"), ("a", "k1", "v2")]
-        no_windows = SqlDialect(name="old-sqlite", supports_flood_stages=False)
-        path = str(tmp_path / "partial.db")
-        backend = DbApiBackend(
-            lambda: sqlite3.connect(path, check_same_thread=False),
-            name="dbapi-sqlite",
-            dialect=no_windows,
-        )
-        store = PossStore(backend=backend)
-        resolver = BulkResolver(
-            tn, store=store, explicit_users=["a"], scheduler="compiled"
-        )
-        expected = _sequential_reference(resolver.plan, rows, serialized_relation)
-        compiled = resolver.compiled
-        flood_regions = [r for r in compiled.regions if r.kind == "flood"]
-        copy_regions = [r for r in compiled.regions if r.kind == "copy"]
-        assert flood_regions and copy_regions
-        resolver.load_beliefs(rows)
-        report = resolver.run()
-        assert serialized_relation(store) == expected
-        assert report.regions_compiled == len(copy_regions)
-        store.close()
-
-    def test_sqlite_dialect_reflects_library_version(self):
-        dialect = sqlite_dialect()
-        assert dialect is not None  # the test environment ships >= 3.25
-        assert dialect.supports_copy_regions
-        assert dialect.supports_flood_stages
 
     def test_region_dataclasses_are_frozen(self):
         region = CompiledRegion(kind="copy", steps=(CopyStep("a", "b"),))
@@ -1000,12 +1046,12 @@ class TestAdaptiveRegionLimits:
 
 
 class TestSqliteVersionGating:
-    """Monkeypatched sqlite version strings degrade per region, never crash.
+    """Monkeypatched sqlite version strings pick compile or replay, never crash.
 
     The dialect is derived from sqlite3.sqlite_version_info behind an
     lru_cache; each scenario clears the cache, patches the version, and
-    checks that the compiled run (a) falls back to replay exactly for the
-    unsupported region kinds and (b) still passes byte-identity.
+    checks that the compiled run (a) replays every region below 3.8.3 and
+    compiles every region from 3.8.3 on, and (b) still passes byte-identity.
     """
 
     @pytest.fixture(autouse=True)
@@ -1058,43 +1104,22 @@ class TestSqliteVersionGating:
         assert report.regions_compiled == fences
         assert report.statements_saved == 0
 
-    def test_pre_window_sqlite_compiles_only_copy_regions(
-        self, monkeypatch, serialized_relation
+    @pytest.mark.parametrize(
+        "version", [(3, 8, 3), (3, 20, 0), (3, 26, 0), (3, 28, 0), None]
+    )
+    def test_every_sqlite_from_3_8_3_compiles_every_region_kind(
+        self, monkeypatch, serialized_relation, version
     ):
-        monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 20, 0))
-        dialect = sqlite_dialect()
-        assert dialect.supports_copy_regions
-        assert not dialect.supports_flood_stages
-        assert not dialect.supports_blocked_floods
+        """No statement needs recursion or windows, so one version gate
+        decides: from 3.8.3 on (``None`` = the linked library) every copy,
+        flood and blocked-flood region compiles; older libraries replay
+        (:meth:`test_pre_cte_sqlite_replays_everything`)."""
+        if version is not None:
+            monkeypatch.setattr(sqlite3, "sqlite_version_info", version)
+        assert sqlite_dialect() == SqlDialect(name="sqlite")
         report, identical, kinds, fences = self._skeptic_run(serialized_relation)
         assert identical
-        copy_regions = sum(1 for kind in kinds if kind == "copy")
-        assert copy_regions > 0
-        assert report.regions_compiled == copy_regions + fences
-
-    def test_pre_blocked_flood_sqlite_replays_only_blocked_regions(
-        self, monkeypatch, serialized_relation
-    ):
-        monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 26, 0))
-        dialect = sqlite_dialect()
-        assert dialect.supports_flood_stages
-        assert not dialect.supports_blocked_floods
-        report, identical, kinds, fences = self._skeptic_run(serialized_relation)
-        assert identical
-        unblocked = sum(1 for kind in kinds if kind in ("copy", "flood"))
-        blocked = sum(1 for kind in kinds if kind == "blocked_flood")
-        assert blocked > 0
-        assert unblocked > 0
-        assert report.regions_compiled == unblocked + fences
-
-    def test_modern_sqlite_compiles_blocked_floods(
-        self, monkeypatch, serialized_relation
-    ):
-        monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 28, 0))
-        dialect = sqlite_dialect()
-        assert dialect.supports_blocked_floods
-        report, identical, kinds, fences = self._skeptic_run(serialized_relation)
-        assert identical
+        assert {"copy", "blocked_flood"} <= set(kinds)
         assert report.regions_compiled == fences + len(
             [kind for kind in kinds if kind != "replay"]
         )

@@ -143,8 +143,8 @@ class TestPostgresResolvers:
     def test_compiled_execution_matches_replay_with_fewer_statements(
         self, pg_store, serialized_relation
     ):
-        """Recursive-CTE copy regions and window-function flood stages on a
-        real PostgreSQL: byte-identical to replay, in far fewer statements."""
+        """Ancestor-join copy regions and DISTINCT flood stages on a real
+        PostgreSQL: byte-identical to replay, in far fewer statements."""
         network = figure19_network()
         rows = generate_objects(25, conflict_probability=0.5, seed=19)
 
@@ -170,7 +170,7 @@ class TestPostgresResolvers:
     def test_skeptic_compiled_blocked_floods_match_replay(
         self, pg_store, serialized_relation
     ):
-        """Blocked-flood regions (anti-joined window pass + ⊥ branch) on a
+        """Blocked-flood regions (anti-joined DISTINCT pass + ⊥ branch) on a
         real PostgreSQL: Skeptic resolution under the compiled scheduler is
         byte-identical to the statement-at-a-time replay and pushes the constrained
         floods down as single statements."""

@@ -184,6 +184,24 @@ class TestSessionDegradedFlush:
         faulted.close()
         clean.close()
 
+    def test_recover_shard_rebuilds_a_slice_holding_a_row_twice(
+        self, serialized_relation
+    ):
+        """A shard that holds one of its rows twice is out of sync: the
+        slice check and the byte oracle both see the duplicate, and the
+        rebuild leaves the row stored once."""
+        faulted, clean = self._twin_sessions()
+        shard = faulted.store.shards[1]
+        row = shard.possible_table()[0]
+        shard.insert_rows([(row.user, row.key, row.value)])
+        assert shard.row_count() == clean.store.shards[1].row_count() + 1
+        assert serialized_relation(faulted.store) != serialized_relation(clean.store)
+        faulted.store.quarantine(1)
+        faulted.recover_shard(1)
+        assert serialized_relation(faulted.store) == serialized_relation(clean.store)
+        faulted.close()
+        clean.close()
+
     def test_recover_shard_requires_sharded_store(self):
         session = IncrementalSession(chain_network(), store=PossStore())
         with pytest.raises(BulkProcessingError):
