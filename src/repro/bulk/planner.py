@@ -368,7 +368,7 @@ def plan_resolution(
     users_with_beliefs = _explicit_users(network, explicit_users)
     plan = ResolutionPlan(network=network, explicit_users=users_with_beliefs)
 
-    reachable = _reachable(network, users_with_beliefs)
+    reachable = network.descendants(users_with_beliefs)
     closed: Set[User] = set(users_with_beliefs)
     open_nodes: Set[User] = set(reachable) - closed
     preferred = {
@@ -472,7 +472,7 @@ def plan_skeptic_resolution(
     )
 
     sources = positive | frozenset(negative_constraints)
-    reachable = _reachable(network, sources)
+    reachable = network.descendants(sources)
     closed: Set[User] = set(positive)
     open_nodes: Set[User] = set(reachable) - closed
     # Negative-only users never enter the store: they are closed implicitly
@@ -568,23 +568,6 @@ def _explicit_users(
         for user, belief in network.explicit_beliefs.items()
         if belief.has_positive
     )
-
-
-def _reachable(network: TrustNetwork, sources) -> Set[User]:
-    outgoing = network.outgoing_map()
-    reachable: Set[User] = set()
-    stack: List[User] = []
-    for source in sources:
-        if source in network and source not in reachable:
-            reachable.add(source)
-            stack.append(source)
-    while stack:
-        node = stack.pop()
-        for edge in outgoing.get(node, ()):
-            if edge.child not in reachable:
-                reachable.add(edge.child)
-                stack.append(edge.child)
-    return reachable
 
 
 def _preferred_parent(network: TrustNetwork, reachable: Set[User], user: User):

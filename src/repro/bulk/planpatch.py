@@ -109,24 +109,6 @@ class PlanPatch:
     region_size: int
 
 
-def _descendants(network: TrustNetwork, touched: Iterable[User]) -> Set[User]:
-    """The successor-closed region of ``touched`` (inclusive)."""
-    outgoing = network.outgoing_map()
-    region: Set[User] = set()
-    stack: List[User] = []
-    for user in touched:
-        if user in network and user not in region:
-            region.add(user)
-            stack.append(user)
-    while stack:
-        user = stack.pop()
-        for edge in outgoing.get(user, ()):
-            if edge.child not in region:
-                region.add(edge.child)
-                stack.append(edge.child)
-    return region
-
-
 def patch_plan(
     plan: ResolutionPlan,
     network: TrustNetwork,
@@ -184,7 +166,7 @@ def patch_plan(
             added_steps=0,
             region_size=0,
         )
-    region = _descendants(network, touched)
+    region = network.descendants(touched)
     affected: Set[User] = set(region)
     affected.update(removed)
 

@@ -1024,11 +1024,14 @@ class ShardedPossStore:
     relation — the scatter/gather decomposition the
     :class:`~repro.bulk.executor.ConcurrentBulkResolver` exploits.
 
-    The class implements the :class:`PossStore` surface: the statement
-    methods fan out to every shard (each shard only holds its own keys, so
-    the union of the per-shard effects equals the single-store effect),
-    key-addressed queries route to the owning shard, and whole-relation
-    queries aggregate across shards.  :meth:`transaction` opens a run-scoped
+    The class implements the :class:`PossStore` loading, delta and query
+    surface: loads and delta statements route rows to their key's shard,
+    whole-relation writes fan out to every shard (each shard only holds its
+    own keys, so the union of the per-shard effects equals the single-store
+    effect), key-addressed queries route to the owning shard, and
+    whole-relation queries aggregate across shards.  The plan's region and
+    step statements run on each shard's own :class:`PossStore`: the
+    executor drives one lane per shard.  :meth:`transaction` opens a run-scoped
     transaction on *every* shard; a failure on any shard during the run
     rolls back all of them (see its docstring for the commit-time caveat).
 
@@ -1189,7 +1192,7 @@ class ShardedPossStore:
 
     @property
     def max_bind_params(self) -> int:
-        """The *smallest* shard limit: every fan-out statement must fit all."""
+        """The *smallest* shard limit: every shard's lane must fit its statements."""
         return min(shard.max_bind_params for shard in self.shards)
 
     @property
@@ -1421,93 +1424,6 @@ class ShardedPossStore:
                     index, keys=sorted({str(row[1]) for row in partition})
                 ):
                     total += shard.insert_rows(partition)
-        return total
-
-    # ------------------------------------------------------------------ #
-    # the bulk statements (fan-out)                                        #
-    # ------------------------------------------------------------------ #
-
-    def copy_from_parent(self, child: User, parent: User) -> int:
-        """Step-1 copy on every shard (each shard holds only its own keys)."""
-        self._require_all_healthy("copy_from_parent()")
-        total = 0
-        for index, shard in self._healthy():
-            with self._shard_errors(index):
-                total += shard.copy_from_parent(child, parent)
-        return total
-
-    def copy_to_children(self, parent: User, children: Sequence[User]) -> int:
-        """Grouped Step-1 copy on every shard."""
-        self._require_all_healthy("copy_to_children()")
-        total = 0
-        for index, shard in self._healthy():
-            with self._shard_errors(index):
-                total += shard.copy_to_children(parent, children)
-        return total
-
-    def flood_component(
-        self, members: Sequence[User], parents: Sequence[User]
-    ) -> int:
-        """Step-2 flood on every shard."""
-        self._require_all_healthy("flood_component()")
-        total = 0
-        for index, shard in self._healthy():
-            with self._shard_errors(index):
-                total += shard.flood_component(members, parents)
-        return total
-
-    def flood_component_skeptic(
-        self,
-        members: Sequence[User],
-        parents: Sequence[User],
-        blocked: Dict[str, Sequence[str]],
-    ) -> int:
-        """Skeptic Step-2 flood on every shard."""
-        self._require_all_healthy("flood_component_skeptic()")
-        total = 0
-        for index, shard in self._healthy():
-            with self._shard_errors(index):
-                total += shard.flood_component_skeptic(members, parents, blocked)
-        return total
-
-    def copy_region(
-        self,
-        ancestors: Sequence[Tuple[str, str]],
-        fingerprint: Optional[str] = None,
-    ) -> int:
-        """Compiled Step-1 region on every shard."""
-        self._require_all_healthy("copy_region()")
-        total = 0
-        for index, shard in self._healthy():
-            with self._shard_errors(index):
-                total += shard.copy_region(ancestors, fingerprint=fingerprint)
-        return total
-
-    def flood_stage(
-        self,
-        pairs: Sequence[Tuple[str, str]],
-        fingerprint: Optional[str] = None,
-    ) -> int:
-        """Compiled Step-2 stage on every shard."""
-        self._require_all_healthy("flood_stage()")
-        total = 0
-        for index, shard in self._healthy():
-            with self._shard_errors(index):
-                total += shard.flood_stage(pairs, fingerprint=fingerprint)
-        return total
-
-    def blocked_flood(
-        self,
-        pairs: Sequence[Tuple[str, str]],
-        blocked: Sequence[Tuple[str, str]],
-        fingerprint: Optional[str] = None,
-    ) -> int:
-        """Compiled Skeptic stage on every shard."""
-        self._require_all_healthy("blocked_flood()")
-        total = 0
-        for index, shard in self._healthy():
-            with self._shard_errors(index):
-                total += shard.blocked_flood(pairs, blocked, fingerprint=fingerprint)
         return total
 
     # ------------------------------------------------------------------ #

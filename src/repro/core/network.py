@@ -575,16 +575,29 @@ class TrustNetwork:
             graph.add_edge(mapping.parent, mapping.child, priority=mapping.priority)
         return graph
 
+    def descendants(self, users: Iterable[User]) -> Set[User]:
+        """``users`` and every user reachable from them; unknown users are skipped.
+
+        Influence flows parent → child only, so a change at ``users`` can
+        reach at most these users.
+        """
+        outgoing = self._outgoing
+        found: Set[User] = set()
+        stack: List[User] = []
+        for user in users:
+            if user in self._users and user not in found:
+                found.add(user)
+                stack.append(user)
+        while stack:
+            for edge in outgoing.get(stack.pop(), ()):
+                if edge.child not in found:
+                    found.add(edge.child)
+                    stack.append(edge.child)
+        return found
+
     def reachable_from_roots_with_beliefs(self) -> FrozenSet[User]:
         """Users reachable from some user with an explicit belief."""
-        import networkx as nx
-
-        graph = self.to_digraph()
-        sources = [u for u in self._beliefs if u in graph]
-        reachable: Set[User] = set(sources)
-        for source in sources:
-            reachable.update(nx.descendants(graph, source))
-        return frozenset(reachable)
+        return frozenset(self.descendants(self._beliefs))
 
     def copy(self) -> "TrustNetwork":
         """A structural copy sharing no mutable state with the original."""

@@ -271,7 +271,6 @@ def _resolve_skeptic_impl(network: TrustNetwork) -> SkepticResult:
         i = index[user]
         rep_pos[i].add(value)
         closed[i] = 1
-    open_count = n - len(positive_ids)
 
     incoming = network.incoming_map()
     parents_of: List[List[Tuple[int, bool]]] = [[] for _ in range(n)]
@@ -283,49 +282,18 @@ def _resolve_skeptic_impl(network: TrustNetwork) -> SkepticResult:
             entries.append((parent_id, parent_id == preferred[i]))
             successors[parent_id].append(i)
 
-    engine = CondensationEngine(
-        (i for i in range(n) if not closed[i]), successors, n
+    close_skeptic(
+        n,
+        closed,
+        preferred,
+        children_pref,
+        parents_of,
+        successors,
+        pref_neg,
+        rep_pos,
+        rep_neg,
+        rep_bottom,
     )
-
-    # Step-1 worklist seeded from the explicitly positive (Type 2) nodes.
-    worklist: List[int] = []
-    for i in positive_ids:
-        worklist.extend(children_pref[i])
-
-    # Main loop: Step 1 and Step 2 drain one shared worklist/engine pair.
-    while open_count:
-        while worklist:
-            node = worklist.pop()
-            if closed[node]:
-                continue
-            parent = preferred[node]
-            if parent < 0 or not closed[parent]:
-                continue
-            # Per Appendix B.7 a node is only closed along its preferred edge
-            # when the parent's representation is of Type 2 (positive or ⊥);
-            # otherwise positive values may still arrive through the
-            # non-preferred edge and the node must wait for Step 2.
-            if not (rep_pos[parent] or rep_bottom[parent]):
-                continue
-            rep_pos[node].update(rep_pos[parent])
-            rep_neg[node].update(rep_neg[parent])
-            rep_bottom[node] = rep_bottom[node] or rep_bottom[parent]
-            closed[node] = 1
-            open_count -= 1
-            engine.close(node)
-            worklist.extend(children_pref[node])
-        if not open_count:
-            break
-
-        scc = set(engine.pop_minimal())
-        _flood_skeptic_component(
-            scc, closed, parents_of, pref_neg, rep_pos, rep_neg, rep_bottom
-        )
-        for node in scc:
-            closed[node] = 1
-            open_count -= 1
-            engine.close(node)
-            worklist.extend(children_pref[node])
 
     representations = {
         user: SkepticRepresentation(
@@ -367,6 +335,73 @@ def propagate_forced_negatives(pref_neg, pending, children_of, skip) -> None:
             if missing:
                 pref_neg[child].update(missing)
                 pending.append(child)
+
+
+def close_skeptic(
+    size: int,
+    closed: bytearray,
+    preferred: List[int],
+    children_pref: List[List[int]],
+    parents_of: List[List[Tuple[int, bool]]],
+    successors: List[List[int]],
+    pref_neg: List[Set[Value]],
+    rep_pos: List[Set[Value]],
+    rep_neg: List[Set[Value]],
+    rep_bottom: bytearray,
+) -> None:
+    """Algorithm 2's main loop: close every open node ``0..size-1``.
+
+    Shared by :func:`resolve_skeptic` (every user) and the delta resolver
+    (one component's members, whose external parents sit past ``size``,
+    closed with their final representations).  Nodes already ``closed``
+    are final inputs; Step 1 and Step 2 drain one worklist/engine pair:
+    Step 1 copies a Type-2 preferred parent, Step 2 floods a minimal SCC of
+    the open subgraph (``successors`` holds its edges among ``0..size-1``).
+    """
+    engine = CondensationEngine(
+        (i for i in range(size) if not closed[i]), successors, size
+    )
+    open_count = size - closed.count(1, 0, size)
+    # Step-1 worklist seeded from the closed (final) nodes.
+    worklist: List[int] = [
+        child
+        for node, is_closed in enumerate(closed)
+        if is_closed
+        for child in children_pref[node]
+    ]
+    while open_count:
+        while worklist:
+            node = worklist.pop()
+            if closed[node]:
+                continue
+            parent = preferred[node]
+            if parent < 0 or not closed[parent]:
+                continue
+            # Per Appendix B.7 a node is only closed along its preferred edge
+            # when the parent's representation is of Type 2 (positive or ⊥);
+            # otherwise positive values may still arrive through the
+            # non-preferred edge and the node must wait for Step 2.
+            if not (rep_pos[parent] or rep_bottom[parent]):
+                continue
+            rep_pos[node].update(rep_pos[parent])
+            rep_neg[node].update(rep_neg[parent])
+            rep_bottom[node] = rep_bottom[node] or rep_bottom[parent]
+            closed[node] = 1
+            open_count -= 1
+            engine.close(node)
+            worklist.extend(children_pref[node])
+        if not open_count:
+            break
+
+        scc = set(engine.pop_minimal())
+        _flood_skeptic_component(
+            scc, closed, parents_of, pref_neg, rep_pos, rep_neg, rep_bottom
+        )
+        for node in scc:
+            closed[node] = 1
+            open_count -= 1
+            engine.close(node)
+            worklist.extend(children_pref[node])
 
 
 def _flood_skeptic_component(

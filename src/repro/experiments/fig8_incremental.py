@@ -53,7 +53,6 @@ from repro.core.resolution import resolve
 from repro.engine import ResolutionEngine
 from repro.experiments.runner import format_table, report
 from repro.incremental.deltas import SetBelief
-from repro.incremental.region import dirty_region
 from repro.incremental.resolver import DeltaResolver
 from repro.incremental.session import IncrementalSession
 from repro.obs import Tracer, export_chrome_trace, install_cli_handler
@@ -74,8 +73,8 @@ def _build_network(workload: str, size: int, seed: int) -> TrustNetwork:
 
 
 def _descendant_count(network: TrustNetwork, user: User) -> int:
-    """Size of the dirty region a single-user update would reach."""
-    return len(dirty_region(network, (user,))[0])
+    """How many users a single-user update could reach (itself included)."""
+    return len(network.descendants((user,)))
 
 
 def _pick_update_target(network: TrustNetwork, workload: str, seed: int) -> User:

@@ -8,14 +8,16 @@ network under a stream of deltas instead:
 * :mod:`repro.incremental.deltas` — the delta vocabulary
   (``SetBelief`` / ``RemoveBelief``, ``AddTrust`` / ``RemoveTrust``,
   ``SetPriority``, ``RemoveUser``) and the row-level :class:`DeltaLog`;
-* :mod:`repro.incremental.resolver` — :class:`DeltaResolver`, which
-  re-runs Algorithm 1 locally on the components whose inputs changed,
-  walking the network's maintained condensation in rank order from the
-  touched users;
+* :mod:`repro.incremental.resolver` — the change-driven walk both
+  paradigms share (validation, mutation, ``apply`` / ``apply_batch``, and
+  a rank-ordered walk over the network's maintained condensation that
+  visits only the components whose inputs changed), and
+  :class:`DeltaResolver`, which re-runs Algorithm 1 locally on each of
+  them;
 * :mod:`repro.incremental.skeptic` — :class:`SkepticDeltaResolver`, the
-  same for Algorithm 2's representations over the dirty region
-  (descendants of the touched users, pruned where recomputed closed
-  values equal the old ones);
+  same walk for Algorithm 2's representations: ``prefNeg`` and the
+  localized Algorithm 2 per component, and every piece of a split
+  component re-seeded;
 * :mod:`repro.incremental.session` — :class:`IncrementalSession`, which
   applies delta logs to a ``POSS`` store as delta ``DELETE``/``INSERT``
   statements inside one (per-shard) transaction instead of a full reload;

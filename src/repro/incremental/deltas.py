@@ -148,16 +148,17 @@ def row_diff(changes: Iterable[Tuple[str, RowChange]]) -> Tuple[List[Row], List[
 class DeltaLog:
     """What one delta did to the resolved state.
 
-    ``changes`` lists every user whose possible-value set actually changed
-    (users recomputed to their old value do not appear).  The three counters
-    expose the incremental engine's cost model: ``dirty_region`` counts the
-    users the recomputation visited, ``recomputed`` how many of them were
-    re-resolved, and ``pruned`` how many it visited but skipped.
-    :class:`~repro.incremental.resolver.DeltaResolver` (Algorithm 1) walks
-    only the components whose inputs changed, so there ``dirty_region ==
-    recomputed`` and ``pruned == 0``; descendants that keep their values
-    are never visited.  The descendant count of a delta is
-    :func:`repro.incremental.region.dirty_region`.
+    ``changes`` lists every user whose possible-value set (for
+    :class:`~repro.incremental.skeptic.SkepticDeltaResolver`, whose
+    representation) actually changed; users recomputed to their old value
+    do not appear.  The three counters expose the incremental engine's cost
+    model: ``dirty_region`` counts the users the recomputation visited,
+    ``recomputed`` how many of them were re-resolved, and ``pruned`` how
+    many it visited but skipped.  Both delta resolvers walk only the
+    components whose inputs changed, so ``dirty_region == recomputed`` and
+    ``pruned == 0``; descendants that keep their values are never visited.
+    The descendant count of a delta is
+    :meth:`TrustNetwork.descendants <repro.core.network.TrustNetwork.descendants>`.
     """
 
     delta: Delta

@@ -1,8 +1,11 @@
-"""Delta resolution for Algorithm 1: maintain ``poss`` under updates.
+"""Delta resolution: the change-driven walk, and Algorithm 1 on it.
 
 :class:`DeltaResolver` keeps the possible-value map of an already-resolved
 binary trust network consistent while the network changes, without full
-re-resolution.  The key observations:
+re-resolution.  Its delta pipeline — validation, mutation, ``apply`` /
+``apply_batch`` and the walk below — is :class:`DeltaWalk`, which
+:class:`~repro.incremental.skeptic.SkepticDeltaResolver` runs too with
+Algorithm 2's per-component evaluation.  The key observations:
 
 * Resolution is modular over the SCC condensation: the possible values of
   a component are a function of its members' structure and of the possible
@@ -59,7 +62,7 @@ the surviving edges.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.beliefs import Value
 from repro.core.errors import NetworkError
@@ -109,125 +112,46 @@ def _check_roots(
             )
 
 
-class DeltaResolver:
-    """Maintain ``poss`` for one belief assignment under a delta stream.
+def _positive_beliefs(network: TrustNetwork) -> Dict[User, Value]:
+    """The network's positive belief assignment ``user -> value``."""
+    return {
+        user: belief.positive_value
+        for user, belief in network.explicit_beliefs.items()
+        if belief.positive_value is not None
+    }
 
-    Parameters
-    ----------
-    network:
-        A binary trust network (Section 2.2).  The resolver mutates it in
-        place when structural deltas are applied.
-    beliefs:
-        Optional positive-belief override ``user -> value``.  When omitted
-        the resolver *owns* the network's beliefs: belief deltas are written
-        back to the network, so ``resolve(resolver.network)`` always agrees
-        with the maintained state.  Passing a mapping detaches belief state
-        from the network — several resolvers can then share one structure
-        with per-object beliefs (the multi-key mode of
-        :class:`~repro.incremental.session.IncrementalSession`).
 
-    The maintained map is :attr:`possible` (``user -> frozenset`` of
-    values, one entry per network user, empty for unreachable users) —
-    exactly the ``possible`` attribute of a
-    :class:`~repro.core.resolution.ResolutionResult`.
+class DeltaWalk:
+    """The delta pipeline both paradigms share: validate, mutate, walk.
+
+    A subclass keeps one maintained map (:meth:`_state`; :attr:`_empty` is
+    the value of a user nothing reaches), the positive beliefs it resolves
+    with (:attr:`beliefs`) and :attr:`network`; it evaluates one component
+    with its external parents closed (:meth:`_evaluate`).  Everything else
+    — the binary-restriction checks, the mutations, ``apply`` /
+    ``apply_batch`` and the change-driven walk over the network's
+    condensation — is written here once.
     """
 
-    def __init__(
-        self,
-        network: TrustNetwork,
-        beliefs: Optional[Mapping[User, Value]] = None,
-    ) -> None:
-        self.network = network
-        self._owns_beliefs = beliefs is None
-        if beliefs is None:
-            self.beliefs: Dict[User, Value] = {
-                user: belief.positive_value
-                for user, belief in network.explicit_beliefs.items()
-                if belief.positive_value is not None
-            }
-        else:
-            self.beliefs = dict(beliefs)
-            _check_known(network, self.beliefs)
-        self._validate_binary()
-        # Built here, not in the first apply, and shared by every resolver
-        # on this network.
-        network.condensation()
-        # self.beliefs is exactly the network's positive assignment when the
-        # resolver owns it; otherwise resolve the shared structure under
-        # this resolver's beliefs, without copying it.
-        source = network if self._owns_beliefs else network._with_beliefs(self.beliefs)
-        self.possible: Dict[User, FrozenSet[Value]] = dict(resolve(source).possible)
+    network: TrustNetwork
+    beliefs: Dict[User, Value]
+    _owns_beliefs: bool
+    _empty: object = _EMPTY
 
-    @classmethod
-    def for_keys(
-        cls,
-        network: TrustNetwork,
-        beliefs_by_key: Mapping[str, Mapping[User, Value]],
-    ) -> Dict[str, "DeltaResolver"]:
-        """Detached resolvers for several keys, one ``resolve()`` per believer group.
+    def _state(self) -> Dict[User, object]:
+        """The maintained ``user -> value`` map the walk compares and updates."""
+        raise NotImplementedError
 
-        Equivalent to ``{key: DeltaResolver(network, beliefs) for key,
-        beliefs in beliefs_by_key.items()}``, but keys whose positive
-        beliefs sit on the same users share one resolution: it runs with
-        each believer's index in the group as its value, so every user ends
-        up holding the set of believers whose belief reaches it, and a
-        key's map decodes that set through the key's own values.  Every
-        check runs before any resolution, so a rejected key builds nothing.
-        """
-        incoming = network.incoming_map()
-        _check_fan_in(incoming)
-        checked: Set[FrozenSet[User]] = set()
-        groups: Dict[FrozenSet[User], List[Tuple[str, Dict[User, Value]]]] = {}
-        for key, beliefs in beliefs_by_key.items():
-            users = frozenset(beliefs)
-            if users not in checked:
-                _check_known(network, beliefs)
-                _check_roots(incoming, users)
-                checked.add(users)
-            positive: Dict[User, Value] = {}
-            for user, belief in beliefs.items():
-                value = _coerce_explicit_belief(belief).positive_value
-                if value is not None:
-                    positive[user] = value
-            groups.setdefault(frozenset(positive), []).append((key, positive))
-
-        network.condensation()
-        resolvers: Dict[str, DeltaResolver] = dict.fromkeys(beliefs_by_key)
-        for believers, members in groups.items():
-            order = tuple(believers)
-            sources = resolve(
-                network._with_beliefs({user: i for i, user in enumerate(order)})
-            ).possible
-            # Preferred copies alias their parent's set, so a network has
-            # far fewer distinct source sets than users.
-            distinct = {id(source): source for source in sources.values()}
-            for key, positive in members:
-                column = [positive[user] for user in order]
-                decoded = {
-                    ident: frozenset(map(column.__getitem__, source))
-                    for ident, source in distinct.items()
-                }
-                resolver = cls.__new__(cls)
-                resolver.network = network
-                resolver._owns_beliefs = False
-                resolver.beliefs = dict(beliefs_by_key[key])
-                resolver.possible = {
-                    user: decoded[id(source)] for user, source in sources.items()
-                }
-                resolvers[key] = resolver
-        return resolvers
+    def _evaluate(
+        self, members: Tuple[User, ...], programs: Dict[int, object], cid: int
+    ) -> Tuple[Sequence[object], Container[User]]:
+        """One component's new values (member order), and the members whose
+        other state moved, so that their children are revisited too."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
     # validation                                                          #
     # ------------------------------------------------------------------ #
-
-    def _validate_binary(self) -> None:
-        incoming = self.network.incoming_map()
-        _check_fan_in(incoming)
-        belief_users = set(self.beliefs)
-        if self._owns_beliefs:
-            belief_users |= set(self.network.explicit_beliefs)
-        _check_roots(incoming, belief_users)
 
     def validate(self, delta: Delta) -> None:
         """Reject a delta that would break the binary restrictions.
@@ -244,7 +168,9 @@ class DeltaResolver:
         elif isinstance(delta, AddTrust):
             if delta.child == delta.parent:
                 raise NetworkError(f"self-trust mapping is not allowed: {delta}")
-            if delta.child in self.beliefs:
+            if delta.child in self.beliefs or (
+                self._owns_beliefs and self.network.has_explicit_belief(delta.child)
+            ):
                 raise NetworkError(
                     f"cannot add a parent to {delta.child!r}: it holds an "
                     "explicit belief (beliefs are restricted to roots)"
@@ -345,46 +271,10 @@ class DeltaResolver:
             return self._recompute(deltas, touched_all, removed)
 
     def ensure_user(self, user: User) -> None:
-        """Give a (new) network user its empty possible-value entry."""
-        if user in self.network and user not in self.possible:
-            self.possible[user] = _EMPTY
-
-    def rebuild(self) -> None:
-        """Re-derive the maintained map from a fresh resolution.
-
-        The recovery path after a partially applied batch: the network (and
-        this resolver's belief map) hold whatever prefix of the batch
-        succeeded, so a from-scratch resolution of that state is by
-        definition the consistent map.  Costs one full ``resolve()`` —
-        acceptable on an error path.
-        """
-        if self._owns_beliefs:
-            self.beliefs = {
-                user: belief.positive_value
-                for user, belief in self.network.explicit_beliefs.items()
-                if belief.positive_value is not None
-            }
-            source = self.network
-        else:
-            self.beliefs = {
-                user: value
-                for user, value in self.beliefs.items()
-                if user in self.network
-            }
-            source = self.network._with_beliefs(self.beliefs)
-        self.possible = dict(resolve(source).possible)
-
-    def resolution(self) -> ResolutionResult:
-        """The maintained state as a :class:`ResolutionResult` snapshot.
-
-        Lineage pointers are not maintained incrementally; call
-        :func:`repro.core.resolution.resolve` when a lineage trace is
-        needed.
-        """
-        return ResolutionResult(
-            possible=dict(self.possible),
-            explicit_users=frozenset(self.beliefs),
-        )
+        """Give a (new) network user its empty entry in the maintained map."""
+        state = self._state()
+        if user in self.network and user not in state:
+            state[user] = self._empty
 
     # ------------------------------------------------------------------ #
     # mutation                                                            #
@@ -433,6 +323,7 @@ class DeltaResolver:
 
         if isinstance(delta, SetPriority):
             if mutate_network:
+                self.validate(delta)
                 self.network.set_priority(delta.child, delta.parent, delta.priority)
             return {delta.child}, None
 
@@ -451,16 +342,26 @@ class DeltaResolver:
     # change-driven recomputation                                         #
     # ------------------------------------------------------------------ #
 
+    # ------------------------------------------------------------------ #
+    # change-driven recomputation                                         #
+    # ------------------------------------------------------------------ #
+
     def _recompute(
         self, delta: "Delta | Tuple[Delta, ...]", touched: Set[User], removed: Sequence[User]
     ) -> DeltaLog:
+        state = self._state()
+        empty = self._empty
         changes: List[RowChange] = []
-        for gone in removed:
-            old = self.possible.pop(gone, None)
-            if old is not None:
-                changes.append(RowChange(gone, old, _EMPTY, removed=True))
-
         network = self.network
+        for gone in removed:
+            old = state.pop(gone, None)
+            if old is not None:
+                changes.append(RowChange(gone, old, empty, removed=True))
+            if gone in network:
+                # Removed, then re-created later in the same batch: the
+                # user starts over.
+                self.ensure_user(gone)
+                touched = touched | {gone}
         touched_live = sorted((u for u in touched if u in network), key=str)
 
         condensation = network.condensation()
@@ -469,7 +370,6 @@ class DeltaResolver:
         rank = condensation.rank
         programs = condensation.programs
         outgoing = network.outgoing_map()
-        possible = self.possible
         # Components keyed by rank: every edge between two components runs
         # to a higher rank, so popping in rank order recomputes a component
         # only after every parent that could still change.
@@ -486,13 +386,14 @@ class DeltaResolver:
             _rank, cid = heapq.heappop(heap)
             members = component_members[cid]
             recomputed += len(members)
-            new_values = self._recompute_component(members, programs, cid)
+            new_values, moved = self._evaluate(members, programs, cid)
             for member, new in zip(members, new_values):
-                old = possible.get(member, _EMPTY)
-                if new == old:
+                old = state.get(member, empty)
+                if new != old:
+                    state[member] = new
+                    changes.append(RowChange(member, old, new))
+                elif member not in moved:
                     continue
-                possible[member] = new
-                changes.append(RowChange(member, old, new))
                 for edge in outgoing.get(member, ()):
                     child = component[edge.child]
                     if child not in queued:
@@ -506,6 +407,164 @@ class DeltaResolver:
             dirty_region=recomputed,
             recomputed=recomputed,
         )
+
+
+class DeltaResolver(DeltaWalk):
+    """Maintain ``poss`` for one belief assignment under a delta stream.
+
+    Parameters
+    ----------
+    network:
+        A binary trust network (Section 2.2).  The resolver mutates it in
+        place when structural deltas are applied.
+    beliefs:
+        Optional positive-belief override ``user -> value``.  When omitted
+        the resolver *owns* the network's beliefs: belief deltas are written
+        back to the network, so ``resolve(resolver.network)`` always agrees
+        with the maintained state.  Passing a mapping detaches belief state
+        from the network — several resolvers can then share one structure
+        with per-object beliefs (the multi-key mode of
+        :class:`~repro.incremental.session.IncrementalSession`).
+
+    The maintained map is :attr:`possible` (``user -> frozenset`` of
+    values, one entry per network user, empty for unreachable users) —
+    exactly the ``possible`` attribute of a
+    :class:`~repro.core.resolution.ResolutionResult`.
+    """
+
+    def __init__(
+        self,
+        network: TrustNetwork,
+        beliefs: Optional[Mapping[User, Value]] = None,
+    ) -> None:
+        self.network = network
+        self._owns_beliefs = beliefs is None
+        if beliefs is None:
+            self.beliefs: Dict[User, Value] = _positive_beliefs(network)
+        else:
+            self.beliefs = dict(beliefs)
+            _check_known(network, self.beliefs)
+        self._validate_binary()
+        # Built here, not in the first apply, and shared by every resolver
+        # on this network.
+        network.condensation()
+        # self.beliefs is exactly the network's positive assignment when the
+        # resolver owns it; otherwise resolve the shared structure under
+        # this resolver's beliefs, without copying it.
+        source = network if self._owns_beliefs else network._with_beliefs(self.beliefs)
+        self.possible: Dict[User, FrozenSet[Value]] = dict(resolve(source).possible)
+
+    @classmethod
+    def for_keys(
+        cls,
+        network: TrustNetwork,
+        beliefs_by_key: Mapping[str, Mapping[User, Value]],
+    ) -> Dict[str, "DeltaResolver"]:
+        """Detached resolvers for several keys, one ``resolve()`` per believer group.
+
+        Equivalent to ``{key: DeltaResolver(network, beliefs) for key,
+        beliefs in beliefs_by_key.items()}``, but keys whose positive
+        beliefs sit on the same users share one resolution: it runs with
+        each believer's index in the group as its value, so every user ends
+        up holding the set of believers whose belief reaches it, and a
+        key's map decodes that set through the key's own values.  Every
+        check runs before any resolution, so a rejected key builds nothing.
+        """
+        incoming = network.incoming_map()
+        _check_fan_in(incoming)
+        checked: Set[FrozenSet[User]] = set()
+        groups: Dict[FrozenSet[User], List[Tuple[str, Dict[User, Value]]]] = {}
+        for key, beliefs in beliefs_by_key.items():
+            users = frozenset(beliefs)
+            if users not in checked:
+                _check_known(network, beliefs)
+                _check_roots(incoming, users)
+                checked.add(users)
+            positive: Dict[User, Value] = {}
+            for user, belief in beliefs.items():
+                value = _coerce_explicit_belief(belief).positive_value
+                if value is not None:
+                    positive[user] = value
+            groups.setdefault(frozenset(positive), []).append((key, positive))
+
+        network.condensation()
+        resolvers: Dict[str, DeltaResolver] = dict.fromkeys(beliefs_by_key)
+        for believers, members in groups.items():
+            order = tuple(believers)
+            sources = resolve(
+                network._with_beliefs({user: i for i, user in enumerate(order)})
+            ).possible
+            # Preferred copies alias their parent's set, so a network has
+            # far fewer distinct source sets than users.
+            distinct = {id(source): source for source in sources.values()}
+            for key, positive in members:
+                column = [positive[user] for user in order]
+                decoded = {
+                    ident: frozenset(map(column.__getitem__, source))
+                    for ident, source in distinct.items()
+                }
+                resolver = cls.__new__(cls)
+                resolver.network = network
+                resolver._owns_beliefs = False
+                resolver.beliefs = dict(beliefs_by_key[key])
+                resolver.possible = {
+                    user: decoded[id(source)] for user, source in sources.items()
+                }
+                resolvers[key] = resolver
+        return resolvers
+
+    def _validate_binary(self) -> None:
+        incoming = self.network.incoming_map()
+        _check_fan_in(incoming)
+        belief_users = set(self.beliefs)
+        if self._owns_beliefs:
+            belief_users |= set(self.network.explicit_beliefs)
+        _check_roots(incoming, belief_users)
+
+    def rebuild(self) -> None:
+        """Re-derive the maintained map from a fresh resolution.
+
+        The recovery path after a partially applied batch: the network (and
+        this resolver's belief map) hold whatever prefix of the batch
+        succeeded, so a from-scratch resolution of that state is by
+        definition the consistent map.  Costs one full ``resolve()`` —
+        acceptable on an error path.
+        """
+        if self._owns_beliefs:
+            self.beliefs = _positive_beliefs(self.network)
+            source = self.network
+        else:
+            self.beliefs = {
+                user: value
+                for user, value in self.beliefs.items()
+                if user in self.network
+            }
+            source = self.network._with_beliefs(self.beliefs)
+        self.possible = dict(resolve(source).possible)
+
+    def resolution(self) -> ResolutionResult:
+        """The maintained state as a :class:`ResolutionResult` snapshot.
+
+        Lineage pointers are not maintained incrementally; call
+        :func:`repro.core.resolution.resolve` when a lineage trace is
+        needed.
+        """
+        return ResolutionResult(
+            possible=dict(self.possible),
+            explicit_users=frozenset(self.beliefs),
+        )
+
+    # ------------------------------------------------------------------ #
+    # Algorithm 1 per component                                           #
+    # ------------------------------------------------------------------ #
+
+    def _state(self) -> Dict[User, FrozenSet[Value]]:
+        return self.possible
+
+    def _evaluate(
+        self, members: Tuple[User, ...], programs: Dict[int, "UnionProgram"], cid: int
+    ) -> Tuple[Sequence[FrozenSet[Value]], Container[User]]:
+        return self._recompute_component(members, programs, cid), ()
 
     def _recompute_component(
         self, members: Tuple[User, ...], programs: Dict[int, "UnionProgram"], cid: int

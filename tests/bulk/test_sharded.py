@@ -89,20 +89,6 @@ class TestShardedPossStore:
                 owning = store.shards[store.spec.shard_of(key)]
                 assert owning.possible_values("x6", key) == frozenset({value})
 
-    def test_fanout_statements_match_single_store(self, serialized_relation):
-        rows = [("a", f"k{i}", f"v{i % 3}") for i in range(20)]
-        with PossStore() as single, ShardedPossStore(3) as sharded:
-            for store in (single, sharded):
-                store.insert_explicit_beliefs(rows)
-                store.copy_to_children("a", ["b", "c"])
-                store.flood_component(["d"], ["a", "b"])
-            assert serialized_relation(sharded) == serialized_relation(single)
-            assert sharded.row_count() == single.row_count()
-            assert sharded.conflict_count() == single.conflict_count()
-            assert sharded.certain_snapshot() == single.certain_snapshot()
-            assert sharded.users() == single.users()
-            assert sharded.keys() == single.keys()
-
     def test_key_queries_route_to_owning_shard(self):
         with ShardedPossStore(4) as store:
             store.insert_explicit_beliefs([("x", "k7", "v")])
@@ -133,7 +119,7 @@ class TestShardedPossStore:
             transactions_before = store.transactions
             with store.transaction():
                 assert store.in_transaction
-                store.copy_from_parent("b", "a")
+                store.insert_rows([("b", "k0", "v"), ("b", "k1", "v")])
             assert not store.in_transaction
             assert store.transactions == transactions_before + 2
             assert store.possible_values("b", "k0") == frozenset({"v"})
@@ -145,7 +131,7 @@ class TestShardedPossStore:
             before = sorted(store.possible_table())
             with pytest.raises(RuntimeError):
                 with store.transaction():
-                    store.copy_from_parent("b", "a")
+                    store.insert_rows([("b", "k0", "v"), ("b", "k1", "v")])
                     raise RuntimeError("mid-run failure")
             assert sorted(store.possible_table()) == before
             for shard in store.shards:

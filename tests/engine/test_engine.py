@@ -22,6 +22,7 @@ from repro import ResolutionEngine, TrustNetwork, resolve
 from repro.bulk.backends import ShardSpec, SqliteFileBackend
 from repro.bulk.planner import plan_resolution, step_io
 from repro.bulk.store import PossStore, ShardedPossStore
+from repro.core.beliefs import BeliefSet
 from repro.core.errors import BulkProcessingError, NetworkError
 from repro.engine import EngineReport
 from repro.incremental import AddTrust, RemoveTrust, RemoveUser, SetBelief
@@ -76,6 +77,19 @@ class TestOpenValidation:
             tn.add_trust("x", parent, priority=1)
         with pytest.raises(NetworkError, match="binary"):
             ResolutionEngine.open(tn)
+
+    def test_parent_onto_a_negative_only_belief_is_rejected(self):
+        """A negative-only explicit belief also pins its user to the roots."""
+        tn = TrustNetwork()
+        tn.set_explicit_belief("src", "v")
+        tn.add_trust("x", "src", priority=1)
+        tn.set_explicit_belief("neg", BeliefSet.from_negatives(["bad"]))
+        before = (tn.mappings, tn.explicit_beliefs)
+        with ResolutionEngine.open(tn) as engine:
+            with pytest.raises(NetworkError, match="explicit belief"):
+                engine.apply(AddTrust("neg", "src", 1))
+            assert (engine.network.mappings, engine.network.explicit_beliefs) == before
+        ResolutionEngine.open(tn).close()  # the network is still binary
 
     def test_store_and_shards_mutually_exclusive(self):
         with PossStore() as store:

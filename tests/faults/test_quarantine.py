@@ -90,7 +90,7 @@ class TestStoreQuarantine:
         with loaded_store() as store:
             store.quarantine(1)
             with pytest.raises(ShardUnavailable) as excinfo:
-                store.copy_from_parent("child", "a")
+                store.clear()
             assert excinfo.value.shard == 1
             with pytest.raises(ShardUnavailable):
                 store.delete_user_rows(["a"])  # keyless fan-out delete

@@ -120,6 +120,8 @@ def draw_delta(data, session: IncrementalSession):
     users = sorted(network.users)
     edges = sorted(network.mappings, key=lambda edge: (edge.child, edge.parent))
     op = data.draw(st.sampled_from(OPS), label="op")
+    if not users and op != "set_belief":
+        return None  # every user was removed: only a fresh belief applies
     if op == "set_belief":
         return SetBelief(
             data.draw(st.sampled_from(users + ["fresh"])),

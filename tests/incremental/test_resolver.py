@@ -21,8 +21,6 @@ from repro.incremental.deltas import (
     SetBelief,
     SetPriority,
 )
-from repro.incremental import region as region_module
-from repro.incremental.region import dirty_region
 from repro.incremental import resolver as resolver_module
 from repro.incremental.resolver import DeltaResolver
 from repro.incremental.session import IncrementalSession
@@ -120,6 +118,17 @@ class TestStructuralDeltas:
         assert [change.user for change in removed] == ["x4"]
         assert_matches_full(resolver)
 
+    def test_user_removed_and_recreated_in_one_batch_starts_over(self):
+        tn = TrustNetwork()
+        tn.add_trust("b", "a", priority=1)
+        tn.add_trust("c", "b", priority=1)
+        tn.set_explicit_belief("a", "v")
+        resolver = DeltaResolver(tn)
+        # b comes back as a new parent of d, with no parent of its own.
+        resolver.apply_batch([RemoveUser("b"), AddTrust("d", "b", 1)])
+        assert resolver.possible["b"] == frozenset()
+        assert_matches_full(resolver)
+
     def test_structural_delta_on_missing_edge_is_rejected(self, oscillator):
         resolver = DeltaResolver(oscillator)
         with pytest.raises(NetworkError):
@@ -132,13 +141,14 @@ class TestStructuralDeltas:
 
 def descendant_count(network, user) -> int:
     """How many users a delta on ``user`` could reach (itself included)."""
-    return len(dirty_region(network, (user,))[0])
+    return len(network.descendants((user,)))
 
 
 class TestPruning:
     """The walk recomputes what changes; descendants that keep their
     values are never visited, so ``dirty_region == recomputed`` and
-    ``pruned == 0``, and the descendant counts come from ``dirty_region()``."""
+    ``pruned == 0``, and the descendant counts come from
+    ``TrustNetwork.descendants()``."""
 
     def test_disconnected_clusters_are_never_visited(self):
         network = oscillator_network(50)
@@ -281,7 +291,6 @@ class TestMaintainedCondensation:
         session = self.session(network, believers)
         forbid(
             monkeypatch,
-            (region_module, "dirty_region"),
             (sccs_module, "strongly_connected_components"),
             (sccs_module, "_tarjan_indexed"),
             (condensation_module, "_tarjan_indexed"),
@@ -301,7 +310,6 @@ class TestMaintainedCondensation:
         session = self.session(network, believers)
         forbid(
             monkeypatch,
-            (region_module, "dirty_region"),
             (sccs_module, "strongly_connected_components"),
             (condensation_module, "_tarjan_indexed"),
         )
@@ -361,7 +369,6 @@ class TestMaintainedCondensation:
             return real(roots, *args)
 
         monkeypatch.setattr(condensation_module, "_tarjan_indexed", counting)
-        forbid(monkeypatch, (region_module, "dirty_region"))
         logs = [
             resolver.apply(RemoveTrust("c7.x1", "c7.x2")),  # splits {x1, x2}
             resolver.apply(AddTrust("c7.x1", "c7.x2", 100)),  # closes it again
