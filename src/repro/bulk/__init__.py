@@ -8,14 +8,14 @@ The package splits the bulk path into four layers:
   parallelism;
 * :mod:`repro.bulk.store` — the ``POSS(X, K, V)`` relation plus the bulk
   ``INSERT … SELECT`` statements and the run-scoped transaction;
-  :class:`ShardedPossStore` partitions the relation by object key across N
-  child stores with all-or-nothing per-shard transactions;
+  :class:`ShardedPossStore` routes the relation by object key across N
+  child stores (a single store is the one-shard case);
 * :mod:`repro.bulk.backends` — pluggable SQL engines, index strategies and
   shard routing (:class:`ShardSpec`) behind the store;
 * :mod:`repro.bulk.executor` — executes a plan region by region against
   a store inside one transaction (or one per region under a checkpoint)
-  through a single run loop and reports instrumentation;
-  :class:`ConcurrentBulkResolver` runs that loop on every shard;
+  through a single run loop, once per shard of the store, and reports
+  instrumentation;
 * :mod:`repro.bulk.planpatch` — patches a plan's affected region after a
   structural delta instead of re-planning the network
   (:func:`patch_plan`, consumed by :class:`repro.engine.ResolutionEngine`);
@@ -55,7 +55,6 @@ from repro.bulk.executor import (
     SCHEDULERS,
     BulkResolver,
     BulkRunReport,
-    ConcurrentBulkResolver,
     SkepticBulkResolver,
 )
 from repro.bulk.planner import (
@@ -81,7 +80,6 @@ __all__ = [
     "COVERING_INDEX",
     "CompiledPlan",
     "CompiledRegion",
-    "ConcurrentBulkResolver",
     "CopyStep",
     "DEFAULT_MAX_BIND_PARAMS",
     "DagNode",

@@ -105,6 +105,8 @@ class ShardSpec:
 
     def shard_of(self, key: object) -> int:
         """The shard index the object ``key`` routes to."""
+        if self.count == 1:
+            return 0
         text = str(key)
         if self.kind == "hash":
             return zlib.crc32(text.encode("utf-8")) % self.count
@@ -113,13 +115,15 @@ class ShardSpec:
     def partition_rows(self, rows) -> list:
         """Partition ``(user, key, value)`` rows into one list per shard.
 
-        The single routing point for bulk loading: both
-        :meth:`repro.bulk.store.ShardedPossStore.insert_explicit_beliefs`
-        and the workload-side
-        :func:`repro.workloads.bulkload.partition_rows` defer here, so rows
-        partitioned ahead of time land on exactly the shard the store would
-        route them to.
+        The single routing point for rows: both
+        :meth:`repro.bulk.store.ShardedPossStore.partition` and the
+        workload-side :func:`repro.workloads.bulkload.partition_rows` defer
+        here, so rows partitioned ahead of time land on exactly the shard
+        the store would route them to.  One shard takes every row without
+        hashing a key.
         """
+        if self.count == 1:
+            return [list(rows)]
         partitions: list = [[] for _ in range(self.count)]
         for row in rows:
             partitions[self.shard_of(row[1])].append(row)

@@ -27,12 +27,13 @@ transaction together with its ``POSS_JOURNAL`` marker — the plan index of
 the region's last step, which for a one-step replay region is the step's
 own index — and a resumed run skips the regions the journal holds.
 
-A :class:`~repro.bulk.store.ShardedPossStore` runs the same loop once per
-shard: each shard holds a disjoint slice of the object keys and the plan
-is data-independent, so replaying the identical regions on every shard
-resolves the whole relation.  The lanes run on threads when every shard's
-connection may move across threads (``supports_concurrent_replay``) and in
-sequence otherwise.
+The loop runs once per serving shard of ``store.shards``; a single
+:class:`~repro.bulk.store.PossStore` is its own one shard.  Each shard of
+a :class:`~repro.bulk.store.ShardedPossStore` holds a disjoint slice of
+the object keys and the plan is data-independent, so replaying the
+identical regions on every shard resolves the whole relation.  The lanes
+run on threads when every shard's connection may move across threads
+(``supports_concurrent_replay``) and in sequence otherwise.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from repro.core.beliefs import Value
 from repro.core.binarize import binarize
 from repro.core.errors import BackendUnavailable, BulkProcessingError
 from repro.core.network import TrustNetwork, User
-from repro.bulk.backends import ShardSpec
 from repro.bulk.compile import (
     CompiledPlan,
     CompiledRegion,
@@ -65,11 +65,16 @@ from repro.bulk.planner import (
     plan_resolution,
     plan_skeptic_resolution,
 )
-from repro.bulk.store import BOTTOM_VALUE, PossStore, ShardedPossStore
+from repro.bulk.store import BOTTOM_VALUE, PossStore
 
 #: The scheduler names a run report may carry: how the plan is lowered to
 #: the regions the run loop executes (see the module docstring).
 SCHEDULERS = ("replay", "compiled")
+
+#: The store counters a run report gives as deltas over the run.
+_RUN_COUNTERS = (
+    "bulk_statements", "transactions", "retries", "timed_out_statements", "faults_injected"
+)
 
 #: Journal marker for "the explicit beliefs of this run are loaded".
 #: Region markers are plan step indices (non-negative), so -1 can never
@@ -146,23 +151,18 @@ class BulkRunReport:
 def _replay_step(store, step) -> Tuple[int, str]:
     """Execute one plan step against a store; returns (rows, phase name).
 
-    This is the single step dispatcher behind every ``replay`` region.  The
-    flood dispatch is plan-driven: a step carrying blocked values (only
-    Skeptic plans emit those) uses the ⊥-aware statement.
+    This is the single step dispatcher behind every ``replay`` region.  A
+    flood step's blocked values (only Skeptic plans carry any) become ⊥.
     """
     if isinstance(step, GroupedCopyStep):
         return store.copy_to_children(step.parent, step.children), "copy"
     if isinstance(step, CopyStep):
         return store.copy_from_parent(step.child, step.parent), "copy"
     if isinstance(step, FloodStep):
-        if step.blocked:
-            return (
-                store.flood_component_skeptic(
-                    step.members, step.parents, step.blocked_map()
-                ),
-                "flood",
-            )
-        return store.flood_component(step.members, step.parents), "flood"
+        rows = store.flood_component_skeptic(
+            step.members, step.parents, step.blocked_map()
+        )
+        return rows, "flood"
     raise BulkProcessingError(f"unknown plan step {step!r}")
 
 
@@ -328,35 +328,35 @@ class _PlanExecutor:
 
     def __init__(
         self,
-        scheduler: str = "replay",
-        retry_policy: Optional[RetryPolicy] = None,
-        checkpoint: Optional[str] = None,
-        compiled_plan: Optional[CompiledPlan] = None,
-        tracer=None,
+        network: TrustNetwork,
+        store: Optional[PossStore],
+        scheduler: str,
+        retry_policy: Optional[RetryPolicy],
+        checkpoint: Optional[str],
+        compiled_plan: Optional[CompiledPlan],
+        tracer,
     ) -> None:
         if scheduler not in SCHEDULERS:
             raise BulkProcessingError(
                 f"unknown scheduler {scheduler!r}; known: {SCHEDULERS}"
             )
+        self.network = network
+        self.store = store if store is not None else PossStore()
         self._loaded_objects: set = set()
         self._scheduler = scheduler
-        self._retry_policy = retry_policy
         self._checkpoint = checkpoint
         self._compiled_plan = compiled_plan
         self.tracer = NULL_TRACER if tracer is None else tracer
-
-    def _attach_store(self, store) -> None:
-        """Bind the store, applying the caller's retry policy if any."""
-        self.store = store
-        if self._retry_policy is not None:
-            # The retry loop lives at the store's statement funnel (one
-            # retry site, BEGIN included); the executor only configures it.
-            store.retry_policy = self._retry_policy
-        if self.tracer.enabled:
-            # One tracer observes every layer: the store's statement funnel
-            # (and its fault-injecting backend, if any) emits into the same
-            # collection the executor's run/region spans land in.
-            store.tracer = self.tracer
+        for shard in self.store.shards:
+            if retry_policy is not None:
+                # The retry loop lives at each store's statement funnel (one
+                # retry site, BEGIN included); the executor only configures it.
+                shard.retry_policy = retry_policy
+            if self.tracer.enabled:
+                # One tracer observes every layer: the statement funnel (and
+                # its fault-injecting backend, if any) emits into the same
+                # collection the executor's run/region spans land in.
+                shard.tracer = self.tracer
 
     def _trace_finish(
         self, span, counters_before, report: BulkRunReport, check_rows: bool = True
@@ -404,31 +404,24 @@ class _PlanExecutor:
     def _insert_beliefs(self, rows: List[Tuple[User, object, Value]]) -> int:
         """Insert the explicit belief rows, journaled under a checkpoint.
 
-        Under a checkpoint run id the load commits atomically with its
-        ``JOURNAL_BELIEFS_NODE`` marker (per shard), so a resumed run that
-        loads the same rows again neither duplicates nor skips them.
+        Under a checkpoint run id each serving shard's load commits
+        atomically with its ``JOURNAL_BELIEFS_NODE`` marker, so a resumed
+        run that loads the same rows again neither duplicates nor skips
+        them.
         """
         run_id = self._checkpoint
-        if run_id is None:
-            return self.store.insert_explicit_beliefs(rows)
         store = self.store
-        if isinstance(store, ShardedPossStore):
-            partitions = store.spec.partition_rows(rows)
-            inserted = 0
-            for index, shard in enumerate(store.shards):
-                if store.is_degraded(index):
-                    continue
-                if JOURNAL_BELIEFS_NODE in shard.journal_completed(run_id):
-                    continue
+        if run_id is None:
+            return store.insert_explicit_beliefs(rows)
+        inserted = 0
+        partitions = store.spec.partition_rows(rows)
+        for index, shard in enumerate(store.shards):
+            if index in store.degraded_shards:
+                continue
+            if JOURNAL_BELIEFS_NODE not in shard.journal_completed(run_id):
                 with shard.transaction():
                     inserted += shard.insert_explicit_beliefs(partitions[index])
                     shard.journal_record(run_id, JOURNAL_BELIEFS_NODE)
-            return inserted
-        if JOURNAL_BELIEFS_NODE in store.journal_completed(run_id):
-            return 0
-        with store.transaction():
-            inserted = store.insert_explicit_beliefs(rows)
-            store.journal_record(run_id, JOURNAL_BELIEFS_NODE)
         return inserted
 
     @property
@@ -454,27 +447,25 @@ class _PlanExecutor:
     @property
     def region_limits(self) -> RegionLimits:
         """Bind-parameter budget of the attached store's backend."""
-        capacity = getattr(self.store, "max_bind_params", None)
-        if capacity is None:
-            return RegionLimits()
-        return RegionLimits.for_bind_params(capacity)
+        return RegionLimits.for_bind_params(self.store.max_bind_params)
 
     def run(self) -> BulkRunReport:
         """Execute the plan region by region and return instrumentation.
 
-        Without a ``checkpoint`` run id the run is one transaction (per
-        shard): on any error every shard rolls back before the exception
-        propagates, leaving the relation exactly as loaded.  With one, each
-        region commits with its journal marker and a re-run resumes (see
-        :func:`_run_lane`); on a sharded store an unavailable shard is then
-        *quarantined* instead of failing the run — the run finishes on the
-        healthy shards and the caller reads ``store.degraded_shards`` /
-        re-runs after ``recover_shard``.
+        The loop runs once per serving shard of ``store.shards`` (a single
+        store is its own one shard).  Without a ``checkpoint`` run id the
+        run is one transaction per shard: on any error every shard rolls
+        back before the exception propagates, leaving the relation exactly
+        as loaded.  With one, each region commits with its journal marker
+        and a re-run resumes (see :func:`_run_lane`); a store of several
+        shards then *quarantines* an unavailable shard instead of failing
+        the run: the run finishes on the healthy shards and the caller reads
+        ``store.degraded_shards`` / re-runs after ``recover_shard``.
         """
         store = self.store
         run_id = self._checkpoint
-        sharded = isinstance(store, ShardedPossStore)
-        quarantines = sharded and run_id is not None
+        routed = store.shards[0] is not store
+        quarantines = routed and run_id is not None
         try:
             # Run-start health check: heal a died-while-idle connection
             # (one reconnect attempt) before the first statement of the run.
@@ -484,38 +475,31 @@ class _PlanExecutor:
                 raise
             # Dead shards are now quarantined; serve the healthy ones.
         compiled = self.compiled
-        if sharded:
-            lanes = [
-                (index, shard)
-                for index, shard in enumerate(store.shards)
-                if not store.is_degraded(index)
-            ]
-        else:
-            lanes = [(None, store)]
+        lanes = [
+            (index, shard)
+            for index, shard in enumerate(store.shards)
+            if index not in store.degraded_shards
+        ]
         concurrent = len(lanes) > 1 and store.supports_concurrent_replay
         started = time.perf_counter()
-        statements_before = store.bulk_statements
-        transactions_before = store.transactions
-        retries_before = store.retries
-        timeouts_before = store.timed_out_statements
-        faults_before = store.faults_injected
+        before = {name: getattr(store, name) for name in _RUN_COUNTERS}
         tracer = self.tracer
         run_span = metrics_before = None
         if tracer.enabled:
             run_span = tracer.start(
                 "bulk.run",
                 scheduler=self._scheduler,
-                shards=len(store.shards) if sharded else 1,
+                shards=len(store.shards),
                 checkpoint=run_id,
             )
             metrics_before = tracer.metrics.counters()
         clock = _PhaseClock()
-        results: List[Optional[_LaneResult]] = [None] * len(lanes)
+        results: Dict[int, _LaneResult] = {}
         errors: List[BaseException] = []
 
-        def lane(slot: int, index: int, shard: PossStore) -> None:
+        def lane(index: int, shard: PossStore) -> None:
             lane_span = None
-            if tracer.enabled:
+            if routed and tracer.enabled:
                 # A shard lane may run on its own thread: attach it to the
                 # run span explicitly; the shard's statement spans then
                 # nest under this lane via the thread-local stack.
@@ -523,7 +507,7 @@ class _PlanExecutor:
                     "shard.replay", parent=run_span, shard=index
                 )
             try:
-                results[slot] = _run_lane(shard, compiled, clock, run_id)
+                results[index] = _run_lane(shard, compiled, clock, run_id)
             except BackendUnavailable as error:
                 if quarantines:
                     store.quarantine(index)
@@ -536,28 +520,19 @@ class _PlanExecutor:
                     tracer.finish(lane_span)
 
         try:
-            transaction = (
-                store.transaction() if run_id is None else contextlib.nullcontext()
-            )
-            with transaction:
-                if not sharded:
-                    results[0] = _run_lane(store, compiled, clock, run_id)
-                elif concurrent:
+            with store.transaction() if run_id is None else contextlib.nullcontext():
+                if concurrent:
                     threads = [
-                        threading.Thread(
-                            target=lane,
-                            args=(slot, index, shard),
-                            name=f"shard{index}",
-                        )
-                        for slot, (index, shard) in enumerate(lanes)
+                        threading.Thread(target=lane, args=args, name=f"shard{args[0]}")
+                        for args in lanes
                     ]
                     for thread in threads:
                         thread.start()
                     for thread in threads:
                         thread.join()
                 else:
-                    for slot, (index, shard) in enumerate(lanes):
-                        lane(slot, index, shard)
+                    for index, shard in lanes:
+                        lane(index, shard)
                         if errors:
                             # The run fails anyway; executing the remaining
                             # shards would be pure wasted work.
@@ -569,43 +544,37 @@ class _PlanExecutor:
                 tracer.finish(run_span.tag(outcome="error"))
             raise
         elapsed = time.perf_counter() - started
-        done = [
-            (index, result)
-            for (index, _shard), result in zip(lanes, results)
-            if result is not None
-        ]
-        statements = store.bulk_statements - statements_before
+        counted = {name: getattr(store, name) - before[name] for name in before}
+        done = [results[index] for index, _shard in lanes if index in results]
         report = BulkRunReport(
             objects=len(self._loaded_objects),
-            statements=statements,
-            rows_inserted=sum(result.rows for _index, result in done),
+            statements=counted["bulk_statements"],
+            rows_inserted=sum(result.rows for result in done),
             elapsed_seconds=elapsed,
             phase_seconds=clock.seconds(),
-            transactions=store.transactions - transactions_before,
-            index_strategy=store.index_strategy.name,
+            transactions=counted["transactions"],
+            index_strategy=store.shards[0].index_strategy.name,
             backend=store.backend_name,
             grouped_plan=self.plan.grouped,
-            shards=len(store.shards) if sharded else 1,
+            shards=len(store.shards),
             per_shard_seconds={
-                f"shard{index}": result.seconds
-                for index, result in done
-                if sharded
+                f"shard{index}": results[index].seconds
+                for index, _shard in lanes
+                if routed and index in results
             },
             dag_stages=compiled.dag_stages,
             scheduler=self._scheduler,
             workers=len(lanes) if concurrent else 1,
-            retries=store.retries - retries_before,
-            timed_out_statements=store.timed_out_statements - timeouts_before,
-            faults_injected=store.faults_injected - faults_before,
+            retries=counted["retries"],
+            timed_out_statements=counted["timed_out_statements"],
+            faults_injected=counted["faults_injected"],
             checkpointed=run_id is not None,
-            nodes_skipped=sum(result.steps_skipped for _index, result in done),
-            regions_compiled=sum(
-                result.regions_compiled for _index, result in done
-            ),
+            nodes_skipped=sum(result.steps_skipped for result in done),
+            regions_compiled=sum(result.regions_compiled for result in done),
             statements_saved=max(
                 0,
-                sum(result.replay_statements for _index, result in done)
-                - statements,
+                sum(result.replay_statements for result in done)
+                - counted["bulk_statements"],
             ),
         )
         if run_span is None:
@@ -640,7 +609,7 @@ class BulkResolver(_PlanExecutor):
     identical relations.  ``scheduler`` selects how the plan is lowered to
     regions (see the module docstring).  Given a
     :class:`~repro.bulk.store.ShardedPossStore` the run executes on every
-    shard (see :class:`ConcurrentBulkResolver`).
+    shard: ``BulkResolver(network, store=ShardedPossStore(4))``.
     """
 
     def __init__(
@@ -657,14 +626,8 @@ class BulkResolver(_PlanExecutor):
         tracer=None,
     ) -> None:
         super().__init__(
-            scheduler=scheduler,
-            retry_policy=retry_policy,
-            checkpoint=checkpoint,
-            compiled_plan=compiled_plan,
-            tracer=tracer,
+            network, store, scheduler, retry_policy, checkpoint, compiled_plan, tracer
         )
-        self.network = network
-        self._attach_store(store or PossStore())
         if plan is not None:
             # A caller-maintained plan (the engine's incrementally patched
             # one) replaces planning from scratch; it must already target
@@ -714,74 +677,6 @@ class BulkResolver(_PlanExecutor):
         return self._insert_beliefs(rows)
 
 
-class ConcurrentBulkResolver(BulkResolver):
-    """Scatter/gather bulk resolution over a key-sharded ``POSS`` relation.
-
-    The run loop executes the plan's regions on **every shard** of a
-    :class:`~repro.bulk.store.ShardedPossStore`: each shard holds a disjoint
-    slice of the object keys, and the plan is data-independent, so per-shard
-    execution of the identical regions resolves the whole relation.  When
-    every shard's backend supports it (``supports_concurrent_replay``:
-    sqlite-file and DB-API backends do), shards run on their own threads;
-    in-memory sqlite shards run in sequence, same results, no concurrency.
-
-    Without a checkpoint the run spans one transaction per shard, opened
-    together and all-or-nothing: a failure on any shard (lane exceptions
-    re-raise on the gathering thread) rolls back every shard.
-
-    Typical use::
-
-        resolver = ConcurrentBulkResolver(network, shards=4)
-        resolver.load_beliefs(beliefs)          # routed to shards by key
-        report = resolver.run()                 # report.shards == 4
-        resolver.store.possible_values("x1", "k0")
-
-    ``shards`` is an ``int`` (hash routing, default 2) or a
-    :class:`~repro.bulk.backends.ShardSpec`; pass ``store`` to control the
-    shard backends (files, servers, schemas) instead — the two are mutually
-    exclusive, since an explicit store already fixes its shard layout.
-    """
-
-    def __init__(
-        self,
-        network: TrustNetwork,
-        shards: "ShardSpec | int | None" = None,
-        store: Optional[ShardedPossStore] = None,
-        explicit_users: Optional[Sequence[User]] = None,
-        group_copies: bool = True,
-        scheduler: str = "replay",
-        plan: Optional[ResolutionPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        checkpoint: Optional[str] = None,
-        compiled_plan: Optional[CompiledPlan] = None,
-        tracer=None,
-    ) -> None:
-        if store is None:
-            store = ShardedPossStore(2 if shards is None else shards)
-        elif shards is not None:
-            raise BulkProcessingError(
-                "pass either shards or store, not both: an explicit "
-                "ShardedPossStore already fixes its shard layout"
-            )
-        elif not isinstance(store, ShardedPossStore):
-            raise BulkProcessingError(
-                "ConcurrentBulkResolver requires a ShardedPossStore; "
-                "use BulkResolver for single-store execution"
-            )
-        super().__init__(
-            network,
-            store=store,
-            explicit_users=explicit_users,
-            group_copies=group_copies,
-            scheduler=scheduler,
-            plan=plan,
-            retry_policy=retry_policy,
-            checkpoint=checkpoint,
-            compiled_plan=compiled_plan,
-            tracer=tracer,
-        )
-
-
 class SkepticBulkResolver(_PlanExecutor):
     """Bulk resolution under the Skeptic paradigm (Appendix B.10, last remark).
 
@@ -809,14 +704,8 @@ class SkepticBulkResolver(_PlanExecutor):
         tracer=None,
     ) -> None:
         super().__init__(
-            scheduler=scheduler,
-            retry_policy=retry_policy,
-            checkpoint=checkpoint,
-            compiled_plan=compiled_plan,
-            tracer=tracer,
+            network, store, scheduler, retry_policy, checkpoint, compiled_plan, tracer
         )
-        self.network = network
-        self._attach_store(store or PossStore())
         self.plan = plan_skeptic_resolution(
             network,
             positive_users,

@@ -40,6 +40,7 @@ byte-identical relation).
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -484,6 +485,23 @@ class PossStore:
             self._in_transaction = False
 
     # ------------------------------------------------------------------ #
+    # the one-shard case of ShardedPossStore                               #
+    # ------------------------------------------------------------------ #
+
+    #: Every key routes to the store itself (without hashing it), so code
+    #: that walks ``store.shards`` serves a single store and a
+    #: :class:`ShardedPossStore` alike.
+    spec = ShardSpec.hashed(1)
+
+    #: A single store is never quarantined.
+    degraded_shards: Tuple[int, ...] = ()
+
+    @property
+    def shards(self) -> Tuple["PossStore", ...]:
+        """The store itself, as the one shard of its relation."""
+        return (self,)
+
+    # ------------------------------------------------------------------ #
     # connection health                                                    #
     # ------------------------------------------------------------------ #
 
@@ -787,24 +805,10 @@ class PossStore:
             from (values ('x1'), …, ('xn')) m,
                  (select distinct t.K, t.V from POSS t
                   where t.X in ('z1', …, 'zk')) t
+
+        It is the Skeptic statement with nothing blocked.
         """
-        if not parents or not members:
-            return 0
-        member_rows = ",".join("(?)" for _ in members)
-        parent_placeholders = ",".join("?" for _ in parents)
-        cursor = self._execute(
-            f"INSERT INTO POSS (X, K, V) "
-            f"SELECT m.column1, t.K, t.V FROM (VALUES {member_rows}) AS m, "
-            f"(SELECT DISTINCT s.K, s.V FROM POSS s "
-            f"WHERE s.X IN ({parent_placeholders})) AS t",
-            (
-                *[str(member) for member in members],
-                *[str(parent) for parent in parents],
-            ),
-        )
-        self._count_bulk()
-        self._commit()
-        return cursor.rowcount
+        return self.flood_component_skeptic(members, parents, {})
 
     def flood_component_skeptic(
         self,
@@ -1013,39 +1017,61 @@ class PossStore:
         return frozenset(row[0] for row in cursor.fetchall())
 
 
+def _sorted_keys(keys: Iterable[object]) -> Tuple[str, ...]:
+    """Distinct object keys as sorted strings."""
+    return tuple(sorted({str(key) for key in keys}))
+
+
+#: How :meth:`ShardedPossStore.gather` combines per-shard answers.  Reads
+#: run on the serving shards, whose key sets are disjoint.  Counters and
+#: capabilities cover every shard: every shard runs every region statement.
+_READS = {
+    "possible_table": lambda parts: [row for part in parts for row in part],
+    "certain_snapshot": lambda parts: {k: v for part in parts for k, v in part.items()},
+    "conflict_count": sum,
+    "row_count": sum,
+    "users": lambda parts: frozenset().union(*parts),
+    "keys": lambda parts: frozenset().union(*parts),
+}
+_TOTALS = {
+    "transactions": sum,
+    "bulk_statements": sum,
+    "delta_statements": sum,
+    "retries": sum,
+    "timed_out_statements": sum,
+    "faults_injected": sum,
+    "reconnects": sum,
+    "statement_cache_hits": sum,
+    "statement_cache_misses": sum,
+    "max_bind_params": min,
+    "supports_concurrent_replay": all,
+    "supports_compiled_regions": all,
+}
+
+
 class ShardedPossStore:
-    """The ``POSS`` relation horizontally partitioned by object key.
+    """The ``POSS`` relation split by object key: a router over N stores.
 
-    ``POSS(X, K, V)`` is split across ``spec.count`` child :class:`PossStore`
-    instances, routed by :meth:`~repro.bulk.backends.ShardSpec.shard_of` on
-    the ``K`` column.  Because the bulk plan never joins across object keys
-    (every statement restricts on ``X`` and carries ``K``/``V`` through
-    unchanged), replaying the same plan on every shard resolves the whole
-    relation — the scatter/gather decomposition the
-    :class:`~repro.bulk.executor.ConcurrentBulkResolver` exploits.
+    The bulk plan never joins across object keys (every statement restricts
+    on ``X`` and carries ``K``/``V`` through unchanged), so splitting
+    ``POSS(X, K, V)`` by ``K`` needs only routing.  :attr:`shards` holds one
+    :class:`PossStore` per shard of :attr:`spec`, and the executor runs the
+    plan on each.  Rows go to the shard owning their key (:meth:`shard_for`,
+    :meth:`partition`), where :class:`PossStore`'s own write methods land
+    them.  Whole-relation reads (``possible_table()``, ``row_count()``, …)
+    and counters (``retries``, ``bulk_statements``, …) are combined by
+    :meth:`gather`.  A single :class:`PossStore` is the one-shard case:
+    ``store.shards == (store,)``, never quarantined.
 
-    The class implements the :class:`PossStore` loading, delta and query
-    surface: loads and delta statements route rows to their key's shard,
-    whole-relation writes fan out to every shard (each shard only holds its
-    own keys, so the union of the per-shard effects equals the single-store
-    effect), key-addressed queries route to the owning shard, and
-    whole-relation queries aggregate across shards.  The plan's region and
-    step statements run on each shard's own :class:`PossStore`: the
-    executor drives one lane per shard.  :meth:`transaction` opens a run-scoped
-    transaction on *every* shard; a failure on any shard during the run
-    rolls back all of them (see its docstring for the commit-time caveat).
+    A shard that fails unavailable is *quarantined*: reads answer from the
+    serving shards (consistent query answering), key lookups and writes
+    that need it raise :class:`~repro.core.errors.ShardUnavailable` naming
+    it and the keys, and whole-relation writes refuse to run.
 
-    Parameters
-    ----------
-    spec:
-        A :class:`~repro.bulk.backends.ShardSpec`, or an ``int`` shorthand
-        for ``ShardSpec.hashed(n)``.
-    backends:
-        Optional one :class:`~repro.bulk.backends.SqlBackend` per shard (the
-        way to place shards on separate files, servers, or schemas); the
-        default is one private in-memory sqlite database per shard.
-    index_strategy:
-        Physical design applied to every shard.
+    ``spec`` is a :class:`~repro.bulk.backends.ShardSpec` or ``n`` for
+    ``ShardSpec.hashed(n)``; ``backends`` optionally places each shard
+    (default: private in-memory sqlite databases); ``index_strategy`` and
+    ``retry_policy`` apply to every shard.
     """
 
     def __init__(
@@ -1057,22 +1083,84 @@ class ShardedPossStore:
     ) -> None:
         if isinstance(spec, int):
             spec = ShardSpec.hashed(spec)
-        self.spec = spec
         if backends is not None and len(backends) != spec.count:
             raise BulkProcessingError(
                 f"spec routes over {spec.count} shards but "
                 f"{len(backends)} backends were supplied"
             )
+        self.spec = spec
         self.shards: Tuple[PossStore, ...] = tuple(
             PossStore(
-                backend=backends[i] if backends is not None else None,
+                backend=None if backends is None else backends[index],
                 index_strategy=index_strategy,
                 retry_policy=retry_policy,
             )
-            for i in range(spec.count)
+            for index in range(spec.count)
         )
-        self._in_transaction = False
+        for index, shard in enumerate(self.shards):
+            shard.trace_shard = index
         self._degraded: set = set()
+        self._in_transaction = False
+
+    # ------------------------------------------------------------------ #
+    # routing and gathering                                                #
+    # ------------------------------------------------------------------ #
+
+    def shard_for(self, key: object) -> PossStore:
+        """The store owning ``key``; :class:`ShardUnavailable` if quarantined."""
+        index = self.spec.shard_of(key)
+        if index in self._degraded:
+            raise ShardUnavailable(
+                f"shard {index} owning key {key!r} is quarantined",
+                shard=index,
+                keys=(str(key),),
+            )
+        return self.shards[index]
+
+    def partition(self, rows: Iterable[Tuple[User, object, Value]]) -> List[list]:
+        """``(user, key, value)`` rows split into one list per shard.
+
+        Raises :class:`~repro.core.errors.ShardUnavailable`, naming the
+        keys, when rows route to a quarantined shard.
+        """
+        partitions = self.spec.partition_rows(rows)
+        for index in sorted(self._degraded):
+            if partitions[index]:
+                raise ShardUnavailable(
+                    f"shard {index} is quarantined and owns "
+                    f"{len(partitions[index])} of the rows",
+                    shard=index,
+                    keys=_sorted_keys(row[1] for row in partitions[index]),
+                )
+        return partitions
+
+    def gather(self, name: str):
+        """Combine a whole-relation read (serving shards) or a counter (all)."""
+        if name in _READS:
+            return _READS[name](getattr(shard, name)() for shard in self._serving())
+        return _TOTALS[name](getattr(shard, name) for shard in self.shards)
+
+    def __getattr__(self, name: str):
+        if name in _READS:
+            return functools.partial(self.gather, name)
+        if name in _TOTALS:
+            return self.gather(name)
+        raise AttributeError(f"{type(self).__name__!r} has no attribute {name!r}")
+
+    def row_counts_per_shard(self) -> List[int]:
+        """Row count of each shard, in shard-index order (balance metric)."""
+        return [shard.row_count() for shard in self.shards]
+
+    @property
+    def backend_name(self) -> str:
+        """Composite identifier: ``sharded(<child>x<count>)`` when uniform."""
+        names = sorted({shard.backend_name for shard in self.shards})
+        if len(names) == 1:
+            return f"sharded({names[0]}x{self.spec.count})"
+        return f"sharded({'+'.join(names)})"
+
+    def _serving(self) -> List[PossStore]:
+        return [s for i, s in enumerate(self.shards) if i not in self._degraded]
 
     # ------------------------------------------------------------------ #
     # quarantine                                                           #
@@ -1085,27 +1173,23 @@ class ShardedPossStore:
             )
         return index
 
-    @contextlib.contextmanager
-    def _shard_errors(self, index: int, keys: Sequence[str] = ()):
-        """Tag (and quarantine on) a shard's unavailability.
+    def _lost(self, index: int, error: BaseException, keys=()) -> ShardUnavailable:
+        """Quarantine shard ``index`` and describe its loss."""
+        self._degraded.add(index)
+        return ShardUnavailable(
+            f"shard {index} unavailable: {error}", shard=index, keys=_sorted_keys(keys)
+        )
 
-        A :class:`~repro.core.errors.BackendUnavailable` escaping a shard
-        operation marks that shard degraded and re-raises as
-        :class:`~repro.core.errors.ShardUnavailable` carrying the shard
-        index and the affected object keys, so callers can degrade
-        gracefully instead of treating the whole relation as lost.
-        """
+    @contextlib.contextmanager
+    def _shard_errors(self, index: int, keys: Iterable[object] = ()):
+        """Quarantine shard ``index`` on unavailability, re-raised tagged
+        (``keys`` is only read then)."""
         try:
             yield
         except ShardUnavailable:
             raise
         except BackendUnavailable as error:
-            self._degraded.add(index)
-            raise ShardUnavailable(
-                f"shard {index} unavailable: {error}",
-                shard=index,
-                keys=tuple(keys),
-            ) from error
+            raise self._lost(index, error, keys) from error
 
     def quarantine(self, index: int) -> None:
         """Mark a shard degraded: its keys fail typed, the rest keep serving."""
@@ -1114,11 +1198,9 @@ class ShardedPossStore:
     def heal(self, index: int) -> None:
         """Un-quarantine a shard once its connection answers again.
 
-        Health-checks (reconnecting if needed) before clearing the mark;
-        a still-dead shard raises :class:`~repro.core.errors.ShardUnavailable`
-        and stays quarantined.  Note this restores *availability* only —
-        replaying whatever writes the shard missed is the engine's job
-        (:meth:`repro.engine.ResolutionEngine.recover_shard`).
+        A still-dead shard raises :class:`ShardUnavailable` and stays
+        quarantined.  Replaying the writes it missed is
+        :meth:`repro.engine.ResolutionEngine.recover_shard`'s job.
         """
         index = self._check_index(index)
         with self._shard_errors(index):
@@ -1134,249 +1216,96 @@ class ShardedPossStore:
         """Indices of the currently quarantined shards, sorted."""
         return tuple(sorted(self._degraded))
 
-    def _healthy(self) -> List[Tuple[int, PossStore]]:
-        """The serving shards as ``(index, store)`` pairs."""
-        return [
-            (index, shard)
-            for index, shard in enumerate(self.shards)
-            if index not in self._degraded
-        ]
-
-    def _require_all_healthy(self, operation: str) -> None:
-        """Whole-relation *writes* need every shard (reads degrade instead)."""
-        if self._degraded:
-            index = min(self._degraded)
-            raise ShardUnavailable(
-                f"{operation} needs all shards, but shard {index} is "
-                f"quarantined (degraded: {self.degraded_shards})",
-                shard=index,
-            )
-
-    # ------------------------------------------------------------------ #
-    # lifecycle                                                            #
-    # ------------------------------------------------------------------ #
-
-    @property
-    def backend_name(self) -> str:
-        """Composite identifier: ``sharded(<child>x<count>)`` when uniform."""
-        names = sorted({shard.backend_name for shard in self.shards})
-        if len(names) == 1:
-            return f"sharded({names[0]}x{self.spec.count})"
-        return f"sharded({'+'.join(names)})"
-
-    @property
-    def index_strategy(self) -> IndexStrategy:
-        """The (shared) physical-design strategy of the shards."""
-        return self.shards[0].index_strategy
-
-    @property
-    def supports_concurrent_replay(self) -> bool:
-        """Whether *every* shard's connection may move to a worker thread."""
-        return all(shard.supports_concurrent_replay for shard in self.shards)
-
-    @property
-    def compiled_dialect(self):
-        """The shards' shared compilation dialect, or ``None`` when mixed.
-
-        Heterogeneous placements may mix engines; the compiled scheduler
-        consults each *shard's* dialect anyway (capable shards compile,
-        the rest replay), so the composite dialect is only advisory.
-        """
-        dialects = {shard.compiled_dialect for shard in self.shards}
-        return dialects.pop() if len(dialects) == 1 else None
-
-    @property
-    def supports_compiled_regions(self) -> bool:
-        """Whether *every* shard evaluates compiled regions natively."""
-        return all(shard.supports_compiled_regions for shard in self.shards)
-
-    @property
-    def max_bind_params(self) -> int:
-        """The *smallest* shard limit: every shard's lane must fit its statements."""
-        return min(shard.max_bind_params for shard in self.shards)
-
-    @property
-    def transactions(self) -> int:
-        """Transactions committed across all shards."""
-        return sum(shard.transactions for shard in self.shards)
-
-    @property
-    def bulk_statements(self) -> int:
-        """Bulk statements issued across all shards."""
-        return sum(shard.bulk_statements for shard in self.shards)
-
-    @property
-    def delta_statements(self) -> int:
-        """Delta statements issued across all shards."""
-        return sum(shard.delta_statements for shard in self.shards)
-
-    @property
-    def retries(self) -> int:
-        """Statement retries across all shards."""
-        return sum(shard.retries for shard in self.shards)
-
-    @property
-    def timed_out_statements(self) -> int:
-        """Deadline-abandoned statements across all shards."""
-        return sum(shard.timed_out_statements for shard in self.shards)
-
-    @property
-    def faults_injected(self) -> int:
-        """Injected faults across all shards (0 without injection)."""
-        return sum(shard.faults_injected for shard in self.shards)
-
-    @property
-    def reconnects(self) -> int:
-        """Reconnects across all shards."""
-        return sum(shard.reconnects for shard in self.shards)
-
-    @property
-    def statement_cache_hits(self) -> int:
-        """Statement-cache hits across all shards."""
-        return sum(shard.statement_cache_hits for shard in self.shards)
-
-    @property
-    def statement_cache_misses(self) -> int:
-        """Statement-cache misses across all shards."""
-        return sum(shard.statement_cache_misses for shard in self.shards)
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """The (shared) retry policy of the shards."""
-        return self.shards[0].retry_policy
-
-    @retry_policy.setter
-    def retry_policy(self, policy: RetryPolicy) -> None:
-        for shard in self.shards:
-            shard.retry_policy = policy
-
-    @property
-    def tracer(self):
-        """The (shared) tracer observing every shard's statement funnel."""
-        return self.shards[0].tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        for index, shard in enumerate(self.shards):
-            shard.tracer = tracer
-            shard.trace_shard = index
-
     def ensure_available(self) -> None:
-        """Health-check every serving shard, quarantining the dead ones.
+        """Health-check the serving shards, quarantining the dead ones.
 
-        Raises :class:`~repro.core.errors.ShardUnavailable` (for the
-        lowest-indexed degraded shard) when any shard — previously
-        quarantined or newly found dead — is out of service; callers that
-        can degrade catch it and keep going on the healthy shards.
+        Raises :class:`ShardUnavailable` (lowest index) while any shard is
+        out of service; callers that can degrade catch it.
         """
-        for index, shard in self._healthy():
-            try:
-                shard.ensure_available()
-            except BackendUnavailable:
-                self._degraded.add(index)
+        for index, shard in enumerate(self.shards):
+            if index not in self._degraded:
+                with contextlib.suppress(ShardUnavailable), self._shard_errors(index):
+                    shard.ensure_available()
+        self._require_all("serving")
+
+    def _require_all(self, operation: str) -> None:
+        """Raise :class:`ShardUnavailable` (lowest index) if any shard is out."""
         if self._degraded:
-            index = min(self._degraded)
             raise ShardUnavailable(
-                f"shard {index} is out of service "
-                f"(degraded: {self.degraded_shards})",
-                shard=index,
+                f"{operation} needs every shard (degraded: {self.degraded_shards})",
+                shard=min(self._degraded),
             )
 
-    def journal_clear(self, run_id: Optional[str] = None) -> None:
-        """Forget a run's checkpoint journal on every serving shard."""
-        for _index, shard in self._healthy():
-            shard.journal_clear(run_id)
+    # ------------------------------------------------------------------ #
+    # transactions and writes                                              #
+    # ------------------------------------------------------------------ #
 
-    @property
-    def in_transaction(self) -> bool:
-        """Whether a run-scoped :meth:`transaction` is currently open."""
-        return self._in_transaction
+    in_transaction = PossStore.in_transaction
 
     @contextlib.contextmanager
     def transaction(self) -> Iterator["ShardedPossStore"]:
-        """Run transaction spanning every shard, all-or-nothing on run errors.
+        """One run transaction per serving shard, all rolled back on error.
 
-        Each shard opens its own run-scoped transaction; an error anywhere
-        *during the run* (including on a replay thread, which re-raises on
-        the coordinating thread) unwinds through every shard's context
-        manager, rolling each back — a failed run never commits on any
-        shard.  On success the shards commit sequentially; there is no
-        two-phase protocol, so a crash or commit-time failure partway
-        through the commit sequence can persist a subset of shards (the
-        ROADMAP tracks distributed 2PC for shards spanning machines).
-        Sharded runs otherwise keep the one-transaction-per-run model of
-        Section 4, once per shard.
+        On success the shards commit one after another, and nothing
+        coordinates those commits: when one fails after another succeeded,
+        the shards that committed keep the run's writes.  The failing
+        shard is quarantined and named in a :class:`ShardUnavailable`, so a
+        caller can rewrite the others idempotently (the session's flush
+        does).
         """
         if self._in_transaction:
             raise BulkProcessingError("transaction already in progress")
         with contextlib.ExitStack() as stack:
-            # Quarantined shards are skipped: a degraded store still runs
-            # transactions over its serving shards (the session's flush
-            # retry path relies on this to apply the healthy fragments).
-            for _index, shard in self._healthy():
-                stack.enter_context(shard.transaction())
+            for index, shard in enumerate(self.shards):
+                if index not in self._degraded:
+                    stack.enter_context(self._shard_transaction(index, shard))
             self._in_transaction = True
             try:
                 yield self
             finally:
                 self._in_transaction = False
 
-    def close(self) -> None:
-        """Close every shard's connection."""
-        for shard in self.shards:
-            shard.close()
+    @contextlib.contextmanager
+    def _shard_transaction(self, index: int, shard: PossStore):
+        """``shard.transaction()``, tagging only the shard's own commit
+        failure (a run error belongs to whichever shard raised it)."""
+        committing = False
+        try:
+            with shard.transaction():
+                yield
+                committing = True
+        except BackendUnavailable as error:
+            if not committing or isinstance(error, ShardUnavailable):
+                raise
+            raise self._lost(index, error) from error
 
-    def __enter__(self) -> "ShardedPossStore":
-        return self
+    def _scatter(self, rows, write) -> int:
+        """Run ``write(shard, part)`` on every shard that owns some rows."""
+        total = 0
+        for index, part in enumerate(self.partition(rows)):
+            if part:
+                with self._shard_errors(index, (row[1] for row in part)):
+                    total += write(self.shards[index], part)
+        return total
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def clear(self) -> None:
-        """Delete every row on every shard (a whole-relation write)."""
-        self._require_all_healthy("clear()")
-        for index, shard in self._healthy():
+    def _broadcast(self, operation: str, call) -> int:
+        """Run a whole-relation write on every shard; it needs all of them."""
+        self._require_all(operation)
+        total = 0
+        for index, shard in enumerate(self.shards):
             with self._shard_errors(index):
-                shard.clear()
-
-    # ------------------------------------------------------------------ #
-    # loading                                                              #
-    # ------------------------------------------------------------------ #
-
-    def _route_partitions(self, rows) -> List[list]:
-        """Partition rows by shard, failing typed if any land on a
-        quarantined shard (with the affected keys attached) before any
-        shard is touched."""
-        partitions = self.spec.partition_rows(rows)
-        for index in sorted(self._degraded):
-            if partitions[index]:
-                raise ShardUnavailable(
-                    f"shard {index} is quarantined and owns "
-                    f"{len(partitions[index])} of the rows",
-                    shard=index,
-                    keys=tuple(
-                        sorted({str(row[1]) for row in partitions[index]})
-                    ),
-                )
-        return partitions
+                total += call(shard) or 0
+        return total
 
     def insert_explicit_beliefs(
         self, rows: Iterable[Tuple[User, object, Value]]
     ) -> int:
-        """Bulk-load explicit beliefs, routing each row to its key's shard."""
-        partitions = self._route_partitions(rows)
-        total = 0
-        for index, (shard, partition) in enumerate(zip(self.shards, partitions)):
-            if partition:
-                with self._shard_errors(
-                    index, keys=sorted({str(row[1]) for row in partition})
-                ):
-                    total += shard.insert_explicit_beliefs(partition)
-        return total
+        """Bulk-load explicit beliefs, each row on its key's shard."""
+        return self._scatter(rows, PossStore.insert_explicit_beliefs)
 
-    # ------------------------------------------------------------------ #
-    # the delta statements (route by key, fan out otherwise)               #
-    # ------------------------------------------------------------------ #
+    def insert_rows(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
+        """Delta INSERT, each row on its key's shard."""
+        return self._scatter(rows, PossStore.insert_rows)
 
     def delete_user_rows(
         self,
@@ -1384,122 +1313,40 @@ class ShardedPossStore:
         key: object = None,
         rows: Optional[Iterable[Tuple[User, object, Value]]] = None,
     ) -> int:
-        """Delta DELETE: key-addressed deletes hit only the owning shard.
-
-        ``rows`` triples route one by one to their key's shard.
-        """
+        """``rows`` and a ``key`` route to their shards; deleting ``users``
+        without a key needs every shard."""
         if rows is not None:
-            if users or key is not None:
-                raise BulkProcessingError(
-                    "delete_user_rows() takes either rows or users/key"
-                )
-            total = 0
-            for index, partition in enumerate(self._route_partitions(rows)):
-                if partition:
-                    with self._shard_errors(
-                        index, keys=sorted({str(row[1]) for row in partition})
-                    ):
-                        total += self.shards[index].delete_user_rows(
-                            rows=partition
-                        )
-            return total
-        if key is not None:
-            index = self.spec.shard_of(key)
-            with self._shard_errors(index, keys=(str(key),)):
-                return self.shard_for(key).delete_user_rows(users, key=key)
-        self._require_all_healthy("delete_user_rows() without a key")
-        total = 0
-        for index, shard in self._healthy():
-            with self._shard_errors(index):
-                total += shard.delete_user_rows(users)
-        return total
-
-    def insert_rows(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
-        """Delta INSERT, routing each row to its key's shard."""
-        partitions = self._route_partitions(rows)
-        total = 0
-        for index, (shard, partition) in enumerate(zip(self.shards, partitions)):
-            if partition:
-                with self._shard_errors(
-                    index, keys=sorted({str(row[1]) for row in partition})
-                ):
-                    total += shard.insert_rows(partition)
-        return total
-
-    # ------------------------------------------------------------------ #
-    # queries (route by key, aggregate otherwise)                          #
-    # ------------------------------------------------------------------ #
-
-    def shard_for(self, key: object) -> PossStore:
-        """The child store owning ``key``.
-
-        Raises :class:`~repro.core.errors.ShardUnavailable` (carrying the
-        key) when the owning shard is quarantined — the typed signal that
-        lets callers distinguish "this key is temporarily unservable" from
-        "this key has no rows".
-        """
-        index = self.spec.shard_of(key)
-        if index in self._degraded:
-            raise ShardUnavailable(
-                f"shard {index} owning key {key!r} is quarantined",
-                shard=index,
-                keys=(str(key),),
+            return self._scatter(
+                rows, lambda shard, part: shard.delete_user_rows(users, key, part)
             )
-        return self.shards[index]
+        if key is not None:
+            with self._shard_errors(self.spec.shard_of(key), (key,)):
+                return self.shard_for(key).delete_user_rows(users, key)
+        return self._broadcast(
+            "delete_user_rows() without a key",
+            lambda shard: shard.delete_user_rows(users),
+        )
+
+    def clear(self) -> None:
+        """Delete every row on every shard (a whole-relation write)."""
+        self._broadcast("clear()", PossStore.clear)
+
+    def journal_clear(self, run_id: Optional[str] = None) -> None:
+        """Forget a run's checkpoint journal on every serving shard."""
+        for shard in self._serving():
+            shard.journal_clear(run_id)
 
     def possible_values(self, user: User, key: object) -> FrozenSet[str]:
         """Possible values of one user for one object (owning shard only)."""
-        index = self.spec.shard_of(key)
-        with self._shard_errors(index, keys=(str(key),)):
+        with self._shard_errors(self.spec.shard_of(key), (key,)):
             return self.shard_for(key).possible_values(user, key)
 
-    def certain_values(self, user: User, key: object) -> FrozenSet[str]:
-        """Certain value of one user for one object (owning shard only)."""
-        index = self.spec.shard_of(key)
-        with self._shard_errors(index, keys=(str(key),)):
-            return self.shard_for(key).certain_values(user, key)
+    certain_values = PossStore.certain_values
 
-    def possible_table(self) -> List[PossRow]:
-        """The full content of the relation across shards, every stored row.
+    def close(self) -> None:
+        """Close every shard's connection."""
+        for shard in self.shards:
+            shard.close()
 
-        Shards hold disjoint key sets, so the concatenation is the relation.
-        Whole-relation *reads* degrade gracefully: quarantined shards are
-        skipped, so the answer covers the serving shards' keys only (the
-        consistent-query-answering posture — answer what the healthy data
-        supports, fail only key lookups that need the lost shard).
-        """
-        rows: List[PossRow] = []
-        for _index, shard in self._healthy():
-            rows.extend(shard.possible_table())
-        return rows
-
-    def certain_snapshot(self) -> Dict[Tuple[str, str], str]:
-        """The certain value for every (user, key) with exactly one value."""
-        snapshot: Dict[Tuple[str, str], str] = {}
-        for _index, shard in self._healthy():
-            snapshot.update(shard.certain_snapshot())
-        return snapshot
-
-    def conflict_count(self) -> int:
-        """Number of (user, key) pairs with more than one possible value."""
-        return sum(shard.conflict_count() for _index, shard in self._healthy())
-
-    def row_count(self) -> int:
-        """Total number of rows across the serving shards."""
-        return sum(shard.row_count() for _index, shard in self._healthy())
-
-    def row_counts_per_shard(self) -> List[int]:
-        """Row count of each shard, in shard-index order (balance metric)."""
-        return [shard.row_count() for shard in self.shards]
-
-    def users(self) -> FrozenSet[str]:
-        """Users mentioned in the relation (union over serving shards)."""
-        return frozenset().union(
-            *(shard.users() for _index, shard in self._healthy()), frozenset()
-        )
-
-    def keys(self) -> FrozenSet[str]:
-        """Object keys mentioned in the relation (union over serving shards)."""
-        return frozenset().union(
-            *(shard.keys() for _index, shard in self._healthy()), frozenset()
-        )
+    __enter__ = PossStore.__enter__
+    __exit__ = PossStore.__exit__

@@ -252,9 +252,9 @@ class ResolutionEngine:
         self.network = network
         self.store = store if store is not None else PossStore()
         self.mode = mode
-        self._retry_policy = retry_policy
         if retry_policy is not None:
-            self.store.retry_policy = retry_policy
+            for shard in self.store.shards:
+                shard.retry_policy = retry_policy
         self._session = IncrementalSession(
             network,
             store=self.store,
@@ -318,16 +318,10 @@ class ResolutionEngine:
         """The object keys this engine maintains."""
         return self._session.keys
 
-    def _degraded_shards(self) -> Tuple[int, ...]:
-        """Quarantined shard indices (empty on single stores)."""
-        if isinstance(self.store, ShardedPossStore):
-            return self.store.degraded_shards
-        return ()
-
     @property
     def degraded_shards(self) -> Tuple[int, ...]:
         """Indices of currently quarantined shards, sorted (read-only)."""
-        return self._degraded_shards()
+        return self.store.degraded_shards
 
     def _ensure_plan(self) -> str:
         """Make the cached plan describe the network; returns how.
@@ -391,10 +385,7 @@ class ResolutionEngine:
 
     def _region_limits(self) -> RegionLimits:
         """Region sizing from the store's probed bound-parameter budget."""
-        capacity = getattr(self.store, "max_bind_params", None)
-        if capacity is None:
-            return RegionLimits()
-        return RegionLimits.for_bind_params(capacity)
+        return RegionLimits.for_bind_params(self.store.max_bind_params)
 
     def _compiled_plan(self) -> CompiledPlan:
         """The current plan's region compilation (compiled lazily)."""
@@ -596,14 +587,12 @@ class ResolutionEngine:
                 # falsely satisfying a whole compiled region (and vice
                 # versa).
                 run_id += "-compiled"
-            # A sharded store runs the same loop once per shard.
             executor = BulkResolver(
                 self.network,
                 store=self.store,
                 scheduler="compiled" if compiled else "replay",
                 plan=self._plan,
                 compiled_plan=compiled_plan,
-                retry_policy=self._retry_policy,
                 checkpoint=run_id,
                 tracer=tracer if tracer.enabled else None,
             )
@@ -633,7 +622,7 @@ class ResolutionEngine:
             faults_injected=bulk.faults_injected,
             checkpointed=bulk.checkpointed,
             nodes_skipped=bulk.nodes_skipped,
-            degraded_shards=self._degraded_shards(),
+            degraded_shards=self.store.degraded_shards,
             plan_source=plan_source,
             plan_steps=len(self._plan.steps),
             bulk=bulk,
@@ -717,7 +706,7 @@ class ResolutionEngine:
             timed_out_statements=self.store.timed_out_statements - timeouts_before,
             faults_injected=self.store.faults_injected - faults_before,
             recovered=delta_report.recovered,
-            degraded_shards=self._degraded_shards(),
+            degraded_shards=self.store.degraded_shards,
             plan_source=plan_source,
             plan_steps=len(self._plan.steps) if plan_source else 0,
             delta=delta_report,
@@ -763,15 +752,11 @@ class ResolutionEngine:
             backend=self.store.backend_name,
             keys=len(self._session.keys),
             rows_inserted=slice_rows,
-            shards=(
-                self.store.spec.count
-                if isinstance(self.store, ShardedPossStore)
-                else 1
-            ),
+            shards=len(self.store.shards),
             retries=self.store.retries - retries_before,
             faults_injected=self.store.faults_injected - faults_before,
             recovered=True,
-            degraded_shards=self._degraded_shards(),
+            degraded_shards=self.store.degraded_shards,
         )
 
     def query(self, user: User, key: Optional[str] = None) -> FrozenSet[str]:

@@ -16,7 +16,7 @@ and every object count, while the running time shifts with the chosen
 indexes — the covering-index experiment the ROADMAP called for.
 :func:`run_shard_sweep` scales the *data* side instead: the same plan is
 replayed on every shard of a key-partitioned store
-(:class:`~repro.bulk.executor.ConcurrentBulkResolver`), so the per-shard
+(:class:`~repro.bulk.store.ShardedPossStore`), so the per-shard
 statement count stays at the unsharded plan's count while each shard only
 touches its slice of the objects.  :func:`run_compiled_sweep` measures
 the compiled scheduler against statement-at-a-time replay on a deep chain
@@ -71,7 +71,6 @@ from repro.bulk.backends import (
 from repro.bulk.executor import (
     BulkResolver,
     BulkRunReport,
-    ConcurrentBulkResolver,
     SkepticBulkResolver,
 )
 from repro.bulk.store import PossStore, ShardedPossStore
@@ -248,8 +247,8 @@ def summarize_index_sweep(rows: Sequence[Dict[str, object]]) -> Dict[str, object
 def _sharded_report(n_objects: int, shards: int, seed: int) -> BulkRunReport:
     """One sharded bulk run over the Figure 19 network."""
     network = figure19_network()
-    resolver = ConcurrentBulkResolver(
-        network, shards=shards, explicit_users=BELIEF_USERS
+    resolver = BulkResolver(
+        network, store=ShardedPossStore(shards), explicit_users=BELIEF_USERS
     )
     resolver.load_beliefs(generate_objects(n_objects, seed=seed))
     report = resolver.run()
@@ -332,7 +331,7 @@ def _scheduler_report(
         for i in range(shards)
     ]
     store = ShardedPossStore(shards, backends=backends)
-    resolver = ConcurrentBulkResolver(
+    resolver = BulkResolver(
         network,
         store=store,
         explicit_users=BELIEF_USERS,
@@ -775,7 +774,7 @@ def traced_run(
             for i in range(shards)
         ]
         store = ShardedPossStore(shards, backends=backends)
-        resolver = ConcurrentBulkResolver(
+        resolver = BulkResolver(
             network,
             store=store,
             explicit_users=BELIEF_USERS,

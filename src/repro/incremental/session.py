@@ -32,6 +32,7 @@ rest of the process of cycle collection.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -40,7 +41,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.core.beliefs import Value
 from repro.core.errors import (
     BackendError,
-    BackendUnavailable,
     BulkProcessingError,
     NetworkError,
     ShardUnavailable,
@@ -102,10 +102,10 @@ class DeltaApplyReport:
     #: was attempted; equal to ``deltas`` = nothing merged).
     coalesced_from: int = 0
     #: Whether the flush hit a backend failure and recovered — by
-    #: resynchronizing the relation from the in-memory state (single
-    #: store) or by quarantining a shard and queueing its fragment for
-    #: :meth:`IncrementalSession.recover_shard` (sharded store).  The
-    #: report's row/statement counters then describe the recovery writes.
+    #: quarantining an unavailable shard and queueing its fragment for
+    #: :meth:`IncrementalSession.recover_shard`, or by resynchronizing the
+    #: serving shards from the in-memory state.  The report's
+    #: row/statement counters then describe the recovery writes.
     recovered: bool = False
     logs: Tuple[Tuple[str, DeltaLog], ...] = field(default=(), repr=False)
 
@@ -190,10 +190,6 @@ class IncrementalSession:
         #: ``shard index -> [(deleted rows, inserted rows), ...]``.  Replayed
         #: (or superseded by a slice rebuild) by :meth:`recover_shard`.
         self._pending: Dict[int, List[Tuple[List[Row], List[Row]]]] = {}
-        #: The coalesced ops of the batch currently being applied — recorded
-        #: *before* the store is touched, so a crash mid-apply leaves a
-        #: durable-in-memory record of what the relation must converge to.
-        self._pending_batch: Tuple[Delta, ...] = ()
         self._tracer = NULL_TRACER
         if autoload:
             self.load()
@@ -208,7 +204,8 @@ class IncrementalSession:
         self._tracer = NULL_TRACER if tracer is None else tracer
         # The store funnel records the statement/retry spans; installing
         # here keeps session spans and statement spans in one trace.
-        self.store.tracer = self._tracer
+        for shard in self.store.shards:
+            shard.tracer = self._tracer
 
     # ------------------------------------------------------------------ #
     # views                                                               #
@@ -264,9 +261,9 @@ class IncrementalSession:
         key), the changes of the deltas *before* it are still flushed to
         the store before the exception propagates — the relation always
         matches the in-memory state, which a rejected delta never touches.
-        Non-validation failures (a backend error during the store
-        transaction, an interrupt mid-recompute) can leave the relation
-        behind the resolvers; call :meth:`resync` to reconcile then.
+        A backend failure of the flush is recovered (see ``_flush``); an
+        interrupt mid-recompute, or a failed recovery, can leave the
+        relation behind the resolvers: call :meth:`resync` then.
         """
         if not deltas:
             raise BulkProcessingError("apply() needs at least one delta")
@@ -282,23 +279,15 @@ class IncrementalSession:
                         touched: Optional[Tuple[User, ...]] = None
                         if isinstance(delta, RemoveUser):
                             touched = tuple(self.network.children(delta.user))
-                        first = True
-                        for key, resolver in self._resolvers.items():
-                            logs.append(
-                                (
-                                    key,
-                                    resolver.apply(
-                                        delta, mutate_network=first, touched=touched
-                                    ),
-                                )
+                        for position, (key, resolver) in enumerate(
+                            self._resolvers.items()
+                        ):
+                            log = resolver.apply(
+                                delta, mutate_network=position == 0, touched=touched
                             )
-                            first = False
+                            logs.append((key, log))
                     else:
-                        key = (
-                            self._default_key
-                            if delta.key is None
-                            else str(delta.key)
-                        )
+                        key = self._key_of(delta)
                         logs.append((key, self.resolver(key).apply(delta)))
                     self._ensure_users(fresh)
         except (NetworkError, BulkProcessingError):
@@ -308,34 +297,10 @@ class IncrementalSession:
             # (interrupt, resolver crash) may have left mid-delta state and
             # propagates without a flush — resync() is the recovery path.
             if logs:
-                self._flush(logs)
+                self._flush(logs, len(deltas), started)
             raise
 
-        (
-            users_changed,
-            rows_deleted,
-            rows_inserted,
-            statements,
-            transactions,
-            recovered,
-        ) = self._flush(logs)
-        return DeltaApplyReport(
-            deltas=len(deltas),
-            keys=len(self._resolvers),
-            users_changed=users_changed,
-            rows_deleted=rows_deleted,
-            rows_inserted=rows_inserted,
-            statements=statements,
-            transactions=transactions,
-            seconds=time.perf_counter() - started,
-            dirty_region=sum(log.dirty_region for _key, log in logs),
-            recomputed=sum(log.recomputed for _key, log in logs),
-            pruned=sum(log.pruned for _key, log in logs),
-            backend=self.store.backend_name,
-            recomputes=len(logs),
-            recovered=recovered,
-            logs=tuple(logs),
-        )
+        return self._flush(logs, len(deltas), started)
 
     def apply_batch(self, *deltas: Delta, coalesce: bool = True) -> DeltaApplyReport:
         """Apply a batch of deltas with coalescing and one recompute per key.
@@ -406,9 +371,7 @@ class IncrementalSession:
         # Unknown object keys fail before anything mutates.
         for delta in ops:
             if not is_structural(delta):
-                self.resolver(
-                    self._default_key if delta.key is None else str(delta.key)
-                )
+                self.resolver(self._key_of(delta))
 
         # Partition: every resolver sees the structural ops plus its own
         # key's belief ops, in the original order.
@@ -420,15 +383,10 @@ class IncrementalSession:
                 for key in assignments:
                     assignments[key].append((position, delta))
             else:
-                key = self._default_key if delta.key is None else str(delta.key)
-                assignments[key].append((position, delta))
+                assignments[self._key_of(delta)].append((position, delta))
 
         logs: List[Tuple[str, DeltaLog]] = []
         structural_touched: Dict[int, Tuple[User, ...]] = {}
-        # Crash-consistency record: the net batch is pinned before any
-        # resolver or store state mutates, so a failure at any later point
-        # can rebuild/resync to the exact post-batch state.
-        self._pending_batch = tuple(ops)
         fresh = self._fresh_users(ops)
         try:
             with paused_gc():
@@ -487,46 +445,20 @@ class IncrementalSession:
             for resolver in self._resolvers.values():
                 resolver.rebuild()
             self.resync()
-            self._pending_batch = ()
             raise
 
-        if tracer.enabled:
-            with tracer.span("session.flush") as flush_span:
-                flushed = self._flush(logs)
-                flush_span.tag(
-                    rows_deleted=flushed[1],
-                    rows_inserted=flushed[2],
-                    statements=flushed[3],
-                )
-        else:
-            flushed = self._flush(logs)
-        (
-            users_changed,
-            rows_deleted,
-            rows_inserted,
-            statements,
-            transactions,
-            recovered,
-        ) = flushed
-        self._pending_batch = ()
-        return DeltaApplyReport(
-            deltas=len(ops),
-            keys=len(self._resolvers),
-            users_changed=users_changed,
-            rows_deleted=rows_deleted,
-            rows_inserted=rows_inserted,
-            statements=statements,
-            transactions=transactions,
-            seconds=time.perf_counter() - started,
-            dirty_region=sum(log.dirty_region for _key, log in logs),
-            recomputed=sum(log.recomputed for _key, log in logs),
-            pruned=sum(log.pruned for _key, log in logs),
-            backend=self.store.backend_name,
-            recomputes=len(logs),
-            coalesced_from=original_count,
-            recovered=recovered,
-            logs=tuple(logs),
-        )
+        with tracer.span("session.flush") as flush_span:
+            report = self._flush(logs, len(ops), started, original_count)
+            flush_span.tag(
+                rows_deleted=report.rows_deleted,
+                rows_inserted=report.rows_inserted,
+                statements=report.statements,
+            )
+        return report
+
+    def _key_of(self, delta: Delta) -> str:
+        """The object key a belief delta names (the default key if none)."""
+        return self._default_key if delta.key is None else str(delta.key)
 
     def _fresh_users(self, deltas: Sequence[Delta]) -> List[User]:
         """The users ``deltas`` may add to the network, probed before they run.
@@ -560,12 +492,16 @@ class IncrementalSession:
                 resolver.ensure_user(user)
 
     def _flush(
-        self, logs: List[Tuple[str, DeltaLog]]
-    ) -> Tuple[int, int, int, int, int, bool]:
+        self,
+        logs: List[Tuple[str, DeltaLog]],
+        deltas: int,
+        started: float,
+        coalesced_from: int = 0,
+    ) -> DeltaApplyReport:
         """Apply a batch of delta logs to the store in one run transaction.
 
-        Returns ``(users_changed, rows_deleted, rows_inserted, statements,
-        transactions, recovered)``.  Per (key, user) only the *net* effect
+        Returns the apply's report (``deltas`` ops applied since
+        ``started``).  Per (key, user) only the *net* effect
         moves: the first old value set is compared against the last new
         one, and :func:`~repro.incremental.deltas.row_diff` turns that pair
         into the rows that vanished and appeared, so a batch that
@@ -573,11 +509,14 @@ class IncrementalSession:
 
         Crash consistency: the in-memory resolvers already hold the
         post-batch state when this runs, so a backend failure here never
-        loses the batch — it only leaves the relation behind.  On a single
-        store the recovery is a full :meth:`resync`; on a sharded store the
-        failing shard is quarantined, its row-change fragment queued for
-        :meth:`recover_shard`, and the healthy shards' fragments retried,
-        so the serving subset converges to the exact post-batch state.
+        loses the batch — it only leaves the relation behind.  One rule
+        recovers it.  A shard of a partitioned store that fails unavailable
+        is quarantined, its row-change fragment queued for
+        :meth:`recover_shard`, and the other shards' fragments written
+        again.  Any other backend failure, and any failure of a single
+        store, reconnects what it must and runs :meth:`resync` on the
+        serving shards.  Either way the serving shards converge to the
+        exact post-batch state.
         """
         net: Dict[Tuple[str, User], RowChange] = {}
         for key, log in logs:
@@ -603,123 +542,61 @@ class IncrementalSession:
         deletes.sort()
         inserts.sort()
 
-        statements_before = self.store.delta_statements
-        transactions_before = self.store.transactions
-        rows_deleted = rows_inserted = 0
-        recovered = False
-        if deletes or inserts:
-            if isinstance(self.store, ShardedPossStore):
-                rows_deleted, rows_inserted, recovered = self._flush_sharded(
-                    deletes, inserts
-                )
-            else:
-                try:
-                    with self.store.transaction():
-                        rows_deleted, rows_inserted = _write_rows(
-                            self.store, deletes, inserts
-                        )
-                except BackendError:
-                    # The transaction rolled back (or the connection died
-                    # mid-flight); the resolvers hold the truth.  Reconcile
-                    # the whole relation from them — reconnecting first if
-                    # the connection itself is gone.
-                    self.store.ensure_available()
-                    self.resync()
-                    recovered = True
-                    rows_deleted = len(deletes)
-                    rows_inserted = len(inserts)
-        return (
-            len(changed),
-            rows_deleted,
-            rows_inserted,
-            self.store.delta_statements - statements_before,
-            self.store.transactions - transactions_before,
-            recovered,
-        )
-
-    def _flush_sharded(
-        self, deletes: List[Row], inserts: List[Row]
-    ) -> Tuple[int, int, bool]:
-        """Land a row diff on a sharded store, degrading per shard.
-
-        The diff partitions cleanly by the owning shard (every row routes by
-        its key column), so a dead shard costs only its own fragment: the
-        fragment is queued in ``self._pending`` for :meth:`recover_shard`,
-        the shard is quarantined, and the remaining fragments are retried in
-        a fresh healthy-shards transaction.  The retry writes each fragment
-        idempotently (see :func:`_write_rows`): shards commit one after
-        another, so a shard may already hold its fragment when a later
-        shard's commit fails.  Returns ``(rows_deleted, rows_inserted,
-        recovered)``.
-        """
         store = self.store
-        assert isinstance(store, ShardedPossStore)
-        fragments: Dict[int, Tuple[List[Row], List[Row]]] = {
-            index: fragment
-            for index, fragment in enumerate(
-                zip(store.spec.partition_rows(deletes), store.spec.partition_rows(inserts))
-            )
-            if fragment[0] or fragment[1]
-        }
-
-        recovered = False
-        # Fragments owed to shards that are already quarantined go straight
-        # to the pending queue — the healthy shards' work proceeds.
-        for index in sorted(fragments):
-            if store.is_degraded(index):
-                self._pending.setdefault(index, []).append(fragments.pop(index))
-                recovered = True
-
+        statements_before = store.delta_statements
+        transactions_before = store.transactions
         rows_deleted = rows_inserted = 0
-        retry = False
-        while fragments:
-            failed: Optional[int] = None
-            attempt_deleted = attempt_inserted = 0
+        recovered = rewrite = False
+        while deletes or inserts:
             try:
                 with store.transaction():
-                    for index in sorted(fragments):
-                        try:
-                            deleted, inserted = _write_rows(
-                                store.shards[index],
-                                *fragments[index],
-                                idempotent=retry,
-                            )
-                        except BackendUnavailable:
-                            failed = index
-                            raise
-                        attempt_deleted += deleted
-                        attempt_inserted += inserted
-            except BackendUnavailable as error:
-                if failed is None and isinstance(error, ShardUnavailable):
-                    failed = error.shard
-                if failed is None:
-                    # Died at transaction BEGIN, before any fragment ran:
-                    # probe the serving shards to find the dead one (the
-                    # transaction spans all of them, not just the batch's
-                    # targets; ping() counts only unavailability as dead,
-                    # so an injected transient during the probe is
-                    # harmless).
-                    for index in range(store.spec.count):
-                        if store.is_degraded(index):
-                            continue
-                        if not store.shards[index].ping():
-                            failed = index
-                            break
-                if failed is None:
-                    # Unattributable failure — nothing sane to quarantine.
-                    raise
-                store.quarantine(failed)
-                if failed in fragments:
-                    self._pending.setdefault(failed, []).append(
-                        fragments.pop(failed)
+                    rows_deleted, rows_inserted = _write_rows(
+                        store, deletes, inserts, idempotent=rewrite
                     )
+                break
+            except ShardUnavailable as error:
+                # One shard of a partitioned store is out (it is now
+                # quarantined): its fragment waits for recover_shard, and
+                # the rest is written again.  Shards commit one after
+                # another, so some may hold their fragment already: the
+                # rewrite is idempotent.
+                lost_deletes, deletes = _split(deletes, store.spec, error.shard)
+                lost_inserts, inserts = _split(inserts, store.spec, error.shard)
+                if lost_deletes or lost_inserts:
+                    self._pending.setdefault(error.shard, []).append(
+                        (lost_deletes, lost_inserts)
+                    )
+                recovered = rewrite = True
+            except BackendError:
+                # The transaction rolled back (or a connection died
+                # mid-flight); the resolvers hold the truth.  Reconcile the
+                # serving shards from them, reconnecting first where a
+                # connection is gone (a shard that stays dead is
+                # quarantined, and recover_shard rebuilds it).
+                with contextlib.suppress(ShardUnavailable):
+                    store.ensure_available()
+                self.resync()
+                rows_deleted, rows_inserted = len(deletes), len(inserts)
                 recovered = True
-                retry = True
-                continue
-            rows_deleted += attempt_deleted
-            rows_inserted += attempt_inserted
-            break
-        return rows_deleted, rows_inserted, recovered
+                break
+        return DeltaApplyReport(
+            deltas=deltas,
+            keys=len(self._resolvers),
+            users_changed=len(changed),
+            rows_deleted=rows_deleted,
+            rows_inserted=rows_inserted,
+            statements=store.delta_statements - statements_before,
+            transactions=store.transactions - transactions_before,
+            seconds=time.perf_counter() - started,
+            dirty_region=sum(log.dirty_region for _key, log in logs),
+            recomputed=sum(log.recomputed for _key, log in logs),
+            pruned=sum(log.pruned for _key, log in logs),
+            backend=store.backend_name,
+            recomputes=len(logs),
+            coalesced_from=coalesced_from,
+            recovered=recovered,
+            logs=tuple(logs),
+        )
 
     def pending_shards(self) -> Tuple[int, ...]:
         """Shard indices with queued row-change fragments, sorted.
@@ -754,9 +631,7 @@ class IncrementalSession:
             with shard.transaction():
                 for frag_deletes, frag_inserts in pending:
                     _write_rows(shard, frag_deletes, frag_inserts, idempotent=True)
-        expected = sorted(
-            row for row in self.rows() if store.spec.shard_of(row[1]) == index
-        )
+        expected = store.spec.partition_rows(self.rows())[index]
         session_keys = set(self._resolvers)
         actual = sorted(
             (row.user, row.key, row.value)
@@ -764,55 +639,47 @@ class IncrementalSession:
             if row.key in session_keys
         )
         if actual != expected:
-            # The journal replay was not enough (the shard lost committed
+            # The queued fragments were not enough (the shard lost committed
             # rows, or missed writes that pre-date the quarantine): rebuild
             # the slice wholesale from the in-memory truth.
-            users = sorted(
-                shard.users() | {row[0] for row in expected}
-            )
             with shard.transaction():
-                for key in session_keys:
-                    if store.spec.shard_of(key) == index:
-                        shard.delete_user_rows(users, key=key)
-                if expected:
-                    shard.insert_rows(expected)
+                self._rebuild_slice(
+                    index, shard.users() | {row[0] for row in expected}, expected
+                )
         return len(expected)
 
     def resync(self) -> int:
         """Rebuild the store content from the in-memory state.
 
         The recovery path for a failed store transaction (the one case
-        where the relation can fall behind the resolvers): clears every
-        maintained key's rows and reloads them from the resolvers.  On a
-        degraded sharded store only the serving shards resync — the
-        quarantined shards' slices are :meth:`recover_shard`'s job — and
-        the returned row count covers the serving shards only.
+        where the relation can fall behind the resolvers): every serving
+        shard's rows of the maintained keys are deleted and reloaded from
+        the resolvers, in one transaction.  A quarantined shard's slice is
+        :meth:`recover_shard`'s job; the returned row count covers the
+        serving shards only.
         """
         store = self.store
-        rows = self.rows()
-        if isinstance(store, ShardedPossStore) and store.degraded_shards:
-            with store.transaction():
-                for shard_index in range(store.spec.count):
-                    if store.is_degraded(shard_index):
-                        continue
-                    shard = store.shards[shard_index]
-                    users = sorted(shard.users())
-                    for key in self._resolvers:
-                        if store.spec.shard_of(key) == shard_index:
-                            shard.delete_user_rows(users, key=key)
-                    shard.insert_rows(
-                        [
-                            row
-                            for row in rows
-                            if store.spec.shard_of(row[1]) == shard_index
-                        ]
-                    )
-            return store.row_count()
+        slices = store.spec.partition_rows(self.rows())
         with store.transaction():
-            for key in self._resolvers:
-                store.delete_user_rows(sorted(store.users()), key=key)
-            store.insert_rows(rows)
+            for index, shard in enumerate(store.shards):
+                if index not in store.degraded_shards:
+                    self._rebuild_slice(index, shard.users(), slices[index])
         return store.row_count()
+
+    def _rebuild_slice(self, index: int, users, rows: List[Row]) -> None:
+        """Replace what shard ``index`` holds for the session's keys by ``rows``.
+
+        The whole-user delete: every row of ``users`` goes, one key at a
+        time, for each session key the shard owns; then ``rows`` land in
+        one batch.  The caller holds the transaction.
+        """
+        store = self.store
+        shard = store.shards[index]
+        users = sorted(users)
+        for key in self._resolvers:
+            if store.spec.shard_of(key) == index:
+                shard.delete_user_rows(users, key=key)
+        shard.insert_rows(rows)
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                           #
@@ -849,3 +716,12 @@ def _write_rows(
     deleted = store.delete_user_rows(rows=deletes) if deletes else 0
     inserted = store.insert_rows(inserts) if inserts else 0
     return deleted, inserted
+
+
+def _split(rows: List[Row], spec, index: int) -> Tuple[List[Row], List[Row]]:
+    """``rows`` split into those shard ``index`` of ``spec`` owns, and the rest."""
+    owned: List[Row] = []
+    rest: List[Row] = []
+    for row in rows:
+        (owned if spec.shard_of(row[1]) == index else rest).append(row)
+    return owned, rest

@@ -35,7 +35,6 @@ from repro.bulk.executor import (
     JOURNAL_BELIEFS_NODE,
     SCHEDULERS,
     BulkResolver,
-    ConcurrentBulkResolver,
     SkepticBulkResolver,
     _replay_step,
 )
@@ -150,7 +149,7 @@ class TestCompiledEquivalenceProperty:
                 store = ShardedPossStore(
                     shards, backends=_dbapi_backends(tmp_path, f"t{trial}", shards)
                 )
-            resolver = ConcurrentBulkResolver(
+            resolver = BulkResolver(
                 network,
                 store=store,
                 explicit_users=explicit,
@@ -300,7 +299,7 @@ class TestRunLoop:
     def test_sharded_failure_rolls_back_all_shards(self, tmp_path):
         """A shard lane failing mid-run rolls back every shard."""
         store = ShardedPossStore(2, backends=_file_backends(tmp_path, "fail", 2))
-        resolver = ConcurrentBulkResolver(
+        resolver = BulkResolver(
             figure19_network(), store=store, explicit_users=BELIEF_USERS
         )
         resolver.load_beliefs(generate_objects(10, seed=4))
@@ -971,7 +970,7 @@ class TestWorkersReporting:
             2, backends=_file_backends(tmp_path, "lanes", 2)
         )
         concurrent = store.supports_concurrent_replay
-        resolver = ConcurrentBulkResolver(
+        resolver = BulkResolver(
             network,
             store=store,
             explicit_users=BELIEF_USERS,
@@ -988,7 +987,7 @@ class TestWorkersReporting:
             2, backends=_file_backends(tmp_path, "ck-lanes", 2)
         )
         concurrent = store.supports_concurrent_replay
-        resolver = ConcurrentBulkResolver(
+        resolver = BulkResolver(
             network,
             store=store,
             explicit_users=BELIEF_USERS,

@@ -21,7 +21,7 @@ import os
 import pytest
 
 from repro.bulk.backends import DbApiBackend, ShardSpec
-from repro.bulk.executor import BulkResolver, ConcurrentBulkResolver
+from repro.bulk.executor import BulkResolver
 from repro.bulk.store import PossStore, ShardedPossStore
 from repro.core.network import TrustNetwork
 from repro.core.resolution import resolve
@@ -128,7 +128,7 @@ class TestPostgresResolvers:
         store = ShardedPossStore(ShardSpec.hashed(3), backends=backends)
         store.clear()
         assert store.supports_concurrent_replay
-        resolver = ConcurrentBulkResolver(
+        resolver = BulkResolver(
             network, store=store, explicit_users=BELIEF_USERS
         )
         resolver.load_beliefs(rows)

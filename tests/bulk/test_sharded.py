@@ -13,8 +13,8 @@ from repro.bulk.backends import (
     SqliteFileBackend,
     SqliteMemoryBackend,
 )
-from repro.bulk.executor import BulkResolver, ConcurrentBulkResolver
-from repro.bulk.store import PossStore, ShardedPossStore
+from repro.bulk.executor import BulkResolver
+from repro.bulk.store import ShardedPossStore
 from repro.core.errors import BulkProcessingError
 from repro.core.network import TrustNetwork
 from repro.workloads.bulkload import BELIEF_USERS, figure19_network, generate_objects
@@ -145,7 +145,7 @@ class TestShardedPossStore:
                         pass  # pragma: no cover - never entered
 
 
-class TestConcurrentBulkResolver:
+class TestShardedBulkResolver:
     def test_matches_single_store_on_figure19(self, serialized_relation):
         network = figure19_network()
         rows = generate_objects(40, conflict_probability=0.5, seed=7)
@@ -156,8 +156,8 @@ class TestConcurrentBulkResolver:
         reference.store.close()
 
         for shards in (1, 2, 4):
-            resolver = ConcurrentBulkResolver(
-                network, shards=shards, explicit_users=BELIEF_USERS
+            resolver = BulkResolver(
+                network, store=ShardedPossStore(shards), explicit_users=BELIEF_USERS
             )
             resolver.load_beliefs(rows)
             report = resolver.run()
@@ -176,8 +176,8 @@ class TestConcurrentBulkResolver:
         rows = generate_objects(30, seed=3)
         relations = []
         for spec in (ShardSpec.hashed(3), ShardSpec.ranged(["k2", "k5"])):
-            resolver = ConcurrentBulkResolver(
-                network, shards=spec, explicit_users=BELIEF_USERS
+            resolver = BulkResolver(
+                network, store=ShardedPossStore(spec), explicit_users=BELIEF_USERS
             )
             resolver.load_beliefs(rows)
             resolver.run()
@@ -203,7 +203,7 @@ class TestConcurrentBulkResolver:
             SqliteFileBackend(str(tmp_path / f"shard{i}.db")) for i in range(2)
         ]
         store = ShardedPossStore(2, backends=backends)
-        resolver = ConcurrentBulkResolver(
+        resolver = BulkResolver(
             network, store=store, explicit_users=BELIEF_USERS
         )
         resolver.load_beliefs(rows)
@@ -225,8 +225,8 @@ class TestConcurrentBulkResolver:
             raise AssertionError("memory shards must not spawn replay threads")
 
         monkeypatch.setattr(executor_module.threading, "Thread", no_threads)
-        resolver = ConcurrentBulkResolver(
-            figure19_network(), shards=2, explicit_users=BELIEF_USERS
+        resolver = BulkResolver(
+            figure19_network(), store=ShardedPossStore(2), explicit_users=BELIEF_USERS
         )
         resolver.load_beliefs(generate_objects(10, seed=2))
         report = resolver.run()
@@ -235,8 +235,8 @@ class TestConcurrentBulkResolver:
         resolver.store.close()
 
     def test_failure_on_one_shard_rolls_back_all(self):
-        resolver = ConcurrentBulkResolver(
-            figure19_network(), shards=3, explicit_users=BELIEF_USERS
+        resolver = BulkResolver(
+            figure19_network(), store=ShardedPossStore(3), explicit_users=BELIEF_USERS
         )
         resolver.load_beliefs(generate_objects(15, seed=9))
         before = [sorted(shard.possible_table()) for shard in resolver.store.shards]
@@ -254,22 +254,13 @@ class TestConcurrentBulkResolver:
         assert not resolver.store.in_transaction
         resolver.store.close()
 
-    def test_requires_a_sharded_store(self):
-        with pytest.raises(BulkProcessingError):
-            ConcurrentBulkResolver(figure19_network(), store=PossStore())
-
-    def test_shards_and_store_are_mutually_exclusive(self):
-        with ShardedPossStore(2) as store:
-            with pytest.raises(BulkProcessingError):
-                ConcurrentBulkResolver(figure19_network(), shards=8, store=store)
-
     def test_sequential_fallback_stops_replaying_after_a_failure(
         self, monkeypatch
     ):
         import repro.bulk.executor as executor_module
 
-        resolver = ConcurrentBulkResolver(
-            figure19_network(), shards=3, explicit_users=BELIEF_USERS
+        resolver = BulkResolver(
+            figure19_network(), store=ShardedPossStore(3), explicit_users=BELIEF_USERS
         )
         resolver.load_beliefs(generate_objects(10, seed=6))
         replayed = []
@@ -296,7 +287,7 @@ class TestConcurrentBulkResolver:
         ]
         with ShardedPossStore(2, backends=backends) as store:
             assert store.supports_concurrent_replay
-            resolver = ConcurrentBulkResolver(
+            resolver = BulkResolver(
                 figure19_network(), store=store, explicit_users=BELIEF_USERS
             )
             resolver.load_beliefs(generate_objects(10, seed=4))
@@ -354,8 +345,8 @@ class TestShardedEquivalenceProperty:
             expected = serialized_relation(reference.store)
             reference.store.close()
             for shards in self.SHARD_COUNTS:
-                resolver = ConcurrentBulkResolver(
-                    network, shards=shards, explicit_users=explicit
+                resolver = BulkResolver(
+                    network, store=ShardedPossStore(shards), explicit_users=explicit
                 )
                 resolver.load_beliefs(rows)
                 report = resolver.run()

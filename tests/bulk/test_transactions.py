@@ -8,7 +8,6 @@ from repro.bulk.backends import SqliteFileBackend
 from repro.bulk.executor import (
     SCHEDULERS,
     BulkResolver,
-    ConcurrentBulkResolver,
     SkepticBulkResolver,
 )
 from repro.bulk.store import PossStore, ShardedPossStore
@@ -173,8 +172,7 @@ class TestRollbackUnderPipelining:
             )
         else:
             store = PossStore() if shards == 1 else ShardedPossStore(shards)
-        resolver_class = BulkResolver if shards == 1 else ConcurrentBulkResolver
-        resolver = resolver_class(
+        resolver = BulkResolver(
             figure19_network(),
             store=store,
             explicit_users=BELIEF_USERS,

@@ -17,7 +17,7 @@ import pytest
 from repro.core.errors import BackendUnavailable
 from repro.faults import FaultInjectingBackend, FaultPolicy, RetryPolicy, ScriptedFault
 from repro.bulk.backends import DbApiBackend, SqliteFileBackend, SqliteMemoryBackend
-from repro.bulk.executor import BulkResolver, ConcurrentBulkResolver
+from repro.bulk.executor import BulkResolver
 from repro.bulk.store import PossStore, ShardedPossStore
 from repro.engine import ResolutionEngine
 from repro.incremental.deltas import SetBelief
@@ -68,10 +68,6 @@ def chaos_store(shards: int, make_inner, policy: FaultPolicy):
 
 
 def make_resolver(network, store, **kwargs):
-    if isinstance(store, ShardedPossStore):
-        return ConcurrentBulkResolver(
-            network, store=store, explicit_users=BELIEF_USERS, **kwargs
-        )
     return BulkResolver(
         network, store=store, explicit_users=BELIEF_USERS, **kwargs
     )

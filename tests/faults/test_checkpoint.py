@@ -8,7 +8,7 @@ from repro.core.errors import BackendUnavailable
 from repro.core.network import TrustNetwork
 from repro.faults import FaultInjectingBackend, FaultPolicy, RetryPolicy, ScriptedFault
 from repro.bulk.backends import SqliteFileBackend, SqliteMemoryBackend
-from repro.bulk.executor import JOURNAL_BELIEFS_NODE, BulkResolver, ConcurrentBulkResolver
+from repro.bulk.executor import JOURNAL_BELIEFS_NODE, BulkResolver
 from repro.bulk.store import PossStore, ShardedPossStore
 from repro.incremental.deltas import SetBelief
 from repro.engine import ResolutionEngine
@@ -167,14 +167,16 @@ class TestShardedCheckpoint:
     def test_sharded_checkpoint_matches_plain(self, serialized_relation):
         network = figure19_network()
         objects = generate_objects(9, seed=8)
-        plain = ConcurrentBulkResolver(network, shards=2, explicit_users=BELIEF_USERS)
+        plain = BulkResolver(
+            network, store=ShardedPossStore(2), explicit_users=BELIEF_USERS
+        )
         plain.load_beliefs(objects)
         plain.run()
         expected = serialized_relation(plain.store)
         plain.store.close()
 
         store = ShardedPossStore(2)
-        checkpointed = ConcurrentBulkResolver(
+        checkpointed = BulkResolver(
             network, store=store, explicit_users=BELIEF_USERS, checkpoint=RUN
         )
         checkpointed.load_beliefs(objects)
@@ -187,7 +189,7 @@ class TestShardedCheckpoint:
         network = figure19_network()
         objects = generate_objects(6, seed=9)
         store = ShardedPossStore(2)
-        resolver = ConcurrentBulkResolver(
+        resolver = BulkResolver(
             network, store=store, explicit_users=BELIEF_USERS, checkpoint=RUN
         )
         resolver.load_beliefs(objects)

@@ -22,7 +22,7 @@ from repro.core.network import TrustNetwork
 from repro.faults import FaultInjectingBackend, FaultPolicy, RetryPolicy, ScriptedFault
 from repro.bulk.backends import DbApiBackend, SqliteFileBackend, SqliteMemoryBackend
 from repro.bulk.compile import RegionLimits, compile_plan
-from repro.bulk.executor import SCHEDULERS, BulkResolver, ConcurrentBulkResolver
+from repro.bulk.executor import SCHEDULERS, BulkResolver
 from repro.bulk.planner import plan_resolution
 from repro.bulk.store import PossStore, ShardedPossStore
 from repro.engine import ResolutionEngine
@@ -122,7 +122,7 @@ class TestTransientFaultsInsideRegions:
             for i in range(2)
         ]
         store = ShardedPossStore(2, backends=backends, retry_policy=RETRY_FAST)
-        resolver = ConcurrentBulkResolver(
+        resolver = BulkResolver(
             network,
             store=store,
             explicit_users=BELIEF_USERS,
@@ -296,7 +296,7 @@ class TestQuarantineUnderCompiledExecution:
         network = figure19_network()
         objects = generate_objects(6, seed=34)
         store = ShardedPossStore(2)
-        resolver = ConcurrentBulkResolver(
+        resolver = BulkResolver(
             network,
             store=store,
             explicit_users=BELIEF_USERS,
@@ -325,7 +325,7 @@ class TestQuarantineUnderCompiledExecution:
         objects = generate_objects(8, seed=35)
 
         healthy = ShardedPossStore(2)
-        twin = ConcurrentBulkResolver(
+        twin = BulkResolver(
             network,
             store=healthy,
             explicit_users=BELIEF_USERS,
@@ -337,7 +337,7 @@ class TestQuarantineUnderCompiledExecution:
         healthy.close()
 
         store = ShardedPossStore(2)
-        resolver = ConcurrentBulkResolver(
+        resolver = BulkResolver(
             network,
             store=store,
             explicit_users=BELIEF_USERS,
@@ -490,7 +490,7 @@ class TestConcurrentCheckpointedRecovery:
                 for i in range(2)
             ],
         )
-        twin = ConcurrentBulkResolver(
+        twin = BulkResolver(
             network,
             store=healthy,
             explicit_users=BELIEF_USERS,
@@ -526,7 +526,7 @@ class TestConcurrentCheckpointedRecovery:
             except BackendUnavailable:
                 continue
             run_id = f"recover-{crash_at}"
-            crashing = ConcurrentBulkResolver(
+            crashing = BulkResolver(
                 network,
                 store=store,
                 explicit_users=BELIEF_USERS,
@@ -547,7 +547,7 @@ class TestConcurrentCheckpointedRecovery:
                 saw_quarantine = saw_quarantine or bool(store.degraded_shards)
                 if store.degraded_shards:
                     store.heal(1)
-                resumed = ConcurrentBulkResolver(
+                resumed = BulkResolver(
                     network,
                     store=store,
                     explicit_users=BELIEF_USERS,

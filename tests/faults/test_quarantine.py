@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bulk.backends import SqliteMemoryBackend
 from repro.core.errors import BulkProcessingError, ShardUnavailable
 from repro.core.network import TrustNetwork
 from repro.bulk.store import PossStore, ShardedPossStore
 from repro.engine import ResolutionEngine
+from repro.faults import FaultInjectingBackend, FaultPolicy, RetryPolicy, ScriptedFault
 from repro.incremental.deltas import SetBelief
 from repro.incremental.session import IncrementalSession
 
@@ -201,6 +203,45 @@ class TestSessionDegradedFlush:
         assert serialized_relation(faulted.store) == serialized_relation(clean.store)
         faulted.close()
         clean.close()
+
+    @pytest.mark.parametrize("kind", ("transient", "timeout", "unavailable"))
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_failed_flush_leaves_serving_rows_equal_to_session(self, shards, kind):
+        """One rule recovers every flush failure.  An unavailable shard of a
+        partitioned store is quarantined with its fragment queued; any
+        other failure, and every failure of a single store, resyncs the
+        serving shards.  Either way they hold exactly ``session.rows()``."""
+        # The last shard's second executemany (the load is its first) is
+        # the flush's DELETE batch; nothing retries it.
+        last = None if shards == 1 else shards - 1
+        policy = FaultPolicy(schedule=[ScriptedFault("executemany", 1, last, kind)])
+        backends = [
+            FaultInjectingBackend(SqliteMemoryBackend(), policy, shard=index)
+            for index in ((None,) if shards == 1 else range(shards))
+        ]
+        store = (
+            PossStore(backend=backends[0], retry_policy=RetryPolicy.none())
+            if shards == 1
+            else ShardedPossStore(
+                shards, backends=backends, retry_policy=RetryPolicy.none()
+            )
+        )
+        session = IncrementalSession(chain_network(), store=store, keys=KEYS)
+        report = session.apply(*(SetBelief("source", "z", key=key) for key in KEYS))
+        assert report.recovered is True
+        assert policy.faults_injected == 1
+        serving = {
+            key for key in KEYS if store.spec.shard_of(key) not in store.degraded_shards
+        }
+        expected = [row for row in session.rows() if row[1] in serving]
+        stored = [(row.user, row.key, row.value) for row in store.possible_table()]
+        assert sorted(stored) == expected
+        if kind == "unavailable" and shards > 1:
+            assert store.degraded_shards == (last,)
+            assert session.pending_shards() == (last,)
+        else:
+            assert store.degraded_shards == ()
+        session.close()
 
     def test_recover_shard_requires_sharded_store(self):
         session = IncrementalSession(chain_network(), store=PossStore())

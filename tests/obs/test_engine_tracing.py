@@ -16,7 +16,7 @@ import pytest
 
 from repro import ResolutionEngine
 from repro.bulk.backends import SqliteFileBackend
-from repro.bulk.executor import BulkResolver, ConcurrentBulkResolver
+from repro.bulk.executor import BulkResolver
 from repro.bulk.store import ShardedPossStore
 from repro.incremental import SetBelief
 from repro.obs import Tracer, export_chrome_trace
@@ -68,10 +68,12 @@ class TestAcceptance:
             SqliteFileBackend(str(directory / f"shard{i}.db")) for i in range(2)
         ]
         store = ShardedPossStore(2, backends=backends)
+        # 300 keys give each lane a couple of hundred milliseconds of
+        # replay, so the lanes overlap even on a loaded two-core host.
         engine = ResolutionEngine.open(
             _belief_chain(400),
             store=store,
-            keys=tuple(f"k{i}" for i in range(6)),
+            keys=tuple(f"k{i}" for i in range(300)),
         )
         report = engine.materialize(compiled=True, trace=True)
         yield engine, report, report.trace
@@ -233,7 +235,7 @@ class TestPhaseSeconds:
             SqliteFileBackend(str(tmp_path / f"phase{i}.db")) for i in range(2)
         ]
         store = ShardedPossStore(2, backends=backends)
-        resolver = ConcurrentBulkResolver(
+        resolver = BulkResolver(
             chain_network(200), store=store, explicit_users=BELIEF_USERS
         )
         resolver.load_beliefs(generate_objects(20, seed=3))

@@ -69,7 +69,6 @@ BULK_API = [
     "COVERING_INDEX",
     "CompiledPlan",
     "CompiledRegion",
-    "ConcurrentBulkResolver",
     "CopyStep",
     "DEFAULT_MAX_BIND_PARAMS",
     "DagNode",
@@ -170,12 +169,12 @@ def test_incremental_round_trip():
 
 def test_sharded_engine_round_trip():
     """The new names work together end to end through the public surface."""
-    from repro.bulk import ConcurrentBulkResolver, ShardSpec, ShardedPossStore
+    from repro.bulk import BulkResolver, ShardSpec, ShardedPossStore
 
     tn = TrustNetwork()
     tn.add_trust("mirror", "source", priority=1)
     store = ShardedPossStore(ShardSpec.hashed(2))
-    resolver = ConcurrentBulkResolver(tn, store=store, explicit_users=["source"])
+    resolver = BulkResolver(tn, store=store, explicit_users=["source"])
     resolver.load_beliefs([("source", "k0", "v"), ("source", "k1", "w")])
     report = resolver.run()
     assert report.shards == 2
