@@ -64,7 +64,7 @@ def test_fig8c_statement_counts(bench_json_records):
 
     Records the executed-statement count so BENCH_resolution.json tracks the
     grouped-copy and multi-member flood batching; the run must execute as a
-    single transaction over a grouped plan.
+    single transaction.
     """
     n_objects = OBJECT_COUNTS[1]
     network = figure19_network()
@@ -74,7 +74,6 @@ def test_fig8c_statement_counts(bench_json_records):
     )
     report = resolver.run()
     assert report.statements == resolver.plan.statement_count()
-    assert report.grouped_plan
     assert report.transactions == 1
     record_scenario(
         bench_json_records,
@@ -87,30 +86,6 @@ def test_fig8c_statement_counts(bench_json_records):
     resolver.store.close()
 
 
-def test_fig8c_grouped_copies_shrink_the_plan(bench_json_records):
-    """Grouped plans issue strictly fewer statements than ungrouped ones
-    while producing the identical relation (cross-checked in tests/bulk)."""
-    n_objects = OBJECT_COUNTS[0]
-    network = figure19_network()
-    statements = {}
-    for label, group_copies in (("grouped", True), ("ungrouped", False)):
-        resolver = BulkResolver(
-            network, explicit_users=BELIEF_USERS, group_copies=group_copies
-        )
-        resolver.load_beliefs(generate_objects(n_objects, seed=11))
-        report = resolver.run()
-        statements[label] = report.statements
-        resolver.store.close()
-    assert statements["grouped"] < statements["ungrouped"]
-    record_scenario(
-        bench_json_records,
-        "fig8c_bulk/copy_grouping",
-        seconds=0.0,
-        grouped_statements=statements["grouped"],
-        ungrouped_statements=statements["ungrouped"],
-    )
-
-
 def test_fig8c_index_strategy_sweep(bench_json_records, bench_report_lines):
     """The covering-index experiment (ROADMAP item): physical design changes
     the running time, never the statement count or transaction count."""
@@ -119,7 +94,7 @@ def test_fig8c_index_strategy_sweep(bench_json_records, bench_report_lines):
     assert summary["statements_independent_of_objects"], summary
     assert summary["one_transaction_per_run"], summary
     bench_report_lines.append(
-        "Figure 8c — index-strategy sweep (grouped copies, one transaction per run)"
+        "Figure 8c — index-strategy sweep (one transaction per run)"
     )
     bench_report_lines.append(
         format_table(
@@ -142,15 +117,15 @@ def test_fig8c_index_strategy_sweep(bench_json_records, bench_report_lines):
             statements=row["statements"],
             transactions=row["transactions"],
             copy_seconds=round(row["copy_seconds"], 6),
-            flood_seconds=round(row["flood_seconds"], 6),
         )
 
 
 def test_fig8c_shard_sweep(bench_json_records, bench_report_lines):
-    """The scatter/gather experiment: the identical plan DAG replays on every
-    shard of a key-partitioned store, so statements-per-shard stays at the
-    unsharded plan's count (6 for Figure 19) for every shard count, with one
-    all-or-nothing transaction per shard."""
+    """The shard experiment: the identical plan runs on every shard of a
+    key-partitioned store, so statements-per-shard stays at the unsharded
+    plan's count (6 for Figure 19) for every shard count, with one
+    all-or-nothing transaction per shard.  Each row is the median of
+    ``SHARD_SWEEP_REPEATS`` runs with its quartiles."""
     unsharded_plan_statements = None
     sweep = fig8c_bulk.run_shard_sweep(
         object_counts=OBJECT_COUNTS[:2], shard_counts=(1, 2, 4)
@@ -163,7 +138,7 @@ def test_fig8c_shard_sweep(bench_json_records, bench_report_lines):
             unsharded_plan_statements = row["statements_per_shard"]
     assert summary["statements_per_shard_observed"] == [unsharded_plan_statements]
     bench_report_lines.append(
-        "Figure 8c — shard sweep (same plan DAG replayed on every shard)"
+        "Figure 8c — shard sweep (same plan run on every shard)"
     )
     bench_report_lines.append(
         format_table(
@@ -172,6 +147,8 @@ def test_fig8c_shard_sweep(bench_json_records, bench_report_lines):
                 "shards",
                 "objects",
                 "seconds",
+                "seconds_p25",
+                "seconds_p75",
                 "statements_per_shard",
                 "transactions",
                 "dag_stages",
@@ -184,6 +161,8 @@ def test_fig8c_shard_sweep(bench_json_records, bench_report_lines):
             bench_json_records,
             f"fig8c_bulk/shards={row['shards']}/objects={row['objects']}",
             seconds=row["seconds"],
+            seconds_p25=row["seconds_p25"],
+            seconds_p75=row["seconds_p75"],
             statements=row["statements"],
             statements_per_shard=row["statements_per_shard"],
             transactions=row["transactions"],

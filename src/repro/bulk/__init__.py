@@ -1,10 +1,12 @@
 """Bulk conflict resolution over many objects via SQL (Section 4).
 
-The package splits the bulk path into four layers:
+The package splits the bulk path into these layers:
 
 * :mod:`repro.bulk.planner` — compiles a trust network into an ordered
-  :class:`ResolutionPlan` of copy/flood steps (data-independent) and lowers
-  it to a dependency DAG (:class:`PlanDag`) whose stages are units of safe
+  :class:`ResolutionPlan` of copy/flood steps (data-independent; copies
+  from one parent always form one :class:`GroupedCopyStep`) through one
+  planning loop shared by fresh, Skeptic and patched plans, and lowers it
+  to a dependency DAG (:class:`PlanDag`) whose stages are units of safe
   parallelism;
 * :mod:`repro.bulk.store` — the ``POSS(X, K, V)`` relation plus the bulk
   ``INSERT … SELECT`` statements and the run-scoped transaction;
@@ -58,7 +60,6 @@ from repro.bulk.executor import (
     SkepticBulkResolver,
 )
 from repro.bulk.planner import (
-    CopyStep,
     DagNode,
     FloodStep,
     GroupedCopyStep,
@@ -80,7 +81,6 @@ __all__ = [
     "COVERING_INDEX",
     "CompiledPlan",
     "CompiledRegion",
-    "CopyStep",
     "DEFAULT_MAX_BIND_PARAMS",
     "DagNode",
     "DbApiBackend",

@@ -7,7 +7,7 @@ module partitions the step sequence of a :class:`~repro.bulk.planner
 .ResolutionPlan` into *compiled regions*:
 
 ``copy`` regions
-    A maximal run of consecutive (grouped) copy steps.  The edges of the
+    A maximal run of consecutive copy steps.  The edges of the
     run form a forest rooted at the region's closed frontier — every child
     is closed exactly once by Algorithm 1, and a copy only duplicates its
     parent's rows — so each child ends up with exactly the rows of its
@@ -65,12 +65,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import BulkProcessingError
-from repro.bulk.planner import (
-    CopyStep,
-    FloodStep,
-    GroupedCopyStep,
-    ResolutionPlan,
-)
+from repro.bulk.planner import FloodStep, GroupedCopyStep, ResolutionPlan
 
 #: Compiled region kinds, in the order the compiler may emit them.
 REGION_KINDS = ("copy", "flood", "blocked_flood", "replay")
@@ -325,13 +320,10 @@ def compile_steps(
             blocked_values, blocked_members = [], set()
 
     for step in steps:
-        if isinstance(step, (CopyStep, GroupedCopyStep)):
+        if isinstance(step, GroupedCopyStep):
             flush_flood()
             flush_blocked()
-            children = (
-                (step.child,) if isinstance(step, CopyStep) else tuple(step.children)
-            )
-            edges = [(str(child), str(step.parent)) for child in children]
+            edges = [(str(child), str(step.parent)) for child in step.children]
             if len(edges) > limits.max_copy_edges:
                 # A single step too wide for the bind limit: replay is
                 # already one statement for it, so compiling buys nothing.

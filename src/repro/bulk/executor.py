@@ -7,8 +7,7 @@ how the plan is lowered to regions:
 * ``replay`` (the default) lowers every plan step to its own one-step
   ``replay`` region (:func:`~repro.bulk.compile.replay_plan`), executed
   statement-at-a-time: a :class:`~repro.bulk.planner.GroupedCopyStep`
-  becomes one multi-child ``INSERT … SELECT`` (a plain
-  :class:`~repro.bulk.planner.CopyStep` one single-child statement), and a
+  becomes one multi-child ``INSERT … SELECT``, and a
   :class:`~repro.bulk.planner.FloodStep` one multi-member ``INSERT …
   SELECT`` per group of members sharing the same constraint set.  The
   number of statements is linear in the number of plan steps and —
@@ -58,7 +57,6 @@ from repro.bulk.compile import (
 from repro.faults.retry import RetryPolicy
 from repro.obs.trace import NULL_TRACER, interval_union
 from repro.bulk.planner import (
-    CopyStep,
     FloodStep,
     GroupedCopyStep,
     ResolutionPlan,
@@ -104,7 +102,6 @@ class BulkRunReport:
     transactions: int = 1
     index_strategy: str = "covering"
     backend: str = "sqlite-memory"
-    grouped_plan: bool = True
     #: Number of data partitions the run executed over (1 = unsharded).
     shards: int = 1
     #: Wall-clock seconds each shard spent executing the plan, keyed
@@ -156,8 +153,6 @@ def _replay_step(store, step) -> Tuple[int, str]:
     """
     if isinstance(step, GroupedCopyStep):
         return store.copy_to_children(step.parent, step.children), "copy"
-    if isinstance(step, CopyStep):
-        return store.copy_from_parent(step.child, step.parent), "copy"
     if isinstance(step, FloodStep):
         rows = store.flood_component_skeptic(
             step.members, step.parents, step.blocked_map()
@@ -318,9 +313,10 @@ def _run_lane(
 class _PlanExecutor:
     """The shared run: one loop over a plan's regions, per store or shard.
 
-    Subclasses bind the plan (plain Algorithm 1 vs. Skeptic); the lowering
-    to regions (:attr:`compiled`), the loop (:func:`_run_lane`) and the
-    report are shared, so the resolvers cannot drift apart.
+    Subclasses bind the plan (plain Algorithm 1 vs. Skeptic); the checked
+    belief load (:meth:`load_beliefs`), the lowering to regions
+    (:attr:`compiled`), the loop (:func:`_run_lane`) and the report are
+    shared, so the resolvers cannot drift apart.
     """
 
     store: PossStore
@@ -401,14 +397,32 @@ class _PlanExecutor:
         report.trace = tracer
         return report
 
-    def _insert_beliefs(self, rows: List[Tuple[User, object, Value]]) -> int:
-        """Insert the explicit belief rows, journaled under a checkpoint.
+    def load_beliefs(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
+        """Load the explicit beliefs; verifies bulk assumptions (i) and (ii).
 
-        Under a checkpoint run id each serving shard's load commits
-        atomically with its ``JOURNAL_BELIEFS_NODE`` marker, so a resumed
-        run that loads the same rows again neither duplicates nor skips
-        them.
+        Every row must belong to a user of the plan's explicit set, and
+        every such user must hold a belief for every loaded object.  Under
+        a checkpoint run id each serving shard's load commits atomically
+        with its ``JOURNAL_BELIEFS_NODE`` marker, so a resumed run that
+        loads the same rows again neither duplicates nor skips them.
         """
+        rows = list(rows)
+        by_user: Dict[str, set] = {}
+        for user, key, _value in rows:
+            by_user.setdefault(str(user), set()).add(str(key))
+            self._loaded_objects.add(str(key))
+        expected = {str(user) for user in self.plan.explicit_users}
+        if expected and set(by_user) - expected:
+            raise BulkProcessingError(
+                "beliefs supplied for users outside the planned explicit set: "
+                f"{sorted(set(by_user) - expected)}"
+            )
+        for user, keys in by_user.items():
+            if keys != self._loaded_objects:
+                raise BulkProcessingError(
+                    f"bulk assumption (ii) violated: user {user} lacks beliefs for "
+                    f"{len(self._loaded_objects - keys)} objects"
+                )
         run_id = self._checkpoint
         store = self.store
         if run_id is None:
@@ -555,7 +569,6 @@ class _PlanExecutor:
             transactions=counted["transactions"],
             index_strategy=store.shards[0].index_strategy.name,
             backend=store.backend_name,
-            grouped_plan=self.plan.grouped,
             shards=len(store.shards),
             per_shard_seconds={
                 f"shard{index}": results[index].seconds
@@ -604,12 +617,13 @@ class BulkResolver(_PlanExecutor):
         report = resolver.run()
         resolver.store.possible_values("x1", "k0")
 
-    ``group_copies`` selects between grouped copy statements (the default,
-    one per distinct parent) and the seed's one-per-child plan; both produce
-    identical relations.  ``scheduler`` selects how the plan is lowered to
-    regions (see the module docstring).  Given a
-    :class:`~repro.bulk.store.ShardedPossStore` the run executes on every
-    shard: ``BulkResolver(network, store=ShardedPossStore(4))``.
+    The plan (:func:`~repro.bulk.planner.plan_resolution`) copies each
+    parent's rows to all its children in one statement, and
+    :meth:`load_beliefs` rejects rows that break bulk assumption (i) or
+    (ii).  ``scheduler`` selects how the plan is lowered to regions (see the
+    module docstring).  Given a :class:`~repro.bulk.store.ShardedPossStore`
+    the run executes on every shard:
+    ``BulkResolver(network, store=ShardedPossStore(4))``.
     """
 
     def __init__(
@@ -617,7 +631,6 @@ class BulkResolver(_PlanExecutor):
         network: TrustNetwork,
         store: Optional[PossStore] = None,
         explicit_users: Optional[Sequence[User]] = None,
-        group_copies: bool = True,
         scheduler: str = "replay",
         plan: Optional[ResolutionPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -642,39 +655,7 @@ class BulkResolver(_PlanExecutor):
         if not network.is_binary():
             planning_network = binarize(network).btn
         self._planning_network = planning_network
-        self.plan: ResolutionPlan = plan_resolution(
-            planning_network, explicit_users, group_copies=group_copies
-        )
-
-    def _register_beliefs(self, rows: List[Tuple[User, object, Value]]) -> None:
-        """Verify bulk assumptions (i) and (ii) and record the object set."""
-        by_user: Dict[str, set] = {}
-        for user, key, _value in rows:
-            by_user.setdefault(str(user), set()).add(str(key))
-            self._loaded_objects.add(str(key))
-        expected = {str(user) for user in self.plan.explicit_users}
-        if expected and set(by_user) - expected:
-            raise BulkProcessingError(
-                "beliefs supplied for users outside the planned explicit set: "
-                f"{sorted(set(by_user) - expected)}"
-            )
-        for user, keys in by_user.items():
-            if keys != self._loaded_objects:
-                raise BulkProcessingError(
-                    f"bulk assumption (ii) violated: user {user} lacks beliefs for "
-                    f"{len(self._loaded_objects - keys)} objects"
-                )
-
-    def load_beliefs(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
-        """Load explicit beliefs; verifies bulk assumptions (i) and (ii).
-
-        Under a checkpoint run id the load itself is journaled (the
-        ``JOURNAL_BELIEFS_NODE`` marker commits atomically with the rows),
-        so a resumed run neither duplicates nor skips the source data.
-        """
-        rows = list(rows)
-        self._register_beliefs(rows)
-        return self._insert_beliefs(rows)
+        self.plan: ResolutionPlan = plan_resolution(planning_network, explicit_users)
 
 
 class SkepticBulkResolver(_PlanExecutor):
@@ -684,10 +665,10 @@ class SkepticBulkResolver(_PlanExecutor):
     applies to every object); positive beliefs vary per object and live in
     the store.  Values blocked by a member's forced constraints are replaced
     by the ⊥ sentinel, matching Algorithm 2's use of ⊥ during flooding.
-    The run loop is shared with :class:`BulkResolver`, and the ``compiled``
-    scheduler pushes constrained flood steps down as blocked-flood regions
-    (anti-joined ``DISTINCT`` pass plus the ⊥ branch in one statement) on
-    every store with a dialect.
+    The checked belief load and the run loop are shared with
+    :class:`BulkResolver`, and the ``compiled`` scheduler pushes constrained
+    flood steps down as blocked-flood regions (anti-joined ``DISTINCT`` pass
+    plus the ⊥ branch in one statement) on every store with a dialect.
     """
 
     def __init__(
@@ -696,7 +677,6 @@ class SkepticBulkResolver(_PlanExecutor):
         positive_users: Sequence[User],
         negative_constraints: Mapping[User, Sequence[Value]],
         store: Optional[PossStore] = None,
-        group_copies: bool = True,
         scheduler: str = "replay",
         retry_policy: Optional[RetryPolicy] = None,
         checkpoint: Optional[str] = None,
@@ -707,22 +687,8 @@ class SkepticBulkResolver(_PlanExecutor):
             network, store, scheduler, retry_policy, checkpoint, compiled_plan, tracer
         )
         self.plan = plan_skeptic_resolution(
-            network,
-            positive_users,
-            dict(negative_constraints),
-            group_copies=group_copies,
+            network, positive_users, dict(negative_constraints)
         )
-
-    def load_beliefs(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
-        """Load the per-object positive beliefs of the positive users.
-
-        Journaled under a checkpoint run id, like
-        :meth:`BulkResolver.load_beliefs`.
-        """
-        rows = list(rows)
-        for _user, key, _value in rows:
-            self._loaded_objects.add(str(key))
-        return self._insert_beliefs(rows)
 
     def bottom_value(self) -> str:
         """The sentinel representing ⊥ in the relation."""

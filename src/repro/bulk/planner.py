@@ -12,22 +12,26 @@ Algorithm 1 (and Algorithm 2) depends only on the network topology and on
 therefore runs the closed/open bookkeeping once on the network and records
 the steps; the executor then replays each step as SQL over all objects at
 once.  Statement batching keeps the statement count a function of the
-network alone: copy steps sharing a parent merge into one multi-child
+network alone: all copies from one parent form one multi-child
 :class:`GroupedCopyStep` (one ``INSERT … SELECT`` per distinct parent), and
 a :class:`FloodStep` issues one statement per group of same-constraint
 members — for plain Algorithm-1 plans a single statement per flood step
 regardless of component size.
 
-Like :mod:`repro.core.resolution`, the planner discovers minimal SCCs
-through the incremental condensation engine (:mod:`repro.core.sccs`), so
-planning itself is near-linear instead of recondensing per flooding pass.
+One loop, :func:`_plan_region`, records every plan: the fresh Algorithm-1
+plan (:func:`plan_resolution`), the Skeptic plan
+(:func:`plan_skeptic_resolution`) and the re-planned region of a patched
+plan (:func:`repro.bulk.planpatch.patch_plan`).  Like
+:mod:`repro.core.resolution`, it discovers minimal SCCs through the
+incremental condensation engine (:mod:`repro.core.sccs`), so planning itself
+is near-linear instead of recondensing per flooding pass.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.beliefs import Value
 from repro.core.errors import BulkProcessingError
@@ -37,34 +41,18 @@ from repro.core.skeptic import propagate_forced_negatives
 
 
 @dataclass(frozen=True)
-class CopyStep:
-    """Step 1 of Algorithm 1: copy all values from a preferred parent.
-
-    One step is one single-child ``INSERT … SELECT``.  Grouped plans merge
-    all copy steps sharing a parent into one :class:`GroupedCopyStep`.
-    """
-
-    parent: User
-    child: User
-
-    def statement_count(self) -> int:
-        """SQL statements the executor issues for this step (always 1)."""
-        return 1
-
-
-@dataclass(frozen=True)
 class GroupedCopyStep:
-    """Step 1 of Algorithm 1, batched: copy a parent's values to many children.
+    """Step 1 of Algorithm 1: copy a parent's values to its children.
 
-    Every :class:`CopyStep` sharing the same parent collapses into one
-    multi-child ``INSERT … SELECT`` (see
-    :meth:`repro.bulk.store.PossStore.copy_to_children`).  This is sound
-    because a user's rows are final once it closes, and it closes before the
-    first copy that reads from it: executing the later same-parent copies
-    early cannot change what any intervening statement reads, since every
-    bulk statement selects rows for explicitly named users only.  The
-    grouped statement count is therefore one per *distinct parent* instead
-    of one per child, shrinking the plan without changing its output.
+    Every copy from the same parent lands in one multi-child
+    ``INSERT … SELECT`` (see
+    :meth:`repro.bulk.store.PossStore.copy_to_children`), at the position of
+    the parent's first copy.  This is sound because a user's rows are final
+    once it closes, and it closes before the first copy that reads from it:
+    executing the later same-parent copies early cannot change what any
+    intervening statement reads, since every bulk statement selects rows for
+    explicitly named users only.  The statement count is therefore one per
+    *distinct parent* instead of one per child.
     """
 
     parent: User
@@ -106,7 +94,7 @@ class FloodStep:
         return sum(2 if rejected else 1 for rejected in groups)
 
 
-ResolutionStep = object  # CopyStep | GroupedCopyStep | FloodStep
+ResolutionStep = object  # GroupedCopyStep | FloodStep
 
 
 def step_io(step: ResolutionStep) -> Tuple[Tuple[User, ...], Tuple[User, ...]]:
@@ -117,8 +105,6 @@ def step_io(step: ResolutionStep) -> Tuple[Tuple[User, ...], Tuple[User, ...]]:
     rows for the users the step closes, so a step depends exactly on the
     steps that close one of its sources.
     """
-    if isinstance(step, CopyStep):
-        return (step.parent,), (step.child,)
     if isinstance(step, GroupedCopyStep):
         return (step.parent,), step.children
     if isinstance(step, FloodStep):
@@ -231,27 +217,16 @@ def plan_dag(plan: ResolutionPlan) -> PlanDag:
 
 @dataclass
 class ResolutionPlan:
-    """An ordered list of bulk-resolution steps for a fixed network.
-
-    ``grouped`` records whether same-parent copy steps were merged into
-    :class:`GroupedCopyStep`\\ s (the default); :meth:`grouped_copies` /
-    :meth:`ungrouped_copies` convert between the two representations without
-    re-planning.
-    """
+    """An ordered list of bulk-resolution steps for a fixed network."""
 
     network: TrustNetwork
     explicit_users: FrozenSet[User]
     steps: List[ResolutionStep] = field(default_factory=list)
-    grouped: bool = False
 
     @property
-    def copy_steps(self) -> List["CopyStep | GroupedCopyStep"]:
-        """Copy steps (single-child or grouped), in execution order."""
-        return [
-            step
-            for step in self.steps
-            if isinstance(step, (CopyStep, GroupedCopyStep))
-        ]
+    def copy_steps(self) -> List[GroupedCopyStep]:
+        """Copy steps, in execution order."""
+        return [step for step in self.steps if isinstance(step, GroupedCopyStep)]
 
     @property
     def flood_steps(self) -> List[FloodStep]:
@@ -260,13 +235,7 @@ class ResolutionPlan:
 
     def copied_children(self) -> List[User]:
         """Every user that receives a Step-1 copy, in execution order."""
-        children: List[User] = []
-        for step in self.steps:
-            if isinstance(step, CopyStep):
-                children.append(step.child)
-            elif isinstance(step, GroupedCopyStep):
-                children.extend(step.children)
-        return children
+        return [child for step in self.copy_steps for child in step.children]
 
     def statement_count(self) -> int:
         """Number of SQL statements the executor will issue."""
@@ -276,165 +245,28 @@ class ResolutionPlan:
         """This plan lowered to its dependency DAG (see :func:`plan_dag`)."""
         return plan_dag(self)
 
-    def grouped_copies(self) -> "ResolutionPlan":
-        """This plan with same-parent copy steps merged (idempotent)."""
-        if self.grouped:
-            return self
-        return ResolutionPlan(
-            network=self.network,
-            explicit_users=self.explicit_users,
-            steps=_group_copy_steps(self.steps),
-            grouped=True,
-        )
-
-    def ungrouped_copies(self) -> "ResolutionPlan":
-        """This plan with grouped copy steps expanded back to single copies.
-
-        The expansion keeps each group's position and child order, which is
-        exactly the order the ungrouped planner emitted them in — useful for
-        the grouped-vs-ungrouped equivalence tests.
-        """
-        if not self.grouped:
-            return self
-        steps: List[ResolutionStep] = []
-        for step in self.steps:
-            if isinstance(step, GroupedCopyStep):
-                steps.extend(
-                    CopyStep(parent=step.parent, child=child)
-                    for child in step.children
-                )
-            else:
-                steps.append(step)
-        return ResolutionPlan(
-            network=self.network,
-            explicit_users=self.explicit_users,
-            steps=steps,
-            grouped=False,
-        )
-
-
-def _group_copy_steps(steps: Sequence[ResolutionStep]) -> List[ResolutionStep]:
-    """Merge same-parent :class:`CopyStep`\\ s into :class:`GroupedCopyStep`\\ s.
-
-    Each group lands at the position of its parent's *first* copy step.
-    Moving the later same-parent copies earlier is sound (see
-    :class:`GroupedCopyStep`): the parent's rows are already final there,
-    and no intervening statement reads the children being filled early.
-    Flood steps keep their positions.
-    """
-    children_of: Dict[User, List[User]] = {}
-    grouped: List[ResolutionStep] = []
-    for step in steps:
-        if isinstance(step, CopyStep):
-            known = children_of.get(step.parent)
-            if known is None:
-                children: List[User] = [step.child]
-                children_of[step.parent] = children
-                # Placeholder keeps first-occurrence order; filled below
-                # once the parent's full child list is known.
-                grouped.append(step.parent)
-            else:
-                known.append(step.child)
-        else:
-            grouped.append(step)
-    out: List[ResolutionStep] = []
-    for entry in grouped:
-        if isinstance(entry, (FloodStep, CopyStep, GroupedCopyStep)):
-            out.append(entry)
-        else:
-            out.append(
-                GroupedCopyStep(parent=entry, children=tuple(children_of[entry]))
-            )
-    return out
-
 
 def plan_resolution(
     network: TrustNetwork,
     explicit_users: Optional[Sequence[User]] = None,
-    group_copies: bool = True,
 ) -> ResolutionPlan:
     """Build the Algorithm-1 resolution plan for a network.
 
     ``explicit_users`` defaults to the users carrying explicit beliefs in the
     network itself; passing it explicitly supports planning against a
     template network whose per-object values live only in the store.
-
-    With ``group_copies`` (the default) all copy steps sharing a parent are
-    merged into one :class:`GroupedCopyStep`, so the executor issues one
-    multi-child ``INSERT … SELECT`` per distinct parent; pass ``False`` to
-    keep the seed's one-statement-per-child plan (the equivalence tests
-    compare the two).
     """
     users_with_beliefs = _explicit_users(network, explicit_users)
-    plan = ResolutionPlan(network=network, explicit_users=users_with_beliefs)
-
-    reachable = network.descendants(users_with_beliefs)
-    closed: Set[User] = set(users_with_beliefs)
-    open_nodes: Set[User] = set(reachable) - closed
-    preferred = {
-        user: _preferred_parent(network, reachable, user) for user in reachable
-    }
-    children_pref = _preferred_children(network, reachable, preferred)
-    order, index, successors = _indexed_graph(network, reachable)
-
-    # The engine works on dense integer ids; ids follow sorted(str) order so
-    # component discovery (and hence plan output) is deterministic.
-    engine = CondensationEngine(
-        (i for i, user in enumerate(order) if user in open_nodes), successors, len(order)
+    steps = _plan_region(
+        network, network.descendants(users_with_beliefs), set(users_with_beliefs)
     )
-    # Lexicographic heap keeps the copy-step order identical to the seed
-    # implementation (which re-scanned sorted(open_nodes) every pass).
-    heap: List[Tuple[str, User]] = []
-    for user in closed:
-        for child in children_pref.get(user, ()):
-            heapq.heappush(heap, (str(child), child))
-
-    while open_nodes:
-        while heap:
-            _, node = heapq.heappop(heap)
-            if node not in open_nodes:
-                continue
-            parent = preferred.get(node)
-            if parent is None or parent not in closed:
-                continue
-            plan.steps.append(CopyStep(parent=parent, child=node))
-            closed.add(node)
-            open_nodes.discard(node)
-            engine.close(index[node])
-            for child in children_pref.get(node, ()):
-                heapq.heappush(heap, (str(child), child))
-        if not open_nodes:
-            break
-        members = {order[i] for i in engine.pop_minimal()}
-        incoming = network.incoming_map()
-        parents = sorted(
-            {
-                edge.parent
-                for member in members
-                for edge in incoming.get(member, ())
-                if edge.parent in closed and edge.parent in reachable
-            },
-            key=str,
-        )
-        plan.steps.append(
-            FloodStep(
-                members=tuple(sorted(members, key=str)), parents=tuple(parents)
-            )
-        )
-        closed.update(members)
-        open_nodes.difference_update(members)
-        for member in members:
-            engine.close(index[member])
-            for child in children_pref.get(member, ()):
-                heapq.heappush(heap, (str(child), child))
-    return plan.grouped_copies() if group_copies else plan
+    return ResolutionPlan(network, users_with_beliefs, steps)
 
 
 def plan_skeptic_resolution(
     network: TrustNetwork,
     positive_users: Sequence[User],
     negative_constraints: Dict[User, Sequence[Value]],
-    group_copies: bool = True,
 ) -> ResolutionPlan:
     """Build the Algorithm-2 (Skeptic) plan for bulk resolution.
 
@@ -442,111 +274,149 @@ def plan_skeptic_resolution(
     the store; ``negative_constraints`` maps users to the constraint (set of
     rejected values) they apply to *every* object.  Constraints are network
     properties here, matching bulk assumption (i) that the trust structure —
-    including filters — is shared across objects.
-
-    ``group_copies`` behaves as in :func:`plan_resolution`: grouping is
-    sound for Skeptic plans too, because Type-2 membership (which gates a
-    copy's admission into the plan) is decided at planning time and copied
-    rows are final once a user closes.
+    including filters — is shared across objects.  Both name users of
+    ``network``; an unknown one raises :class:`BulkProcessingError`.
     """
-    positive = frozenset(positive_users)
-    plan = ResolutionPlan(network=network, explicit_users=positive)
-
-    # prefNeg propagation (phase P of Algorithm 2), worklist-driven.
-    pref_neg: Dict[User, Set[Value]] = {user: set() for user in network.users}
-    preferred_all = network.preferred_parent_map()
-    children_pref_all: Dict[User, List[User]] = {}
-    for user, parent in preferred_all.items():
-        if parent is not None:
-            children_pref_all.setdefault(parent, []).append(user)
-    pending: List[User] = []
-    for user, values in negative_constraints.items():
-        if user in positive:
-            raise BulkProcessingError(
-                f"user {user!r} cannot have both positive beliefs and a constraint"
-            )
-        pref_neg[user].update(values)
-        pending.append(user)
-    propagate_forced_negatives(
-        pref_neg, pending, lambda parent: children_pref_all.get(parent, ()), positive
+    positive = _explicit_users(network, positive_users)
+    constrained = _explicit_users(network, negative_constraints)
+    both = positive & constrained
+    if both:
+        raise BulkProcessingError(
+            f"user {sorted(map(str, both))[0]!r} cannot have both positive "
+            "beliefs and a constraint"
+        )
+    pref_neg = None
+    if constrained:
+        # prefNeg propagation (phase P of Algorithm 2), worklist-driven.
+        pref_neg = {user: set() for user in network.users}
+        children_pref: Dict[User, List[User]] = {}
+        for user, parent in network.preferred_parent_map().items():
+            if parent is not None:
+                children_pref.setdefault(parent, []).append(user)
+        for user, values in negative_constraints.items():
+            pref_neg[user].update(values)
+        propagate_forced_negatives(
+            pref_neg,
+            list(negative_constraints),
+            lambda parent: children_pref.get(parent, ()),
+            positive,
+        )
+    steps = _plan_region(
+        network, network.descendants(positive | constrained), set(positive), pref_neg
     )
+    return ResolutionPlan(network, positive, steps)
 
-    sources = positive | frozenset(negative_constraints)
-    reachable = network.descendants(sources)
-    closed: Set[User] = set(positive)
-    open_nodes: Set[User] = set(reachable) - closed
-    # Negative-only users never enter the store: they are closed implicitly
-    # once their (empty) contribution has been accounted for.
-    type2: Set[User] = set(positive)
-    preferred = {
-        user: _preferred_parent(network, reachable, user) for user in reachable
-    }
-    children_pref = _preferred_children(network, reachable, preferred)
-    order, index, successors = _indexed_graph(network, reachable)
 
-    engine = CondensationEngine(
-        (i for i, user in enumerate(order) if user in open_nodes), successors, len(order)
-    )
-    heap: List[Tuple[str, User]] = []
-    for user in closed:
-        for child in children_pref.get(user, ()):
-            heapq.heappush(heap, (str(child), child))
+def _plan_region(
+    network: TrustNetwork,
+    region: Set[User],
+    closed: Set[User],
+    pref_neg: Optional[Dict[User, Set[Value]]] = None,
+) -> List[ResolutionStep]:
+    """Algorithm 1's closing loop over ``region``: the one planning loop.
 
+    ``closed`` holds the users whose rows are final before the first step:
+    the explicit users, and for a patched plan also the users its kept
+    steps close.  The loop grows it in place.  Every other ``region`` user
+    receives exactly one copy or flood step, in Algorithm 1's order: Step-1
+    copies drain in lexicographic order before the condensation engine
+    yields the next minimal component to flood.  Preferred parents are
+    chosen among the ``region`` and initially ``closed`` users only.
+
+    With ``pref_neg`` the loop is Algorithm 2's: only *Type-2* users — the
+    initially closed ones and those that received values — feed a copy or
+    push their preferred children, a flood's members turn Type 2 when one
+    of its parents is, and each flood step carries its members' ``prefNeg``
+    values as blocked.  A component fed solely by negative-only users thus
+    stays empty, exactly as in Algorithm 2.
+    """
+    open_nodes = region - closed
+    if not open_nodes:
+        return []
     incoming = network.incoming_map()
+    preferred: Dict[User, User] = {}
+    children_pref: Dict[User, List[User]] = {}
+    for user in open_nodes:
+        parent = _preferred_parent(incoming.get(user, ()), region, closed)
+        if parent is not None:
+            preferred[user] = parent
+            children_pref.setdefault(parent, []).append(user)
+    # Dense ids in sorted(str) order make component discovery, and hence
+    # the plan, deterministic.
+    order = sorted(open_nodes, key=str)
+    index = {user: i for i, user in enumerate(order)}
+    successors: List[List[int]] = [[] for _ in order]
+    for i, user in enumerate(order):
+        for edge in incoming.get(user, ()):
+            parent_id = index.get(edge.parent)
+            if parent_id is not None:
+                successors[parent_id].append(i)
+    engine = CondensationEngine(range(len(order)), successors, len(order))
+
+    # Users whose rows may feed a copy: every closed user for Algorithm 1.
+    sources = closed if pref_neg is None else set(closed)
+    heap: List[Tuple[str, User]] = [
+        (str(child), child)
+        for parent, children in children_pref.items()
+        if parent in sources
+        for child in children
+    ]
+    heapq.heapify(heap)
+    steps: List[object] = []
+    groups: Dict[User, List[User]] = {}
     while open_nodes:
         while heap:
-            _, node = heapq.heappop(heap)
+            node = heapq.heappop(heap)[1]
             if node not in open_nodes:
                 continue
             parent = preferred.get(node)
-            if parent is None or parent not in closed or parent not in type2:
+            if parent is None or parent not in sources:
                 continue
-            plan.steps.append(CopyStep(parent=parent, child=node))
+            children = groups.get(parent)
+            if children is None:
+                children = groups[parent] = []
+                steps.append((parent, children))
+            children.append(node)
             closed.add(node)
-            type2.add(node)
+            sources.add(node)
             open_nodes.discard(node)
             engine.close(index[node])
             for child in children_pref.get(node, ()):
                 heapq.heappush(heap, (str(child), child))
         if not open_nodes:
             break
-        members = {order[i] for i in engine.pop_minimal()}
+        members = [order[i] for i in sorted(engine.pop_minimal())]
         parents = sorted(
             {
                 edge.parent
                 for member in members
                 for edge in incoming.get(member, ())
-                if edge.parent in closed and edge.parent in reachable
+                if edge.parent in closed
             },
             key=str,
         )
-        blocked = tuple(
-            (member, tuple(sorted(pref_neg[member], key=str)))
-            for member in sorted(members, key=str)
-            if pref_neg[member]
-        )
-        plan.steps.append(
-            FloodStep(
-                members=tuple(sorted(members, key=str)),
-                parents=tuple(parents),
-                blocked=blocked,
+        blocked: Tuple[Tuple[User, Tuple[Value, ...]], ...] = ()
+        if pref_neg is not None:
+            blocked = tuple(
+                (member, tuple(sorted(pref_neg[member], key=str)))
+                for member in members
+                if pref_neg[member]
             )
-        )
+        steps.append(FloodStep(tuple(members), tuple(parents), blocked))
         closed.update(members)
-        # Members become Type 2 (and therefore valid sources for later
-        # copy steps) only if the component actually receives values from
-        # a Type-2 parent; a component fed solely by negative-only users
-        # stays empty, exactly as in Algorithm 2.
-        member_type2 = any(parent in type2 for parent in parents)
-        if member_type2:
-            type2.update(members)
         open_nodes.difference_update(members)
+        fed = sources is closed or any(parent in sources for parent in parents)
+        if fed:
+            sources.update(members)
         for member in members:
             engine.close(index[member])
-            if member_type2:
+            if fed:
                 for child in children_pref.get(member, ()):
                     heapq.heappush(heap, (str(child), child))
-    return plan.grouped_copies() if group_copies else plan
+    return [
+        GroupedCopyStep(step[0], tuple(step[1])) if isinstance(step, tuple) else step
+        for step in steps
+    ]
 
 
 # ---------------------------------------------------------------------- #
@@ -555,7 +425,7 @@ def plan_skeptic_resolution(
 
 
 def _explicit_users(
-    network: TrustNetwork, explicit_users: Optional[Sequence[User]]
+    network: TrustNetwork, explicit_users: Optional[Iterable[User]]
 ) -> FrozenSet[User]:
     if explicit_users is not None:
         users = frozenset(explicit_users)
@@ -570,48 +440,16 @@ def _explicit_users(
     )
 
 
-def _preferred_parent(network: TrustNetwork, reachable: Set[User], user: User):
-    edges = [e for e in network.incoming(user) if e.parent in reachable]
-    if not edges:
-        return None
-    if len(edges) == 1:
-        return edges[0].parent
-    ordered = sorted(edges, key=lambda e: e.priority, reverse=True)
-    if ordered[0].priority > ordered[1].priority:
-        return ordered[0].parent
-    return None
-
-
-def _preferred_children(
-    network: TrustNetwork,
-    reachable: Set[User],
-    preferred: Dict[User, Optional[User]],
-) -> Dict[User, List[User]]:
-    """Children via preferred edges, within the reachable set."""
-    incoming = network.incoming_map()
-    children_pref: Dict[User, List[User]] = {}
-    for node in reachable:
-        node_preferred = preferred.get(node)
-        if node_preferred is None:
+def _preferred_parent(edges, region: Set[User], closed: Set[User]) -> Optional[User]:
+    """The parent of the one top-priority edge among ``edges`` from a
+    ``region`` or ``closed`` user, or ``None`` on a tie or without one."""
+    best = None
+    tied = False
+    for edge in edges:
+        if edge.parent not in region and edge.parent not in closed:
             continue
-        for edge in incoming.get(node, ()):
-            if edge.parent == node_preferred:
-                children_pref.setdefault(edge.parent, []).append(node)
-    return children_pref
-
-
-def _indexed_graph(
-    network: TrustNetwork, reachable: Set[User]
-) -> Tuple[List[User], Dict[User, int], List[List[int]]]:
-    """Dense integer ids (in sorted(str) order) and successor lists for the
-    reachable subgraph, as consumed by the condensation engine."""
-    order = sorted(reachable, key=str)
-    index = {user: i for i, user in enumerate(order)}
-    successors: List[List[int]] = [[] for _ in order]
-    incoming = network.incoming_map()
-    for i, user in enumerate(order):
-        for edge in incoming.get(user, ()):
-            parent_id = index.get(edge.parent)
-            if parent_id is not None:
-                successors[parent_id].append(i)
-    return order, index, successors
+        if best is None or edge.priority > best.priority:
+            best, tied = edge, False
+        elif edge.priority == best.priority:
+            tied = True
+    return None if best is None or tied else best.parent

@@ -12,15 +12,17 @@ proportional to the *affected region*:
    the (already mutated) network — the same successor-closed dirty region
    the incremental resolvers recompute (influence only flows parent →
    child, so steps closing users outside the region are still correct).
-2. Every old step closing a region user is dropped (grouped copy steps are
-   split: children outside the region survive).  A flood step's members
-   form one SCC, and an SCC is either entirely inside or entirely outside
-   the region — any mutation of an intra-component edge touches its child —
-   so flood steps never straddle the boundary.
-3. The region is re-planned locally: the kept steps (plus the explicit
-   users) define which boundary parents are closed and reachable, and the
-   standard Algorithm-1 planning loop runs on the region's nodes only, with
-   that boundary closed from the start.
+2. Every old step closing a region user is dropped (a copy step whose
+   children straddle the region is split: children outside it survive).
+   A flood step's members form one SCC, and an SCC is either entirely
+   inside or entirely outside the region — any mutation of an
+   intra-component edge touches its child — so flood steps never straddle
+   the boundary.
+3. The region is re-planned by the planner's one closing loop
+   (:func:`repro.bulk.planner._plan_region`, the loop behind
+   :func:`~repro.bulk.planner.plan_resolution` too): the users the kept
+   steps close and the explicit users are closed from the start, and the
+   loop runs over the region's reachable users only.
 4. The new region steps are appended after the kept steps.  This is causal:
    a kept step never reads a region user (a user read by an outside step
    would make that step's closer a region descendant — contradiction), and
@@ -71,23 +73,19 @@ Skeptic plans (flood steps carrying blocked values) are not patched: the
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.core.errors import BulkProcessingError
 from repro.core.network import TrustNetwork, User
-from repro.core.sccs import CondensationEngine
 from repro.bulk.compile import CompiledPlan, RegionLimits, compile_steps
 from repro.bulk.planner import (
-    CopyStep,
     FloodStep,
     GroupedCopyStep,
     ResolutionPlan,
     ResolutionStep,
     _explicit_users,
-    _group_copy_steps,
-    _preferred_parent,
+    _plan_region,
     step_io,
 )
 
@@ -174,12 +172,7 @@ def patch_plan(
     kept: List[ResolutionStep] = []
     dropped = 0
     for step in plan.steps:
-        if isinstance(step, CopyStep):
-            if step.child in affected:
-                dropped += 1
-            else:
-                kept.append(step)
-        elif isinstance(step, GroupedCopyStep):
+        if isinstance(step, GroupedCopyStep):
             surviving = tuple(
                 child for child in step.children if child not in affected
             )
@@ -211,24 +204,23 @@ def patch_plan(
     # its old step (if any) was dropped above.
 
     # ---- re-plan the region ------------------------------------------- #
-    reachable_out: Set[User] = {
+    closed: Set[User] = {
         user for user in new_explicit if user not in affected and user in network
     }
     for step in kept:
-        for user in step_io(step)[1]:
-            reachable_out.add(user)
+        closed.update(step_io(step)[1])
 
     region_live = sorted((user for user in region if user in network), key=str)
     incoming = network.incoming_map()
 
     # Region reachability: seeded by region explicit users and by region
-    # users fed from a reachable boundary parent, expanded inside the region.
+    # users fed from a closed boundary parent, expanded inside the region.
     region_reachable: Set[User] = set()
     stack: List[User] = []
     outgoing = network.outgoing_map()
     for user in region_live:
         seeded = user in new_explicit or any(
-            edge.parent in reachable_out for edge in incoming.get(user, ())
+            edge.parent in closed for edge in incoming.get(user, ())
         )
         if seeded:
             region_reachable.add(user)
@@ -241,23 +233,13 @@ def patch_plan(
                 region_reachable.add(child)
                 stack.append(child)
 
-    full_reachable = reachable_out | region_reachable
-    added = _plan_region(
-        network,
-        region_reachable,
-        new_explicit,
-        reachable_out,
-        full_reachable,
-        incoming,
-    )
-    if plan.grouped:
-        added = _group_copy_steps(added)
+    closed.update(region_reachable & new_explicit)
+    added = _plan_region(network, region_reachable, closed)
 
     patched = ResolutionPlan(
         network=network,
         explicit_users=new_explicit,
         steps=kept + added,
-        grouped=plan.grouped,
     )
     return PlanPatch(
         plan=patched,
@@ -281,7 +263,7 @@ def splice_compiled(
     the old compiled plan whose steps survive *unchanged and in place* can
     be reused as-is.  The splice walks the old regions against the patched
     step list: regions matching by identity transfer directly; from the
-    first divergence (a dropped step, a split grouped copy, the appended
+    first divergence (a dropped step, a split copy step, the appended
     region steps) the remaining steps recompile via
     :func:`~repro.bulk.compile.compile_steps`.  Region boundaries may then
     differ from a from-scratch :func:`~repro.bulk.compile.compile_plan` of
@@ -307,96 +289,3 @@ def splice_compiled(
             break
     recompiled = compile_steps(steps[position:], limits=limits)
     return CompiledPlan(plan=patch.plan, regions=tuple(reused + recompiled))
-
-
-def _plan_region(
-    network: TrustNetwork,
-    region_reachable: Set[User],
-    explicit: FrozenSet[User],
-    closed_boundary: Set[User],
-    full_reachable: Set[User],
-    incoming,
-) -> List[ResolutionStep]:
-    """The Algorithm-1 planning loop restricted to one region.
-
-    ``closed_boundary`` users (outside the region) are closed from the
-    start; region users carrying explicit beliefs are closed without steps;
-    everything else in ``region_reachable`` receives exactly one copy or
-    flood step, mirroring :func:`~repro.bulk.planner.plan_resolution`.
-    """
-    closed: Set[User] = set(closed_boundary)
-    closed.update(user for user in region_reachable if user in explicit)
-    open_nodes: Set[User] = {
-        user for user in region_reachable if user not in explicit
-    }
-    if not open_nodes:
-        return []
-
-    preferred = {
-        user: _preferred_parent(network, full_reachable, user)
-        for user in region_reachable
-    }
-    children_pref: Dict[User, List[User]] = {}
-    for user in region_reachable:
-        parent = preferred.get(user)
-        if parent is not None:
-            children_pref.setdefault(parent, []).append(user)
-
-    order = sorted(region_reachable, key=str)
-    index = {user: i for i, user in enumerate(order)}
-    successors: List[List[int]] = [[] for _ in order]
-    for i, user in enumerate(order):
-        for edge in incoming.get(user, ()):
-            parent_id = index.get(edge.parent)
-            if parent_id is not None:
-                successors[parent_id].append(i)
-
-    engine = CondensationEngine(
-        (i for i, user in enumerate(order) if user in open_nodes),
-        successors,
-        len(order),
-    )
-    heap: List[Tuple[str, User]] = []
-    for user in closed:
-        for child in children_pref.get(user, ()):
-            heapq.heappush(heap, (str(child), child))
-
-    steps: List[ResolutionStep] = []
-    while open_nodes:
-        while heap:
-            _, node = heapq.heappop(heap)
-            if node not in open_nodes:
-                continue
-            parent = preferred.get(node)
-            if parent is None or parent not in closed:
-                continue
-            steps.append(CopyStep(parent=parent, child=node))
-            closed.add(node)
-            open_nodes.discard(node)
-            engine.close(index[node])
-            for child in children_pref.get(node, ()):
-                heapq.heappush(heap, (str(child), child))
-        if not open_nodes:
-            break
-        members = {order[i] for i in engine.pop_minimal()}
-        parents = sorted(
-            {
-                edge.parent
-                for member in members
-                for edge in incoming.get(member, ())
-                if edge.parent in closed and edge.parent in full_reachable
-            },
-            key=str,
-        )
-        steps.append(
-            FloodStep(
-                members=tuple(sorted(members, key=str)), parents=tuple(parents)
-            )
-        )
-        closed.update(members)
-        open_nodes.difference_update(members)
-        for member in members:
-            engine.close(index[member])
-            for child in children_pref.get(member, ()):
-                heapq.heappush(heap, (str(child), child))
-    return steps

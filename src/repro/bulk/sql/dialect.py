@@ -21,7 +21,7 @@ statement-at-a-time.
 Every statement uses the ``VALUES`` auto-naming convention
 (``column1``/``column2``) or a non-recursive ``WITH`` list, both shared by
 sqlite (3.8.3 and later) and PostgreSQL, the same idioms the store's
-grouped copy and flood statements already rely on.
+multi-child copy and flood statements already rely on.
 """
 
 from __future__ import annotations

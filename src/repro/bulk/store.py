@@ -765,12 +765,12 @@ class PossStore:
         return cursor.rowcount
 
     def copy_to_children(self, parent: User, children: Sequence[User]) -> int:
-        """Grouped Step-1 insert: copy ``parent``'s rows to *all* ``children``.
+        """Step-1 insert: copy ``parent``'s rows to *all* ``children``.
 
         One multi-child statement replaces ``len(children)`` single-child
-        copies (the grouped-copy batching of
-        :func:`repro.bulk.planner.plan_resolution`): the child names form an
-        inline ``VALUES`` relation cross-joined with the parent's rows::
+        copies (the plan's :class:`~repro.bulk.planner.GroupedCopyStep`):
+        the child names form an inline ``VALUES`` relation cross-joined with
+        the parent's rows::
 
             insert into POSS
             select c.column1 AS X, t.K, t.V

@@ -58,6 +58,7 @@ import argparse
 import json
 import os
 import random
+import statistics
 import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
@@ -96,10 +97,7 @@ from repro.workloads.bulkload import (
 
 
 def _bulk_report(
-    n_objects: int,
-    seed: int,
-    index_strategy: Optional[str] = None,
-    group_copies: bool = True,
+    n_objects: int, seed: int, index_strategy: Optional[str] = None
 ) -> BulkRunReport:
     """One bulk run over the Figure 19 network, returning its full report.
 
@@ -107,9 +105,7 @@ def _bulk_report(
     """
     network = figure19_network()
     store = PossStore(index_strategy=index_strategy)
-    resolver = BulkResolver(
-        network, store=store, explicit_users=BELIEF_USERS, group_copies=group_copies
-    )
+    resolver = BulkResolver(network, store=store, explicit_users=BELIEF_USERS)
     rows = generate_objects(n_objects, seed=seed)
     resolver.load_beliefs(rows)
     report = resolver.run()
@@ -200,8 +196,8 @@ def run_index_sweep(
 ) -> List[Dict[str, object]]:
     """The covering-index experiment: strategies × object counts.
 
-    Every run uses the grouped-copy plan and executes in one transaction;
-    the rows record per-run timing, phase split, statement and transaction
+    Every run executes in one transaction; the rows record per-run timing,
+    the copy phase's share, statement and transaction
     counts so the invariants are visible in ``BENCH_resolution.json``:
     ``statements`` is identical across the whole sweep (it depends only on
     the plan), while ``seconds`` varies with the physical design.
@@ -217,7 +213,6 @@ def run_index_sweep(
                     "objects": count,
                     "seconds": report.elapsed_seconds,
                     "copy_seconds": report.phase_seconds.get("copy", 0.0),
-                    "flood_seconds": report.phase_seconds.get("flood", 0.0),
                     "statements": report.statements,
                     "transactions": report.transactions,
                     "rows_inserted": report.rows_inserted,
@@ -256,41 +251,64 @@ def _sharded_report(n_objects: int, shards: int, seed: int) -> BulkRunReport:
     return report
 
 
+#: Runs per shard-sweep cell: a Figure 19 cell takes 1-14 ms, so one run
+#: cannot tell a shard-layer change from timer and scheduler noise.
+SHARD_SWEEP_REPEATS = 5
+
+
 def run_shard_sweep(
     object_counts: Sequence[int] = (1_000, 10_000),
     shard_counts: Sequence[int] = (1, 2, 4),
     seed: int = 11,
 ) -> List[Dict[str, object]]:
-    """The scatter/gather experiment: shard counts × object counts.
+    """The shard experiment: shard counts × object counts.
 
-    Every run replays the identical plan DAG on every shard, so
-    ``statements_per_shard`` must equal the unsharded plan's statement count
-    for every row — the Section 4 invariant carried over to the sharded
-    engine — while each shard only stores and resolves its hash slice of
-    the objects (one transaction per shard, all-or-nothing).
+    Every run executes the identical compiled plan once per shard of a
+    key-partitioned store, so ``statements_per_shard`` must equal the
+    unsharded plan's statement count for every row — the Section 4
+    invariant carried over to the sharded store — while each shard only
+    stores and resolves its hash slice of the objects (one transaction per
+    shard, all-or-nothing).  Each cell runs :data:`SHARD_SWEEP_REPEATS`
+    times, the rounds interleaved across cells so every cell sees the same
+    machine load; ``seconds`` and ``max_shard_seconds`` are medians, and
+    ``seconds_p25`` / ``seconds_p75`` give the spread.
     """
+    cells = [(shards, count) for shards in shard_counts for count in object_counts]
+    reports: Dict[tuple, List[BulkRunReport]] = {cell: [] for cell in cells}
+    for _ in range(SHARD_SWEEP_REPEATS):
+        for shards, count in cells:
+            reports[shards, count].append(_sharded_report(count, shards, seed))
     rows: List[Dict[str, object]] = []
-    for shards in shard_counts:
-        for count in object_counts:
-            report = _sharded_report(count, shards, seed)
-            rows.append(
-                {
-                    "shards": shards,
-                    "objects": count,
-                    "seconds": report.elapsed_seconds,
-                    "statements": report.statements,
-                    "statements_per_shard": report.statements_per_shard(),
-                    "transactions": report.transactions,
-                    "dag_stages": report.dag_stages,
-                    "rows_inserted": report.rows_inserted,
-                    "max_shard_seconds": max(
-                        report.per_shard_seconds.values(), default=0.0
+    for shards, count in cells:
+        runs = reports[shards, count]
+        p25, median, p75 = statistics.quantiles(
+            [report.elapsed_seconds for report in runs], n=4, method="inclusive"
+        )
+        report = runs[0]
+        rows.append(
+            {
+                "shards": shards,
+                "objects": count,
+                "seconds": median,
+                "seconds_p25": p25,
+                "seconds_p75": p75,
+                "statements": report.statements,
+                "statements_per_shard": report.statements_per_shard(),
+                "transactions": report.transactions,
+                "dag_stages": report.dag_stages,
+                "rows_inserted": report.rows_inserted,
+                "max_shard_seconds": statistics.median(
+                    max(run.per_shard_seconds.values(), default=0.0) for run in runs
+                ),
+                "shard_balance": round(
+                    statistics.median(
+                        gather_balance(list(run.per_shard_seconds.values()))
+                        for run in runs
                     ),
-                    "shard_balance": round(
-                        gather_balance(list(report.per_shard_seconds.values())), 3
-                    ),
-                }
-            )
+                    3,
+                ),
+            }
+        )
     return rows
 
 
@@ -429,7 +447,7 @@ def run_skeptic_compiled_sweep(
     """The Skeptic compiled-execution experiment: blocked floods pushed down.
 
     The workload is a constrained chain (:func:`skeptic_chain_network`):
-    grouped copies interleaved with flood components whose members carry
+    copy steps interleaved with flood components whose members carry
     blocked values, so under replay every constrained group costs two
     statements (filtered values plus the ⊥ rows) while the ``compiled``
     scheduler pushes each run of blocked floods down as one anti-joined
@@ -813,7 +831,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         nargs="+",
         default=None,
         metavar="N",
-        help="also run the scatter/gather shard sweep over these shard counts",
+        help="also run the shard sweep over these shard counts",
     )
     parser.add_argument(
         "--sweep-compiled",
@@ -906,7 +924,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             "summary": summarize_index_sweep(sweep),
         }
         if not args.json:
-            report("\nFigure 8c — index-strategy sweep (grouped copies, 1 txn/run)")
+            report("\nFigure 8c — index-strategy sweep (1 txn/run)")
             report(
                 format_table(
                     sweep,
@@ -930,7 +948,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             "summary": summarize_shard_sweep(sweep),
         }
         if not args.json:
-            report("\nFigure 8c — shard sweep (same plan DAG replayed per shard)")
+            report("\nFigure 8c — shard sweep (same plan run on every shard)")
             report(
                 format_table(
                     sweep,

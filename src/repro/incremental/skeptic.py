@@ -23,7 +23,7 @@ what the paradigm adds:
   representation **or** ``prefNeg`` changed pushes its children's
   components.
 
-Algorithm 2's ⊥ depends on how members are grouped into SCCs (a value that
+Algorithm 2's ⊥ depends on how members fall into SCCs (a value that
 cannot reach part of its component floods ⊥ there), so a delta that splits
 a component — a :class:`~repro.incremental.deltas.RemoveTrust` whose ends
 share one, or a :class:`~repro.incremental.deltas.RemoveUser` inside one —

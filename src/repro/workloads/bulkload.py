@@ -62,7 +62,7 @@ def chain_network(depth: int) -> TrustNetwork:
     """A ``depth``-stage chain below the two Figure 19 belief users.
 
     ``d1`` prefers ``x6`` over ``x7``; every later ``d<i>`` copies from its
-    predecessor, so the grouped plan is ``depth`` single-parent copy steps
+    predecessor, so the plan is ``depth`` single-parent copy steps
     whose dependency DAG is one long chain — ``dag_stages == depth``.  This
     is the deep-chain workload of the compiled-versus-replay experiments:
     replay pays one statement per link, the compiled plan one copy-region
@@ -88,7 +88,7 @@ def skeptic_chain_network(
     Plain links copy from the predecessor like :func:`chain_network`; every
     ``filter_every``-th link becomes a two-node cycle ``d<i> ↔ m<i>`` whose
     mate prefers a negative-only filter user ``f<i>`` (the Skeptic-test
-    shape), so the plan interleaves grouped copies with flood components
+    shape), so the plan interleaves copy steps with flood components
     carrying blocked values — the workload of the Skeptic compiled-execution
     experiments.  Returns the network and the negative-constraint mapping
     (``f<i>`` rejects the value ``a<i>``).

@@ -10,8 +10,8 @@ def serialized_relation():
     """The byte-level equivalence oracle: the full POSS relation of a store
     (single or sharded) as one canonical byte string.
 
-    Every equivalence test in this package — grouped vs. ungrouped plans,
-    DAG topological replay, sharded scatter/gather, PostgreSQL vs. sqlite —
+    Every equivalence test in this package — DAG topological replay,
+    sharded scatter/gather, PostgreSQL vs. sqlite —
     compares relations through this single serialization.
     """
 

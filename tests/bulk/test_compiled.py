@@ -39,7 +39,6 @@ from repro.bulk.executor import (
     _replay_step,
 )
 from repro.bulk.planner import (
-    CopyStep,
     FloodStep,
     GroupedCopyStep,
     plan_resolution,
@@ -815,7 +814,7 @@ class TestDialectFallback:
         store.close()
 
     def test_region_dataclasses_are_frozen(self):
-        region = CompiledRegion(kind="copy", steps=(CopyStep("a", "b"),))
+        region = CompiledRegion(kind="copy", steps=(GroupedCopyStep("a", ("b",)),))
         with pytest.raises(AttributeError):
             region.kind = "flood"
 

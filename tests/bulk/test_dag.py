@@ -8,7 +8,6 @@ import pytest
 
 from repro.bulk.executor import BulkResolver, _replay_step
 from repro.bulk.planner import (
-    CopyStep,
     FloodStep,
     GroupedCopyStep,
     plan_dag,
@@ -23,10 +22,6 @@ from repro.workloads.bulkload import BELIEF_USERS, figure19_network, generate_ob
 
 
 class TestStepIo:
-    def test_copy_step_reads_parent_closes_child(self):
-        reads, closes = step_io(CopyStep(parent="a", child="b"))
-        assert reads == ("a",) and closes == ("b",)
-
     def test_grouped_copy_closes_all_children(self):
         reads, closes = step_io(GroupedCopyStep(parent="a", children=("b", "c")))
         assert reads == ("a",) and closes == ("b", "c")
@@ -116,23 +111,6 @@ class TestPlanDagStructure:
                     for dep in dag.nodes[index].depends_on
                 )
 
-    def test_ungrouped_and_grouped_plans_lower_to_equivalent_dags(self):
-        network = figure19_network()
-        grouped = plan_resolution(network, explicit_users=BELIEF_USERS).dag()
-        ungrouped = plan_resolution(
-            network, explicit_users=BELIEF_USERS, group_copies=False
-        ).dag()
-        # Same users closed overall, same statement counts as their plans.
-        def closed_users(dag):
-            return {
-                str(user)
-                for node in dag.nodes
-                for user in step_io(node.step)[1]
-            }
-
-        assert closed_users(grouped) == closed_users(ungrouped)
-        assert grouped.statement_count() <= ungrouped.statement_count()
-
     def test_double_close_rejected(self):
         plan = plan_resolution(figure19_network(), explicit_users=BELIEF_USERS)
         plan.steps.append(plan.steps[0])  # closes the same users twice
@@ -147,8 +125,8 @@ class TestPlanDagStructure:
         tn.add_trust("x", "a", priority=1)
         plan = plan_resolution(tn, explicit_users=["a"])
         plan.steps = [
-            CopyStep(parent="x", child="b"),  # reads x before its closer
-            CopyStep(parent="a", child="x"),
+            GroupedCopyStep(parent="x", children=("b",)),  # reads x early
+            GroupedCopyStep(parent="a", children=("x",)),
         ]
         with pytest.raises(BulkProcessingError, match="not causal"):
             plan_dag(plan)

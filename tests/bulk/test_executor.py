@@ -97,73 +97,47 @@ class TestBulkResolver:
         resolver.store.close()
 
 
-class TestGroupedCopyEquivalence:
-    """Grouped copy plans must resolve byte-identically to ungrouped ones."""
+class TestGroupedCopies:
+    """Copies from one parent always run as one multi-child statement."""
 
-    def test_figure19_grouped_matches_ungrouped(self, serialized_relation):
-        network = figure19_network()
-        rows = generate_objects(30, conflict_probability=0.5, seed=19)
-        relations = []
-        statements = []
-        for group_copies in (True, False):
-            resolver = BulkResolver(
-                network, explicit_users=BELIEF_USERS, group_copies=group_copies
-            )
-            resolver.load_beliefs(rows)
-            report = resolver.run()
-            statements.append(report.statements)
-            relations.append(serialized_relation(resolver.store))
-            resolver.store.close()
-        assert relations[0] == relations[1]
-        assert statements[0] <= statements[1]
-
-    def test_fanout_network_grouped_is_fewer_statements_same_relation(self, serialized_relation):
+    def test_fanout_network_issues_one_copy_statement_per_parent(self):
         tn = TrustNetwork()
         for child in ("b", "c", "d", "e"):
             tn.add_trust(child, "a", priority=1)
         tn.add_trust("f", "b", priority=1)
         tn.add_trust("g", "b", priority=1)
-        rows = [("a", f"k{i}", f"v{i}") for i in range(10)]
-        relations = []
-        statements = []
-        for group_copies in (True, False):
-            resolver = BulkResolver(
-                tn, explicit_users=["a"], group_copies=group_copies
-            )
-            resolver.load_beliefs(rows)
-            report = resolver.run()
-            statements.append(report.statements)
-            relations.append(serialized_relation(resolver.store))
-            resolver.store.close()
-        assert relations[0] == relations[1]
-        # 6 single-child copies collapse to 2 grouped ones (parents a and b).
-        assert statements == [2, 6]
-
-    def test_skeptic_grouped_matches_ungrouped(self, serialized_relation):
-        tn = TrustNetwork()
-        tn.add_trust("p", "source", priority=2)
-        tn.add_trust("r", "source", priority=2)
-        tn.add_trust("p2", "p", priority=2)
-        tn.add_trust("q", "filter", priority=2)
-        tn.add_trust("q", "p", priority=1)
-        relations = []
-        for group_copies in (True, False):
-            resolver = SkepticBulkResolver(
-                tn,
-                positive_users=["source"],
-                negative_constraints={"filter": ["v0"]},
-                group_copies=group_copies,
-            )
-            resolver.load_beliefs(
-                [("source", "k0", "v0"), ("source", "k1", "v1")]
-            )
-            resolver.run()
-            relations.append(serialized_relation(resolver.store))
-            resolver.store.close()
-        assert relations[0] == relations[1]
+        resolver = BulkResolver(tn, explicit_users=["a"])
+        resolver.load_beliefs([("a", f"k{i}", f"v{i}") for i in range(10)])
+        report = resolver.run()
+        # 6 copied children, 2 distinct parents (a and b).
+        assert report.statements == 2
+        for child in "bcdefg":
+            assert resolver.possible_values(child, "k3") == frozenset({"v3"})
+        resolver.store.close()
 
 
 class TestSkepticBulkResolver:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # b is not a positive user: its row would sit beside a's copy.
+            [("a", "k0", "v1"), ("b", "k0", "v2"), ("a", "k1", "v1")],
+            # a lacks a belief for k1, which only c's row names.
+            [("a", "k0", "v1"), ("c", "k1", "v2")],
+        ],
+    )
+    def test_load_checks_both_bulk_assumptions(self, rows):
+        tn = TrustNetwork()
+        tn.add_trust("b", "a", priority=1)
+        tn.add_trust("c", "b", priority=1)
+        resolver = SkepticBulkResolver(
+            tn, positive_users=["a"], negative_constraints={}
+        )
+        with pytest.raises(BulkProcessingError):
+            resolver.load_beliefs(rows)
+        assert resolver.store.possible_table() == []
+        resolver.store.close()
+
     def test_blocked_value_becomes_bottom(self):
         tn = TrustNetwork()
         tn.add_trust("p", "source", priority=2)

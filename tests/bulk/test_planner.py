@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bulk.planner import (
-    CopyStep,
-    FloodStep,
     GroupedCopyStep,
+    ResolutionPlan,
     plan_resolution,
     plan_skeptic_resolution,
 )
+from repro.bulk.planpatch import patch_plan
+from repro.core.binarize import binarize
 from repro.core.errors import BulkProcessingError
 from repro.core.network import TrustNetwork
+from repro.workloads.bulkload import BELIEF_USERS, figure19_network, skeptic_chain_network
+from repro.workloads.oscillators import oscillator_network as oscillators
+from repro.workloads.powerlaw import WebWorkloadConfig, web_trust_network
 
 
 class TestPlanResolution:
@@ -26,42 +36,16 @@ class TestPlanResolution:
         # Distinct parents (a and b), so grouping cannot shrink the chain.
         assert plan.statement_count() == 2
 
-    def test_ungrouped_plan_keeps_single_copy_steps(self):
-        tn = TrustNetwork()
-        tn.add_trust("b", "a", priority=1)
-        tn.add_trust("c", "b", priority=1)
-        plan = plan_resolution(tn, explicit_users=["a"], group_copies=False)
-        assert not plan.grouped
-        assert all(isinstance(step, CopyStep) for step in plan.steps)
-        assert [step.child for step in plan.copy_steps] == ["b", "c"]
-        assert plan.statement_count() == 2
-
     def test_shared_parent_copies_collapse_into_one_statement(self):
         tn = TrustNetwork()
         for child in ("b", "c", "d"):
             tn.add_trust(child, "a", priority=1)
-        grouped = plan_resolution(tn, explicit_users=["a"])
-        ungrouped = plan_resolution(tn, explicit_users=["a"], group_copies=False)
-        assert ungrouped.statement_count() == 3
-        assert grouped.statement_count() == 1
-        (step,) = grouped.steps
+        plan = plan_resolution(tn, explicit_users=["a"])
+        assert plan.statement_count() == 1
+        (step,) = plan.steps
         assert isinstance(step, GroupedCopyStep)
         assert step.parent == "a"
-        assert set(step.children) == {"b", "c", "d"}
-
-    def test_grouping_roundtrip_preserves_child_order(self):
-        tn = TrustNetwork()
-        for child in ("b", "c", "d"):
-            tn.add_trust(child, "a", priority=1)
-        tn.add_trust("e", "b", priority=1)
-        ungrouped = plan_resolution(tn, explicit_users=["a"], group_copies=False)
-        grouped = ungrouped.grouped_copies()
-        assert grouped.grouped
-        assert grouped.ungrouped_copies().steps == ungrouped.steps
-        assert grouped.copied_children() != []
-        assert sorted(map(str, grouped.copied_children())) == sorted(
-            map(str, ungrouped.copied_children())
-        )
+        assert step.children == ("b", "c", "d")
 
     def test_cycle_produces_flood_step(self, oscillator_network):
         plan = plan_resolution(oscillator_network)
@@ -122,22 +106,125 @@ class TestSkepticPlan:
             positive_users=["x3", "x4"],
             negative_constraints={},
         )
-        assert len(plain.steps) == len(skeptic.steps)
-        assert plain.statement_count() == skeptic.statement_count()
+        assert skeptic.steps == plain.steps
 
-    def test_skeptic_grouping_matches_ungrouped_children(self):
-        tn = TrustNetwork()
-        tn.add_trust("p", "source", priority=2)
-        tn.add_trust("r", "source", priority=2)
-        tn.add_trust("s", "p", priority=2)
-        grouped = plan_skeptic_resolution(
-            tn, positive_users=["source"], negative_constraints={}
+    def test_unknown_positive_user_rejected(self, oscillator_network):
+        with pytest.raises(BulkProcessingError, match="unknown users"):
+            plan_skeptic_resolution(
+                oscillator_network,
+                positive_users=["x3", "nobody"],
+                negative_constraints={},
+            )
+
+    def test_constraint_on_unknown_user_rejected(self, oscillator_network):
+        with pytest.raises(BulkProcessingError, match="unknown users"):
+            plan_skeptic_resolution(
+                oscillator_network,
+                positive_users=["x3", "x4"],
+                negative_constraints={"nobody": ["v"]},
+            )
+
+
+def _identity_networks():
+    """(name, network, explicit users) triples the identity tests plan."""
+    chain, _constraints = skeptic_chain_network(30)
+    cases = [
+        ("figure19", binarize(figure19_network()).btn, BELIEF_USERS),
+        ("oscillators", oscillators(25), None),
+        ("web", web_trust_network(WebWorkloadConfig(n_domains=120, seed=3)), None),
+        ("skeptic-chain", chain, BELIEF_USERS),
+        ("gadget-ring", _gadget_ring(6), None),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+def _gadget_ring(n):
+    """A ring fed by ``s`` whose members each host a two-user cycle.
+
+    Flooding the ring frees every gadget at once, so the order of the
+    gadgets' flood steps hinges on the order the ring members close in.
+    """
+    tn = TrustNetwork()
+    for i in range(n):
+        tn.add_trust(f"m{i}", f"m{(i + 1) % n}", priority=1)
+        tn.add_trust(f"m{i}", "s", priority=1)
+        tn.add_trust(f"g{i}a", f"m{i}", priority=2)
+        tn.add_trust(f"g{i}a", f"g{i}b", priority=1)
+        tn.add_trust(f"g{i}b", f"m{i}", priority=1)
+        tn.add_trust(f"g{i}b", f"g{i}a", priority=1)
+    tn.set_explicit_belief("s", "v")
+    return tn
+
+
+def _shuffled_copy(network, rng):
+    """``network`` rebuilt with users, mappings and beliefs in random order."""
+    users = sorted(network.users, key=str)
+    mappings = sorted(
+        network.mappings, key=lambda m: (str(m.child), str(m.parent))
+    )
+    beliefs = sorted(network.explicit_beliefs.items(), key=lambda item: str(item[0]))
+    for items in (users, mappings, beliefs):
+        rng.shuffle(items)
+    copy = TrustNetwork()
+    for user in users:
+        copy.add_user(user)
+    for mapping in mappings:
+        copy.add_trust(mapping.child, mapping.parent, priority=mapping.priority)
+    for user, belief in beliefs:
+        copy.set_explicit_belief(user, belief)
+    return copy
+
+
+class TestPlanIdentity:
+    """Fresh, patched and rebuilt plans agree step for step.
+
+    The step list is the checkpoint run id's input
+    (``ResolutionEngine._run_id``), so equal networks must plan equal steps.
+    """
+
+    @pytest.mark.parametrize("name, network, explicit", _identity_networks())
+    def test_whole_network_patch_of_an_empty_plan_equals_the_fresh_plan(
+        self, name, network, explicit
+    ):
+        fresh = plan_resolution(network, explicit)
+        empty = ResolutionPlan(network, frozenset())
+        patched = patch_plan(
+            empty, network, sorted(network.users, key=str), explicit_users=explicit
+        ).plan
+        assert patched.steps == fresh.steps
+        assert patched.explicit_users == fresh.explicit_users
+
+    @pytest.mark.parametrize("name, network, explicit", _identity_networks())
+    def test_shuffled_construction_plans_identical_steps(self, name, network, explicit):
+        rng = random.Random(name)
+        fresh = plan_resolution(network, explicit)
+        for _ in range(3):
+            rebuilt = _shuffled_copy(network, rng)
+            assert plan_resolution(rebuilt, explicit).steps == fresh.steps
+
+    def test_plans_do_not_depend_on_the_hash_seed(self):
+        """Flood order follows sorted names, not set iteration order."""
+        script = (
+            "import zlib\n"
+            "from tests.bulk.test_planner import _gadget_ring\n"
+            "from repro.bulk.planner import plan_resolution, plan_skeptic_resolution\n"
+            "ring = _gadget_ring(8)\n"
+            "plans = (plan_resolution(ring), plan_skeptic_resolution(ring, ['s'], {'m0': ['w']}))\n"
+            "print([zlib.crc32(repr(plan.steps).encode()) for plan in plans])\n"
         )
-        ungrouped = plan_skeptic_resolution(
-            tn, positive_users=["source"], negative_constraints={}, group_copies=False
-        )
-        assert grouped.grouped and not ungrouped.grouped
-        assert sorted(map(str, grouped.copied_children())) == sorted(
-            map(str, ungrouped.copied_children())
-        )
-        assert grouped.statement_count() <= ungrouped.statement_count()
+        root = Path(__file__).resolve().parents[2]
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+            outputs.add(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=env,
+                    cwd=root,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+        assert len(outputs) == 1, outputs

@@ -203,7 +203,6 @@ class TestReportConfiguration:
         report = loaded_resolver.run()
         assert report.backend == "sqlite-memory"
         assert report.index_strategy == "covering"
-        assert report.grouped_plan is True
         assert set(report.phase_seconds) == {"copy", "flood"}
         assert all(value >= 0.0 for value in report.phase_seconds.values())
         # Phase timings partition the statement work of the run.
@@ -215,10 +214,8 @@ class TestReportConfiguration:
             figure19_network(),
             store=store,
             explicit_users=BELIEF_USERS,
-            group_copies=False,
         )
         resolver.load_beliefs(generate_objects(5, seed=1))
         report = resolver.run()
         assert report.index_strategy == "baseline"
-        assert report.grouped_plan is False
         store.close()

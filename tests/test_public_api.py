@@ -69,7 +69,6 @@ BULK_API = [
     "COVERING_INDEX",
     "CompiledPlan",
     "CompiledRegion",
-    "CopyStep",
     "DEFAULT_MAX_BIND_PARAMS",
     "DagNode",
     "DbApiBackend",
