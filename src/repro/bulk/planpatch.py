@@ -4,9 +4,15 @@ A :class:`~repro.bulk.planner.ResolutionPlan` depends only on the network
 topology and on which users carry explicit beliefs, so a structural delta —
 an edge added or removed, a priority change, a user joining or leaving the
 explicit set — invalidates only the part of the plan downstream of the
-touched users.  Re-planning the whole network per delta would cost
-``O(|U| + |E|)``; this module patches the plan instead, in time
-proportional to the *affected region*:
+touched users.  This module patches the plan instead of re-planning the
+whole network.  Only the regional re-plan (step 3) costs time proportional
+to the *affected region*; the rest makes three passes over the whole old
+plan — the scan for blocked flood steps, the kept/dropped partition
+(step 2) and the closed set built from every kept step's outputs — so one
+patch costs ``O(|plan| + region)``.  Re-prioritizing one edge of the
+12k-user oscillator network (a 2-user region, 2,999 kept steps) takes
+7.5 ms (median of 9, Python 3.11 on a 2-vCPU Xeon VM): cheaper than a full
+re-plan, but not proportional to the region alone.  The steps:
 
 1. The affected region is the set of descendants of the touched users in
    the (already mutated) network — the same successor-closed dirty region
@@ -97,7 +103,9 @@ class PlanPatch:
     ``plan`` is the patched plan; the counters expose the patch's cost
     model — how many old steps survived, how many were dropped or split
     away, how many fresh steps the regional re-plan produced, and how large
-    the affected region was (the unit the patch cost is proportional to).
+    the affected region was.  The re-plan costs time proportional to the
+    region, the passes over the old steps time proportional to
+    ``kept_steps + dropped_steps``.
     """
 
     plan: ResolutionPlan

@@ -56,7 +56,7 @@ class Condensation:
 
     One more map belongs to its users: :attr:`programs`, ``component id ->
     program``, where the delta resolver keeps the Algorithm 1
-    :class:`~repro.incremental.resolver.UnionProgram` of a multi-node
+    :class:`~repro.core.resolution.UnionProgram` of a multi-node
     component, shared by every resolver on the network.  The condensation
     only empties slots: a component's slot goes when an in-edge of one of
     its members changes (:meth:`drop_program`, called by the network's

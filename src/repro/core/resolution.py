@@ -18,6 +18,20 @@ final.  It alternates two steps until every node is closed:
   non-preferred), and floods ``S`` with the union of the possible values of
   those closed parents.
 
+One closing loop
+----------------
+The closing loop is written once, as :func:`close_union`: it closes a set
+of open members over a closed boundary and records the run as a value-free
+:class:`UnionProgram` (which members copy which node, and which floods
+union which nodes), because the closing order depends only on the
+structure and on which boundary users can hold a belief — never on the
+values (Section 4: one plan serves every object).  :func:`resolve` runs it
+once over every user reachable from a positive belief, with the believers
+as the boundary, and evaluates the program; the delta resolver
+(:mod:`repro.incremental.resolver`) runs it over one SCC, with the SCC's
+external parents as the boundary, and keeps the program to evaluate for
+later recomputes and for other keys.
+
 Complexity
 ----------
 The paper's pseudocode recomputes the SCC graph of the open subgraph before
@@ -34,21 +48,23 @@ near-linear time; the adversarial nested-SCC family (Figure 15) remains
 quadratic-bounded, exactly as the paper predicts.  No third-party graph
 library is involved on this hot path.
 
-Lineage pointers (Section 2.5, "Retrieving lineage") are recorded for every
-value inserted into a ``poss`` set so that each possible value can be traced
-back to at least one explicit belief.
+Lineage pointers (Section 2.5, "Retrieving lineage") are derived, on first
+access, from the program's record of how each member closed, so that each
+possible value can be traced back to at least one explicit belief.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.beliefs import Value
 from repro.core.errors import NetworkError
 from repro.core.gcpause import paused_gc
-from repro.core.network import TrustNetwork, User
+from repro.core.network import TrustMapping, TrustNetwork, User
 from repro.core.sccs import CondensationEngine
+
+_EMPTY: FrozenSet[Value] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -204,132 +220,50 @@ def resolve(network: TrustNetwork) -> ResolutionResult:
 
 
 def _resolve_impl(network: TrustNetwork) -> ResolutionResult:
-    explicit: Dict[User, Value] = {}
+    # The positive explicit users are the closed boundary: each holds the
+    # singleton of its value (one shared frozenset per value).
+    singletons: Dict[Value, FrozenSet[Value]] = {}
+    explicit: Dict[User, FrozenSet[Value]] = {}
     for user, belief in network.explicit_beliefs.items():
         value = belief.positive_value
         if value is not None:
-            explicit[user] = value
+            singleton = singletons.get(value)
+            if singleton is None:
+                singleton = singletons[value] = frozenset((value,))
+            explicit[user] = singleton
 
-    # Index the reachable subgraph with dense integer ids (explicit users
-    # first), so the engine and the main loop run on arrays instead of
-    # hashing user objects.  Parents with forever-undefined beliefs never
-    # conflict with anything (Definition 2.4, condition 3), so edges from
-    # unreachable nodes are dropped; this also re-classifies the surviving
-    # parent as preferred.
-    graph = _IndexedSubgraph.build(network, explicit)
-    order = graph.order
-    n = len(order)
-    n_explicit = len(explicit)
-    preferred = graph.preferred
-    children_pref = graph.children_pref
-    parent_a = graph.parent_a
-    parent_b = graph.parent_b
+    # The open members are the users reachable from the explicit ones, in
+    # discovery order.  Beliefs sit on roots only, so no explicit user is
+    # ever a child.
+    index: Dict[User, int] = {}
+    stack = list(explicit)
+    outgoing_get = network.outgoing_map().get
+    while stack:
+        for edge in outgoing_get(stack.pop(), ()):
+            child = edge.child
+            if child not in index:
+                index[child] = len(index)
+                stack.append(child)
+    members = list(index)
 
-    # poss(x) is assigned exactly once, at closure, so the per-node sets can
-    # be shared immutable frozensets: Step 1 aliases the parent's set and a
-    # flood assigns one common set to the whole component.
-    poss: List[Optional[FrozenSet[Value]]] = [None] * n
-    closed = bytearray(n)
-    # Closure events, replayed into lineage pointers at the end:
-    # origin[i] is the preferred parent id for Step-1 closures, or a shared
-    # per-component {value -> contributor users} dict for Step-2 floods.
-    origin: List[object] = [None] * n
-    value_singletons: Dict[Value, FrozenSet[Value]] = {}
-    for user, value in explicit.items():
-        i = graph.index[user]
-        singleton = value_singletons.get(value)
-        if singleton is None:
-            singleton = frozenset((value,))
-            value_singletons[value] = singleton
-        poss[i] = singleton
-        closed[i] = 1
+    program = close_union(members, index, network.incoming_map(), explicit)
+    values = program.node_values([explicit[leaf] for leaf in program.leaves])
 
-    open_count = n - n_explicit
-    engine = CondensationEngine(range(n_explicit, n), graph.successors, n)
-
-    # Step-1 worklist, seeded from the explicit nodes; every later closure
-    # enqueues its own preferred children, so the open set is never rescanned.
-    worklist: List[int] = []
-    for i in range(n_explicit):
-        worklist.extend(children_pref[i])
-
-    while open_count:
-        # Step 1: close chains of preferred edges, event-driven.
-        while worklist:
-            node = worklist.pop()
-            if closed[node]:
-                continue
-            parent = preferred[node]
-            if parent < 0 or not closed[parent]:
-                continue
-            poss[node] = poss[parent]
-            origin[node] = parent
-            closed[node] = 1
-            open_count -= 1
-            engine.close(node)
-            worklist.extend(children_pref[node])
-        if not open_count:
-            break
-
-        # Step 2: flood one minimal SCC of the open subgraph.  Its incoming
-        # edges all come from closed nodes, whose poss sets are final, so the
-        # flood set is independent of the order minimal SCCs are processed.
-        scc = engine.pop_minimal()
-        contributors: Dict[Value, Set[User]] = {}
-        for node in scc:
-            parent = parent_a[node]
-            second = parent_b[node]
-            while parent >= 0:
-                if closed[parent]:
-                    parent_user = order[parent]
-                    for value in poss[parent]:
-                        sources = contributors.get(value)
-                        if sources is None:
-                            contributors[value] = {parent_user}
-                        else:
-                            sources.add(parent_user)
-                parent, second = second, -1
-        flood = frozenset(contributors)
-        shared_sources: Dict[Value, FrozenSet[User]] = {
-            value: frozenset(sources) for value, sources in contributors.items()
-        }
-        for node in scc:
-            poss[node] = flood
-            origin[node] = shared_sources
-            closed[node] = 1
-            open_count -= 1
-            engine.close(node)
-            worklist.extend(children_pref[node])
-
-    # Materialize the possible map (unreachable users share one empty set);
-    # lineage pointers are derived lazily from the recorded closure events.
-    empty: FrozenSet[Value] = frozenset()
-    possible: Dict[User, FrozenSet[Value]] = dict.fromkeys(network.users, empty)
-    for i in range(n):
-        possible[order[i]] = poss[i]
+    # Unreachable users share one empty set; lineage pointers are derived
+    # lazily from the program's closing record.
+    possible: Dict[User, FrozenSet[Value]] = dict.fromkeys(network.users, _EMPTY)
+    possible.update(explicit)
+    possible.update(zip(members, map(values.__getitem__, program.reads)))
 
     def materialize_lineage() -> Dict[Tuple[User, Value], FrozenSet[Optional[User]]]:
-        lineage: Dict[Tuple[User, Value], FrozenSet[Optional[User]]] = {}
-        explicit_singleton: FrozenSet[Optional[User]] = frozenset({None})
-        parent_singletons: Dict[int, FrozenSet[Optional[User]]] = {}
-        for i in range(n):
-            user = order[i]
-            values = poss[i]
-            source = origin[i]
-            if source is None:
-                # Explicit belief: the single value points at the user itself.
-                for value in values:
-                    lineage[(user, value)] = explicit_singleton
-            elif type(source) is dict:
-                for value in values:
-                    lineage[(user, value)] = source[value]
-            else:
-                pointer = parent_singletons.get(source)
-                if pointer is None:
-                    pointer = frozenset((order[source],))
-                    parent_singletons[source] = pointer
-                for value in values:
-                    lineage[(user, value)] = pointer
+        # An explicit belief's single value points at the user itself.
+        believed: FrozenSet[Optional[User]] = frozenset({None})
+        lineage: Dict[Tuple[User, Value], FrozenSet[Optional[User]]] = {
+            (user, value): believed
+            for user, singleton in explicit.items()
+            for value in singleton
+        }
+        lineage.update(program.lineage(values))
         return lineage
 
     return ResolutionResult(
@@ -344,117 +278,251 @@ def certain_snapshot(network: TrustNetwork) -> Dict[User, Value]:
     return resolve(network).snapshot()
 
 
-# ---------------------------------------------------------------------- #
-# internals                                                               #
-# ---------------------------------------------------------------------- #
+@dataclass(frozen=True, slots=True)
+class UnionProgram:
+    """Algorithm 1's closing order over open members, recorded without values.
 
+    Which members close by a preferred copy and which by a flood, and the
+    order of the floods, depend only on the structure and on which external
+    parents are reachable (have a non-empty possible set) — never on the
+    values themselves (Section 4's observation that one plan serves every
+    object).  A program records that order once as *nodes*: the reachable
+    external parents (:attr:`leaves`, in discovery order) are nodes
+    ``0..len(leaves)-1``, and every flood that merges more than one node
+    appends a node holding the union of its :attr:`floods` sources.
+    :attr:`reads` gives each member's node: a preferred copy, or a flood
+    fed by a single node, reads that node's frozenset itself.
 
-@dataclass
-class _IndexedSubgraph:
-    """The reachable subgraph, re-indexed with dense integer node ids.
+    The closing record explains the values (:meth:`lineage`):
+    ``closed_by[i]`` is member ``i``'s preferred parent when it closed by a
+    copy and ``~f`` when it closed in flood ``f``, and ``flood_parents[f]``
+    lists that flood's closed parents.  Parent ids below ``len(members)``
+    are members, the others leaf ``id - len(members)``.
 
-    Ids are assigned by a multi-source traversal from the explicit users
-    (which therefore occupy ids ``0..len(explicit)-1``); everything the main
-    loop touches is a plain list indexed by node id.
+    The delta resolver keeps one program per multi-node SCC in the network
+    condensation.  There a program is valid for the :attr:`members` tuple
+    it was recorded on (checked by identity: merges and splits make new
+    tuples) and for its reachability :attr:`mask` over :attr:`externals`
+    (every external parent, reachable or not); the condensation drops it
+    whenever an in-edge of a member changes
+    (:meth:`~repro.core.condensation.Condensation.drop_program`).
     """
 
-    order: List[User]
-    index: Dict[User, int]
-    preferred: List[int]
-    parent_a: List[int]
-    parent_b: List[int]
-    children_pref: List[List[int]]
-    successors: List[List[int]]
+    members: Sequence[User]
+    externals: Tuple[User, ...]
+    mask: Tuple[bool, ...]
+    leaves: Tuple[User, ...]
+    floods: Tuple[Tuple[int, ...], ...]
+    reads: Tuple[int, ...]
+    closed_by: List[int]
+    flood_parents: List[Tuple[int, ...]]
 
-    @staticmethod
-    def build(network: TrustNetwork, explicit: Dict[User, Value]) -> "_IndexedSubgraph":
-        outgoing = network.outgoing_map()
-        incoming = network.incoming_map()
-        index: Dict[User, int] = {}
-        order: List[User] = []
-        count = 0
-        for user in explicit:
-            if user not in index:
-                index[user] = count
-                count += 1
-                order.append(user)
-        stack = list(order)
-        stack_append = stack.append
-        order_append = order.append
-        outgoing_get = outgoing.get
-        while stack:
-            node = stack.pop()
-            for edge in outgoing_get(node, ()):
-                child = edge.child
-                if child not in index:
-                    index[child] = count
-                    count += 1
-                    order_append(child)
-                    stack_append(child)
+    def node_values(self, values: List[FrozenSet[Value]]) -> List[FrozenSet[Value]]:
+        """Every node's value: ``values`` holds the leaves' sets and is
+        extended in place with one union per flood node."""
+        for sources in self.floods:
+            values.append(_EMPTY.union(*[values[s] for s in sources]))
+        return values
 
-        n = len(order)
-        preferred = [-1] * n
-        # Binary networks have at most two (surviving) parents per node, so
-        # the parent adjacency fits two flat arrays instead of n tiny lists.
-        parent_a = [-1] * n
-        parent_b = [-1] * n
-        children_pref: List[List[int]] = [[] for _ in range(n)]
-        successors: List[List[int]] = [[] for _ in range(n)]
-        index_get = index.get
-        for i in range(n):
-            edges = incoming.get(order[i])
-            if not edges:
-                continue
-            # Edges whose parent is unreachable are dropped, and preferred
-            # parents are re-derived on the surviving edges (a node whose
-            # higher-priority parent can never hold a belief is effectively
-            # governed by the other parent).  Binary networks have at most
-            # two incoming edges, so the tie test is a direct comparison.
-            if len(edges) == 1:
-                parent = index_get(edges[0].parent, -1)
-                if parent >= 0:
-                    preferred[i] = parent
-                    parent_a[i] = parent
-                    successors[parent].append(i)
-                    children_pref[parent].append(i)
-                continue
-            first, second = edges
-            p_first = index_get(first.parent, -1)
-            p_second = index_get(second.parent, -1)
-            if p_first >= 0 and p_second >= 0:
-                if first.priority > second.priority:
-                    pref = p_first
-                elif second.priority > first.priority:
-                    pref = p_second
-                else:
-                    pref = -1
-            elif p_first >= 0:
-                pref = p_first
-            elif p_second >= 0:
-                pref = p_second
+    def evaluate(
+        self, possible: Mapping[User, FrozenSet[Value]]
+    ) -> Optional[List[FrozenSet[Value]]]:
+        """The members' values under ``possible``, in member order.
+
+        ``None`` when ``possible`` reaches a different set of external
+        parents than the one the program was recorded for.
+        """
+        get = possible.get
+        if tuple(map(bool, map(get, self.externals))) != self.mask:
+            return None
+        values = self.node_values(list(map(get, self.leaves)))
+        return [values[node] for node in self.reads]
+
+    def lineage(
+        self, values: List[FrozenSet[Value]]
+    ) -> Dict[Tuple[User, Value], FrozenSet[User]]:
+        """The members' lineage pointers (Section 2.5) under node ``values``.
+
+        A copied value points at the preferred parent it was copied from; a
+        flooded value at every closed parent of the flood that holds it.
+        """
+        users = [*self.members, *self.leaves]
+        node_of = [*self.reads, *range(len(self.leaves))]
+        contributors: List[Dict[Value, FrozenSet[User]]] = []
+        for parents in self.flood_parents:
+            holders: Dict[Value, Set[User]] = {}
+            for parent in parents:
+                for value in values[node_of[parent]]:
+                    holders.setdefault(value, set()).add(users[parent])
+            contributors.append(
+                {value: frozenset(held) for value, held in holders.items()}
+            )
+        lineage: Dict[Tuple[User, Value], FrozenSet[User]] = {}
+        for member, node, how in zip(self.members, self.reads, self.closed_by):
+            if how < 0:
+                flood = contributors[~how]
+                for value in values[node]:
+                    lineage[(member, value)] = flood[value]
             else:
-                continue
-            preferred[i] = pref
-            if p_first >= 0:
-                parent_a[i] = p_first
-                successors[p_first].append(i)
-                if p_first == pref:
-                    children_pref[p_first].append(i)
-            if p_second >= 0:
-                if parent_a[i] < 0:
-                    parent_a[i] = p_second
-                else:
-                    parent_b[i] = p_second
-                successors[p_second].append(i)
-                if p_second == pref:
-                    children_pref[p_second].append(i)
+                pointer = frozenset((users[how],))
+                for value in values[node]:
+                    lineage[(member, value)] = pointer
+        return lineage
 
-        return _IndexedSubgraph(
-            order=order,
-            index=index,
-            preferred=preferred,
-            parent_a=parent_a,
-            parent_b=parent_b,
-            children_pref=children_pref,
-            successors=successors,
+
+def close_union(
+    members: Sequence[User],
+    index: Mapping[User, int],
+    incoming: Mapping[User, Sequence[TrustMapping]],
+    boundary: Mapping[User, FrozenSet[Value]],
+) -> UnionProgram:
+    """Algorithm 1's closing loop over ``members``, recorded as a program.
+
+    Shared by :func:`resolve` (every user reachable from a belief, over the
+    explicit users) and the delta resolver (one SCC's members, over their
+    external parents); ``index`` maps each member to its position in
+    ``members``.  Every parent of a member is either a member or an
+    external parent whose ``boundary`` set is final.  An external parent
+    with an empty (or no) set can never hold a belief, so its edges are
+    dropped and preferred parents are re-derived on the surviving edges
+    (Definition 2.4, condition 3).  The loop then drains one Step-1
+    worklist and one :class:`~repro.core.sccs.CondensationEngine`: Step 1
+    copies a closed preferred parent, Step 2 floods a minimal SCC of the
+    open members.  It reads which external parents are reachable, never
+    their values, so the returned program serves any boundary with the
+    same reachability.
+    """
+    # Int ids: members 0..m-1, then the reachable external parents (the
+    # program's leaves, closed from the start) in discovery order.
+    m = len(members)
+    index_get = index.get
+    externals: Dict[User, int] = {}
+    leaves: List[User] = []
+    # Binary networks have at most two parents per node, so the parent
+    # adjacency fits two flat arrays instead of m tiny lists.
+    preferred = [-1] * m
+    parent_a = [-1] * m
+    parent_b = [-1] * m
+    children_pref: List[List[int]] = [[] for _ in range(m)]
+    successors: List[List[int]] = [[] for _ in range(m)]
+
+    def external(parent: User) -> int:
+        node = externals.get(parent)
+        if node is None:
+            if boundary.get(parent):
+                node = m + len(leaves)
+                leaves.append(parent)
+                children_pref.append([])
+            else:
+                node = -1
+            externals[parent] = node
+        return node
+
+    for i, member in enumerate(members):
+        edges = incoming[member]
+        first = edges[0]
+        p_first = index_get(first.parent, -1)
+        if p_first < 0:
+            p_first = external(first.parent)
+        else:
+            successors[p_first].append(i)
+        if len(edges) == 1:
+            if p_first >= 0:
+                preferred[i] = parent_a[i] = p_first
+                children_pref[p_first].append(i)
+            continue
+        second = edges[1]
+        p_second = index_get(second.parent, -1)
+        if p_second < 0:
+            p_second = external(second.parent)
+        else:
+            successors[p_second].append(i)
+        if p_first < 0:
+            p_first, p_second = p_second, -1
+            if p_first < 0:
+                continue
+            pref = p_first
+        elif p_second < 0:
+            pref = p_first
+        elif first.priority > second.priority:
+            pref = p_first
+        elif second.priority > first.priority:
+            pref = p_second
+        else:
+            pref = -1
+        parent_a[i] = p_first
+        parent_b[i] = p_second
+        if pref >= 0:
+            preferred[i] = pref
+            children_pref[pref].append(i)
+
+    # Every member closes exactly once, onto a program node: a preferred
+    # copy aliases its parent's node, and a flood makes a new node only
+    # when it merges more than one.
+    n_leaves = len(leaves)
+    node_of = [-1] * m
+    node_of.extend(range(n_leaves))
+    closed_by = [-1] * m
+    closed = bytearray(m)
+    closed.extend(b"\x01" * n_leaves)
+    floods: List[Tuple[int, ...]] = []
+    flood_parents: List[Tuple[int, ...]] = []
+    engine = CondensationEngine(range(m), successors, m)
+    # Step-1 worklist, seeded from the leaves; every later closure enqueues
+    # its own preferred children, so the open set is never rescanned.
+    worklist = [child for leaf in range(m, m + n_leaves) for child in children_pref[leaf]]
+    open_count = m
+    while open_count:
+        # Step 1: close chains of preferred edges, event-driven.
+        while worklist:
+            node = worklist.pop()
+            if closed[node]:
+                continue
+            parent = preferred[node]
+            if parent < 0 or not closed[parent]:
+                continue
+            node_of[node] = node_of[parent]
+            closed_by[node] = parent
+            closed[node] = 1
+            open_count -= 1
+            engine.close(node)
+            worklist.extend(children_pref[node])
+        if not open_count:
+            break
+
+        # Step 2: flood one minimal SCC of the open subgraph.  Its incoming
+        # edges all come from closed nodes, whose values are final, so the
+        # flood is independent of the order minimal SCCs are processed.
+        scc = engine.pop_minimal()
+        parents = tuple(
+            parent
+            for node in scc
+            for parent in (parent_a[node], parent_b[node])
+            if parent >= 0 and closed[parent]
         )
+        sources = {node_of[parent] for parent in parents}
+        if len(sources) == 1:
+            (flood,) = sources
+        else:
+            flood = n_leaves + len(floods)
+            floods.append(tuple(sources))
+        how = ~len(flood_parents)
+        flood_parents.append(parents)
+        for node in scc:
+            node_of[node] = flood
+            closed_by[node] = how
+            closed[node] = 1
+            open_count -= 1
+            engine.close(node)
+            worklist.extend(children_pref[node])
+
+    return UnionProgram(
+        members,
+        tuple(externals),
+        tuple([node >= 0 for node in externals.values()]),
+        tuple(leaves),
+        tuple(floods),
+        tuple(node_of[:m]),
+        closed_by,
+        flood_parents,
+    )

@@ -129,10 +129,9 @@ class EngineReport:
     rows_deleted: int = 0
     #: Users the per-key recomputations visited, summed over keys; the
     #: change-driven walk visits only what it recomputes, so this equals
-    #: ``recomputed`` and ``pruned`` is 0 (see ``DeltaLog``).
+    #: ``recomputed`` (see ``DeltaLog``).
     dirty_region: int = 0
     recomputed: int = 0
-    pruned: int = 0
     recomputes: int = 0
 
     # -- fault-tolerance block ------------------------------------------ #
@@ -700,7 +699,6 @@ class ResolutionEngine:
             transactions=delta_report.transactions,
             dirty_region=delta_report.dirty_region,
             recomputed=delta_report.recomputed,
-            pruned=delta_report.pruned,
             recomputes=delta_report.recomputes,
             retries=self.store.retries - retries_before,
             timed_out_statements=self.store.timed_out_statements - timeouts_before,

@@ -151,12 +151,11 @@ class DeltaLog:
     ``changes`` lists every user whose possible-value set (for
     :class:`~repro.incremental.skeptic.SkepticDeltaResolver`, whose
     representation) actually changed; users recomputed to their old value
-    do not appear.  The three counters expose the incremental engine's cost
-    model: ``dirty_region`` counts the users the recomputation visited,
-    ``recomputed`` how many of them were re-resolved, and ``pruned`` how
-    many it visited but skipped.  Both delta resolvers walk only the
-    components whose inputs changed, so ``dirty_region == recomputed`` and
-    ``pruned == 0``; descendants that keep their values are never visited.
+    do not appear.  The two counters expose the incremental engine's cost
+    model: ``dirty_region`` counts the users the recomputation visited and
+    ``recomputed`` how many of them were re-resolved.  Both delta resolvers
+    walk only the components whose inputs changed, so ``dirty_region ==
+    recomputed``; descendants that keep their values are never visited.
     The descendant count of a delta is
     :meth:`TrustNetwork.descendants <repro.core.network.TrustNetwork.descendants>`.
     """
@@ -166,7 +165,6 @@ class DeltaLog:
     touched: Tuple[User, ...]
     dirty_region: int = 0
     recomputed: int = 0
-    pruned: int = 0
 
     @property
     def is_empty(self) -> bool:

@@ -11,16 +11,17 @@ Algorithm 2's per-component evaluation.  The key observations:
   a component are a function of its members' structure and of the possible
   values of its external parents (Algorithm 1 closes a minimal component
   only when all its inputs are final, so the function is well defined and
-  order-independent).  A component is recomputed by a *localized*
-  Algorithm 1 run whose closed boundary is the current possible map —
-  using the same :class:`~repro.core.sccs.CondensationEngine` that powers
-  the batch resolvers.
+  order-independent).  A single-user component is recomputed inline; a
+  multi-node one by Algorithm 1's closing loop,
+  :func:`~repro.core.resolution.close_union` — the same loop
+  :func:`~repro.core.resolution.resolve` runs — over its members, with the
+  external parents closed at their current possible values.
 * That run's closing order depends only on the component's in-edges and
   on which external parents are reachable, not on the values (Section 4:
-  one plan serves every object).  A multi-node component's run therefore
-  records a value-free :class:`UnionProgram` as it goes, and later
-  recomputes — for any key of a multi-key session — evaluate it with one
-  union per flood instead of re-running Algorithm 1.  Programs live in
+  one plan serves every object), so the loop returns it as a value-free
+  :class:`~repro.core.resolution.UnionProgram` (re-exported here), and
+  later recomputes — for any key of a multi-key session — evaluate it with
+  one union per flood instead of re-running Algorithm 1.  Programs live in
   slots of the network's condensation, shared by every resolver on it; a
   program is used only while the component's members tuple and
   reachability mask are the ones it was recorded for, and the network
@@ -53,10 +54,9 @@ Equivalence to from-scratch resolution (``resolve`` on the mutated network)
 is locked by the property suite in ``tests/incremental``: every update
 stream must leave the resolver's map byte-identical to a full re-resolution.
 
-Edge dropping matches :func:`repro.core.resolution.resolve`: a parent whose
-possible set is empty is exactly an unreachable parent (it can never hold a
-belief), so its edges are ignored and preferred parents are re-derived on
-the surviving edges.
+A parent whose possible set is empty is exactly an unreachable parent (it
+can never hold a belief), so, as in ``resolve``, its edges are ignored and
+preferred parents are re-derived on the surviving edges.
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ from repro.core.beliefs import Value
 from repro.core.errors import NetworkError
 from repro.core.gcpause import paused_gc
 from repro.core.network import TrustMapping, TrustNetwork, User, _coerce_explicit_belief
-from repro.core.resolution import ResolutionResult, resolve
-from repro.core.sccs import CondensationEngine
+from repro.core.resolution import ResolutionResult, UnionProgram, close_union, resolve
 from repro.incremental.deltas import (
     AddTrust,
     Delta,
@@ -342,10 +341,6 @@ class DeltaWalk:
     # change-driven recomputation                                         #
     # ------------------------------------------------------------------ #
 
-    # ------------------------------------------------------------------ #
-    # change-driven recomputation                                         #
-    # ------------------------------------------------------------------ #
-
     def _recompute(
         self, delta: "Delta | Tuple[Delta, ...]", touched: Set[User], removed: Sequence[User]
     ) -> DeltaLog:
@@ -562,25 +557,22 @@ class DeltaResolver(DeltaWalk):
         return self.possible
 
     def _evaluate(
-        self, members: Tuple[User, ...], programs: Dict[int, "UnionProgram"], cid: int
+        self, members: Tuple[User, ...], programs: Dict[int, UnionProgram], cid: int
     ) -> Tuple[Sequence[FrozenSet[Value]], Container[User]]:
-        return self._recompute_component(members, programs, cid), ()
-
-    def _recompute_component(
-        self, members: Tuple[User, ...], programs: Dict[int, "UnionProgram"], cid: int
-    ) -> Sequence[FrozenSet[Value]]:
         """Localized Algorithm 1 on one SCC with a closed boundary.
 
-        Returns the members' new values, in member order.  The component's
-        external parents are closed with their current possible values;
-        parents with empty sets are unreachable and their edges are dropped,
-        with preferred parents re-derived on the survivors — exactly the
-        treatment of :func:`repro.core.resolution.resolve`.
+        Returns the members' new values, in member order (no member has
+        other state).  The component's external parents are closed with
+        their current possible values; parents with empty sets are
+        unreachable and their edges are dropped, with preferred parents
+        re-derived on the survivors — exactly the treatment of
+        :func:`repro.core.resolution.resolve`.
 
         A multi-node component evaluates its :class:`UnionProgram` from
         ``programs`` (the network condensation's slots, shared by every
         resolver on the network) when one is recorded for its current
-        members and reachability mask; otherwise the run below records one.
+        members and reachability mask; otherwise
+        :func:`~repro.core.resolution.close_union` records one.
         """
         incoming = self.network.incoming_map()
         possible = self.possible
@@ -589,195 +581,30 @@ class DeltaResolver(DeltaWalk):
             member = members[0]
             belief = self.beliefs.get(member)
             if belief is not None:
-                return (frozenset((belief,)),)
+                return (frozenset((belief,)),), ()
             surviving = [
                 edge for edge in incoming.get(member, ()) if possible.get(edge.parent)
             ]
             if not surviving:
-                return (_EMPTY,)
+                return (_EMPTY,), ()
             if len(surviving) == 1:
-                return (possible[surviving[0].parent],)
+                return (possible[surviving[0].parent],), ()
             first, second = surviving
             if first.priority > second.priority:
-                return (possible[first.parent],)
+                return (possible[first.parent],), ()
             if second.priority > first.priority:
-                return (possible[second.parent],)
-            return (possible[first.parent] | possible[second.parent],)
+                return (possible[second.parent],), ()
+            return (possible[first.parent] | possible[second.parent],), ()
 
         program = programs.get(cid)
         if program is not None and program.members is members:
             values = program.evaluate(possible)
             if values is not None:
-                return values
-
-        # Multi-node SCC.  Members cannot carry beliefs (each has an
-        # internal in-edge, and binary networks put beliefs on roots only).
-        # The run works on program nodes: the reachable external parents
-        # first, then one node per flood that unions several others.
-        member_index = {member: i for i, member in enumerate(members)}
-        m = len(members)
-        # Every external parent, in discovery order -> its engine node id,
-        # or -1 when unreachable.
-        external: Dict[User, int] = {}
-        boundary: List[User] = []
-        parent_ids: List[List[int]] = [[] for _ in range(m)]
-        preferred: List[int] = [-1] * m
-        internal_successors: List[List[int]] = [[] for _ in range(m)]
-        for i, member in enumerate(members):
-            surviving: List[Tuple[int, int]] = []  # (priority, node id)
-            for edge in incoming.get(member, ()):
-                parent = edge.parent
-                internal = member_index.get(parent)
-                if internal is not None:
-                    surviving.append((edge.priority, internal))
-                    internal_successors[internal].append(i)
-                    continue
-                parent_id = external.get(parent)
-                if parent_id is None:
-                    if possible.get(parent):
-                        parent_id = m + len(boundary)
-                        boundary.append(parent)
-                    else:
-                        parent_id = -1
-                    external[parent] = parent_id
-                if parent_id < 0:
-                    continue  # unreachable parent: the edge is dropped
-                surviving.append((edge.priority, parent_id))
-            parent_ids[i] = [node for _priority, node in surviving]
-            if len(surviving) == 1:
-                preferred[i] = surviving[0][1]
-            elif len(surviving) == 2:
-                (p_first, id_first), (p_second, id_second) = surviving
-                if p_first > p_second:
-                    preferred[i] = id_first
-                elif p_second > p_first:
-                    preferred[i] = id_second
-
-        mask = tuple([parent_id >= 0 for parent_id in external.values()])
-        leaves = tuple(boundary)
-        if not boundary:
-            # No external value ever enters the component: every member is
-            # unreachable and floods to the empty set.
-            programs[cid] = UnionProgram(members, tuple(external), mask, leaves, (), ())
-            return [_EMPTY] * m
-
-        total = m + len(boundary)
-        # Engine node id -> program node; the leaves are program nodes
-        # 0..len(boundary)-1, in discovery order.
-        node_of: List[int] = [-1] * m
-        node_of.extend(range(len(boundary)))
-        node_values: List[FrozenSet[Value]] = [possible[parent] for parent in boundary]
-        floods: List[Tuple[int, ...]] = []
-        closed = bytearray(total)
-        closed[m:] = b"\x01" * len(boundary)
-        children_pref: List[List[int]] = [[] for _ in range(total)]
-        for i in range(m):
-            if preferred[i] >= 0:
-                children_pref[preferred[i]].append(i)
-
-        engine = CondensationEngine(range(m), internal_successors, m)
-        worklist: List[int] = []
-        for k in range(len(boundary)):
-            worklist.extend(children_pref[m + k])
-
-        open_count = m
-        while open_count:
-            while worklist:
-                node = worklist.pop()
-                if closed[node]:
-                    continue
-                parent = preferred[node]
-                if parent < 0 or not closed[parent]:
-                    continue
-                # A preferred copy aliases its parent's node.
-                node_of[node] = node_of[parent]
-                closed[node] = 1
-                open_count -= 1
-                engine.close(node)
-                worklist.extend(children_pref[node])
-            if not open_count:
-                break
-            scc = engine.pop_minimal()
-            sources = {
-                node_of[parent_id]
-                for node in scc
-                for parent_id in parent_ids[node]
-                if closed[parent_id]
-            }
-            if len(sources) == 1:
-                (flood,) = sources
-            else:
-                flood = len(node_values)
-                floods.append(tuple(sources))
-                node_values.append(_EMPTY.union(*[node_values[s] for s in sources]))
-            for node in scc:
-                node_of[node] = flood
-                closed[node] = 1
-                open_count -= 1
-                engine.close(node)
-                worklist.extend(children_pref[node])
-
-        reads = tuple(node_of[:m])
-        programs[cid] = UnionProgram(
-            members, tuple(external), mask, leaves, tuple(floods), reads
-        )
-        return [node_values[node] for node in reads]
-
-
-class UnionProgram:
-    """Algorithm 1's closing order over one SCC, recorded without values.
-
-    Which members close by a preferred copy and which by a flood, and the
-    order of the floods, depend only on the component's structure and on
-    which external parents are reachable (have a non-empty possible set) —
-    never on the values themselves (Section 4's observation that one plan
-    serves every object).  A program records that order once as *nodes*:
-    the reachable external parents (:attr:`leaves`, in discovery order) are
-    nodes ``0..len(leaves)-1``, and every flood that merges more than one
-    node appends a node holding the union of its :attr:`floods` sources.
-    :attr:`reads` gives each member's node: a preferred copy, or a flood
-    fed by a single node, reads that node's frozenset itself.
-
-    A program is valid for the :attr:`members` tuple it was recorded on
-    (checked by identity: merges and splits make new tuples) and for its
-    reachability :attr:`mask` over :attr:`externals` (every external
-    parent, reachable or not).  The network condensation keeps one per
-    component, for the latest mask, and drops it whenever an in-edge of a
-    member changes (:meth:`~repro.core.condensation.Condensation.drop_program`).
-    """
-
-    __slots__ = ("members", "externals", "mask", "leaves", "floods", "reads")
-
-    def __init__(
-        self,
-        members: Tuple[User, ...],
-        externals: Tuple[User, ...],
-        mask: Tuple[bool, ...],
-        leaves: Tuple[User, ...],
-        floods: Tuple[Tuple[int, ...], ...],
-        reads: Tuple[int, ...],
-    ) -> None:
-        self.members = members
-        self.externals = externals
-        self.mask = mask
-        self.leaves = leaves
-        self.floods = floods
-        self.reads = reads
-
-    def evaluate(
-        self, possible: Mapping[User, FrozenSet[Value]]
-    ) -> Optional[List[FrozenSet[Value]]]:
-        """The members' values under ``possible``, in member order.
-
-        ``None`` when ``possible`` reaches a different set of external
-        parents than the one the program was recorded for.
-        """
-        get = possible.get
-        if tuple(map(bool, map(get, self.externals))) != self.mask:
-            return None
-        if not self.leaves:
-            return [_EMPTY] * len(self.members)
-        values = list(map(get, self.leaves))
-        for sources in self.floods:
-            values.append(_EMPTY.union(*[values[s] for s in sources]))
-        return [values[node] for node in self.reads]
+                return values, ()
+        # Multi-node SCC.  Members cannot carry beliefs (each has an internal
+        # in-edge, and binary networks put beliefs on roots only), so the
+        # external parents are the closed boundary.
+        index = {member: i for i, member in enumerate(members)}
+        program = programs[cid] = close_union(members, index, incoming, possible)
+        values = program.node_values(list(map(possible.get, program.leaves)))
+        return [values[node] for node in program.reads], ()

@@ -70,11 +70,10 @@ class DeltaApplyReport:
 
     The counters mirror :class:`~repro.bulk.executor.BulkRunReport` where
     they overlap (``transactions``, ``backend``) and add the incremental
-    engine's cost model: ``dirty_region``, ``recomputed`` and ``pruned``
-    sum the resolvers' :class:`~repro.incremental.deltas.DeltaLog`
-    counters (users visited, users re-resolved, users visited but skipped;
-    the change-driven walk visits only what it recomputes, so
-    ``dirty_region == recomputed`` and ``pruned == 0``).  ``rows_deleted``
+    engine's cost model: ``dirty_region`` and ``recomputed`` sum the
+    resolvers' :class:`~repro.incremental.deltas.DeltaLog` counters (users
+    visited, users re-resolved; the change-driven walk visits only what it
+    recomputes, so ``dirty_region == recomputed``).  ``rows_deleted``
     and ``rows_inserted`` count the ``POSS`` rows the flush removed and
     added: only values that vanished from or appeared in a user's possible
     set, so a user whose set went from ``{a, b}`` to ``{a}`` deletes one
@@ -92,7 +91,6 @@ class DeltaApplyReport:
     seconds: float
     dirty_region: int
     recomputed: int
-    pruned: int
     backend: str = "sqlite-memory"
     #: Regional recomputation passes the apply ran (one per delta per key
     #: for :meth:`IncrementalSession.apply`; one per key for
@@ -590,7 +588,6 @@ class IncrementalSession:
             seconds=time.perf_counter() - started,
             dirty_region=sum(log.dirty_region for _key, log in logs),
             recomputed=sum(log.recomputed for _key, log in logs),
-            pruned=sum(log.pruned for _key, log in logs),
             backend=store.backend_name,
             recomputes=len(logs),
             coalesced_from=coalesced_from,

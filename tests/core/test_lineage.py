@@ -60,3 +60,63 @@ class TestLineage:
             path = result.trace_lineage("y", value)
             assert path[-1].user in {"a", "b"}
             assert path[-1].value == value
+
+
+class TestLineagePointers:
+    """The exact pointer sets: a copied value points at the immediate
+    preferred parent, a flooded value at every closed parent of the flood
+    that holds it, and an explicit value at ``None``."""
+
+    def test_oscillator_flood_points_at_the_parents_holding_each_value(
+        self, oscillator_network
+    ):
+        result = resolve(oscillator_network)
+        assert result.lineage_pointers == {
+            ("x3", "v"): frozenset({None}),
+            ("x4", "w"): frozenset({None}),
+            ("x1", "v"): frozenset({"x3"}),
+            ("x1", "w"): frozenset({"x4"}),
+            ("x2", "v"): frozenset({"x3"}),
+            ("x2", "w"): frozenset({"x4"}),
+        }
+
+    def test_ring_fed_by_three_roots(self):
+        # m0 -> m1 -> m2 -> m0, each member preferring its ring parent over
+        # its root; r0 and r2 both believe "a".  A copy chain hangs off m0,
+        # "u" ties two roots, and "w" loses its preferred (unreachable)
+        # parent "z".
+        tn = TrustNetwork()
+        ring = ("m0", "m1", "m2")
+        for i, member in enumerate(ring):
+            tn.add_trust(member, ring[i - 1], priority=2)
+            tn.add_trust(member, f"r{i}", priority=1)
+        tn.add_trust("t1", "m0", priority=1)
+        tn.add_trust("t2", "t1", priority=1)
+        tn.add_trust("t3", "t2", priority=2)
+        tn.add_trust("t3", "r1", priority=1)
+        tn.add_trust("u", "r0", priority=1)
+        tn.add_trust("u", "r1", priority=1)
+        tn.add_trust("y", "z", priority=1)
+        tn.add_trust("w", "z", priority=5)
+        tn.add_trust("w", "r1", priority=1)
+        for root, value in (("r0", "a"), ("r1", "b"), ("r2", "a")):
+            tn.set_explicit_belief(root, value)
+
+        result = resolve(tn)
+        expected = {
+            (root, value): frozenset({None})
+            for root, value in (("r0", "a"), ("r1", "b"), ("r2", "a"))
+        }
+        for member in ring:
+            expected[(member, "a")] = frozenset({"r0", "r2"})
+            expected[(member, "b")] = frozenset({"r1"})
+        for child, parent in (("t1", "m0"), ("t2", "t1"), ("t3", "t2")):
+            for value in ("a", "b"):
+                expected[(child, value)] = frozenset({parent})
+        expected[("u", "a")] = frozenset({"r0"})
+        expected[("u", "b")] = frozenset({"r1"})
+        expected[("w", "b")] = frozenset({"r1"})
+        assert result.lineage_pointers == expected
+        assert result.possible_values("y") == result.possible_values("z") == frozenset()
+        path = result.trace_lineage("t3", "b")
+        assert [step.user for step in path] == ["t3", "t2", "t1", "m0", "r1"]

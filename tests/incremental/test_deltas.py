@@ -50,7 +50,6 @@ class TestDeltaLog:
             touched=("a",),
             dirty_region=5,
             recomputed=3,
-            pruned=2,
         )
 
     def test_changed_users_in_order(self):
@@ -63,7 +62,7 @@ class TestDeltaLog:
 
     def test_cost_counters(self):
         log = self._log()
-        assert (log.dirty_region, log.recomputed, log.pruned) == (5, 3, 2)
+        assert (log.dirty_region, log.recomputed) == (5, 3)
 
 
 class TestRowDiff:
