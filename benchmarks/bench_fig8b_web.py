@@ -21,6 +21,10 @@ CONFIG = (
     else WebWorkloadConfig(n_domains=40_000, seed=7)
 )
 FRACTIONS = (0.05, 0.1, 0.25, 0.5, 1.0)
+#: Timed rounds per fraction in the shape sweep: one cold ``resolve()`` of a
+#: few milliseconds spreads too widely to record, so each stored row is the
+#: median of these rounds with its quartiles.
+SHAPE_REPEATS = 5
 
 
 @pytest.mark.parametrize("fraction", FRACTIONS)
@@ -37,7 +41,10 @@ def test_fig8b_resolution_algorithm(benchmark, fraction):
 def test_fig8b_shape_quasi_linear(benchmark, bench_report_lines, bench_json_records):
     rows = benchmark.pedantic(
         lambda: fig8b_web.run(
-            config=CONFIG, edge_fractions=FRACTIONS, lp_max_size=300, repeats=1
+            config=CONFIG,
+            edge_fractions=FRACTIONS,
+            lp_max_size=300,
+            repeats=SHAPE_REPEATS,
         ),
         rounds=1,
         iterations=1,
@@ -49,6 +56,8 @@ def test_fig8b_shape_quasi_linear(benchmark, bench_report_lines, bench_json_reco
                 bench_json_records,
                 f"fig8b_web/domains={CONFIG.n_domains}/fraction={row['edge_fraction']}",
                 seconds=row["ra_seconds"],
+                seconds_p25=row["ra_seconds_p25"],
+                seconds_p75=row["ra_seconds_p75"],
                 nodes=row["users"],
                 edges=row["mappings"],
             )

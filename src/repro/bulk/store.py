@@ -224,9 +224,11 @@ class PossStore:
         the policy's per-statement ``deadline`` raises
         :class:`~repro.core.errors.StatementTimeout`; everything else
         propagates classified on the first failure.  Retrying whole
-        statements is safe here: an ``INSERT`` that failed rolled back
-        atomically, and duplicate ``POSS`` rows are logically invisible
-        anyway (every read path is ``SELECT DISTINCT``).
+        statements is safe here: a statement that failed rolled back
+        atomically, so a retry never writes a row twice.  That matters,
+        because duplicate ``POSS`` rows are not invisible:
+        :meth:`possible_table` returns every stored row, and the delta
+        flush's row diff assumes each row is stored once.
 
         When a tracer is installed the funnel emits a ``statement`` span
         (tagged with the SQL op, bind-param count and shard) wrapping one

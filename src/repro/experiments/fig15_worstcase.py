@@ -52,8 +52,11 @@ def run(
         if include_legacy:
             from repro.experiments.legacy import legacy_resolve
 
+            # One untimed call first: the legacy path imports networkx on
+            # its first call, which would otherwise inflate the smallest k
+            # and flatten the fitted slope.
             row["legacy_seconds"] = average_time(
-                lambda: legacy_resolve(network), repeats=repeats
+                lambda: legacy_resolve(network), repeats=repeats, warmup=1
             )
         rows.append(row)
     return rows

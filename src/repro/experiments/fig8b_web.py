@@ -20,7 +20,9 @@ from repro.experiments.runner import (
     format_table,
     log_log_slope,
     per_unit,
+    quartiles,
     report,
+    timed,
 )
 from repro.logicprog.solver import solve_network
 from repro.obs.logs import install_cli_handler
@@ -33,11 +35,23 @@ def run(
     lp_max_size: int = 400,
     repeats: int = 1,
 ) -> List[Dict[str, object]]:
-    """One row per sampled fraction with RA time and LP time where feasible."""
+    """One row per sampled fraction with RA time and LP time where feasible.
+
+    RA runs ``repeats`` times per fraction, the rounds interleaved across
+    fractions so every fraction sees the same machine load: ``ra_seconds``
+    is the median and ``ra_seconds_p25`` / ``ra_seconds_p75`` its spread.
+    """
+    networks = [
+        web_trust_network(config, edge_fraction=fraction)
+        for fraction in edge_fractions
+    ]
+    samples: List[List[float]] = [[] for _ in networks]
+    for _ in range(max(repeats, 1)):
+        for network, seconds in zip(networks, samples):
+            seconds.append(timed(lambda: resolve(network)).seconds)
     rows: List[Dict[str, object]] = []
-    for fraction in edge_fractions:
-        network = web_trust_network(config, edge_fraction=fraction)
-        ra_seconds = average_time(lambda: resolve(network), repeats=repeats)
+    for fraction, network, seconds in zip(edge_fractions, networks, samples):
+        p25, ra_seconds, p75 = quartiles(seconds)
         lp_seconds: Optional[float] = None
         if network.size <= lp_max_size:
             lp_seconds = average_time(
@@ -50,6 +64,8 @@ def run(
                 "users": len(network.users),
                 "mappings": len(network.mappings),
                 "ra_seconds": ra_seconds,
+                "ra_seconds_p25": p25,
+                "ra_seconds_p75": p75,
                 "ra_seconds_per_unit": per_unit(ra_seconds, network.size),
                 "lp_seconds": lp_seconds,
             }

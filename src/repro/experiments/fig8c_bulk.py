@@ -83,6 +83,7 @@ from repro.experiments.runner import (
     format_table,
     gather_balance,
     log_log_slope,
+    quartiles,
     report,
 )
 from repro.logicprog.solver import solve_network
@@ -281,9 +282,7 @@ def run_shard_sweep(
     rows: List[Dict[str, object]] = []
     for shards, count in cells:
         runs = reports[shards, count]
-        p25, median, p75 = statistics.quantiles(
-            [report.elapsed_seconds for report in runs], n=4, method="inclusive"
-        )
+        p25, median, p75 = quartiles([report.elapsed_seconds for report in runs])
         report = runs[0]
         rows.append(
             {

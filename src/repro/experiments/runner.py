@@ -2,7 +2,8 @@
 
 The paper reports wall-clock times averaged over repeated trials.  The
 helpers here do the same: :func:`timed` measures one call, :func:`average_time`
-repeats it, and :func:`format_table` renders the result rows the way the
+repeats it, :func:`quartiles` reduces repeated samples to a median with its
+spread, and :func:`format_table` renders the result rows the way the
 figures report them (one row per sweep point).
 
 Experiment output goes through :func:`report`, which logs on the
@@ -60,6 +61,18 @@ def average_time(
         function()
     samples = [timed(function).seconds for _ in range(max(repeats, 1))]
     return statistics.fmean(samples)
+
+
+def quartiles(samples: Sequence[float]) -> Tuple[float, float, float]:
+    """The 25th percentile, median and 75th percentile of ``samples``.
+
+    Inclusive quartiles (the samples are the whole population); a single
+    sample is its own spread.
+    """
+    if len(samples) == 1:
+        return samples[0], samples[0], samples[0]
+    p25, median, p75 = statistics.quantiles(samples, n=4, method="inclusive")
+    return p25, median, p75
 
 
 def per_unit(seconds: float, units: int) -> float:

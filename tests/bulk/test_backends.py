@@ -119,6 +119,60 @@ class TestSqliteBackends:
             assert reopened.possible_values("a", "k1") == frozenset({"v"})
 
 
+def journal_settings(store):
+    """The live connection's journal mode and sync level.
+
+    Read past a fault-injecting wrapper's statement sites, which only guard
+    cursors and commits, so an ambient chaos run cannot fault the check.
+    """
+    connection = store._connection
+    return (
+        connection.execute("PRAGMA journal_mode").fetchone()[0],
+        connection.execute("PRAGMA synchronous").fetchone()[0],
+    )
+
+
+class TestFileBackendJournal:
+    """Every file connection commits through a fully synced write-ahead log."""
+
+    WAL_FULL = ("wal", 2)
+
+    def test_fresh_store(self, tmp_path):
+        with PossStore(backend=SqliteFileBackend(str(tmp_path / "poss.db"))) as store:
+            assert journal_settings(store) == self.WAL_FULL
+
+    def test_after_reconnect(self, tmp_path):
+        with PossStore(backend=SqliteFileBackend(str(tmp_path / "poss.db"))) as store:
+            store.reconnect()
+            assert store.reconnects == 1
+            assert journal_settings(store) == self.WAL_FULL
+
+    def test_reopened_file(self, tmp_path):
+        path = str(tmp_path / "poss.db")
+        with PossStore(backend=SqliteFileBackend(path)) as store:
+            store.insert_explicit_beliefs([("a", "k1", "v")])
+        with PossStore(backend=SqliteFileBackend(path)) as reopened:
+            assert journal_settings(reopened) == self.WAL_FULL
+            assert reopened.possible_values("a", "k1") == frozenset({"v"})
+
+    def test_through_the_fault_injecting_wrapper(self, tmp_path):
+        from repro.faults import FaultInjectingBackend, FaultPolicy
+
+        backend = FaultInjectingBackend(
+            SqliteFileBackend(str(tmp_path / "poss.db")), FaultPolicy()
+        )
+        with PossStore(backend=backend) as store:
+            assert journal_settings(store) == self.WAL_FULL
+
+    def test_clean_close_leaves_only_the_database_file(self, tmp_path):
+        path = tmp_path / "poss.db"
+        store = PossStore(backend=SqliteFileBackend(str(path)))
+        store.insert_explicit_beliefs([("a", "k1", "v")])
+        assert (tmp_path / "poss.db-wal").exists()
+        store.close()
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["poss.db"]
+
+
 class TestDbApiBackend:
     def test_qmark_render_is_identity(self):
         backend = DbApiBackend(lambda: sqlite3.connect(":memory:"))

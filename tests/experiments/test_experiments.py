@@ -26,6 +26,7 @@ from repro.experiments.runner import (
     gather_balance,
     log_log_slope,
     per_unit,
+    quartiles,
     timed,
 )
 from repro.experiments.tables import FEATURE_COLUMNS, feature_rows, render_feature_table
@@ -38,6 +39,10 @@ class TestRunnerHelpers:
         assert measurement.seconds >= 0
         assert measurement.result == sum(range(1000))
         assert average_time(lambda: None, repeats=2) >= 0
+
+    def test_quartiles(self):
+        assert quartiles([3.0]) == (3.0, 3.0, 3.0)
+        assert quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == (2.0, 3.0, 4.0)
 
     def test_per_unit(self):
         assert per_unit(2.0, 4) == 0.5
@@ -90,10 +95,14 @@ class TestFigureDrivers:
             config=WebWorkloadConfig(n_domains=300, seed=1),
             edge_fractions=(0.5, 1.0),
             lp_max_size=0,
-            repeats=1,
+            repeats=3,
         )
         assert len(rows) == 2
         assert all(row["ra_seconds"] > 0 for row in rows)
+        assert all(
+            row["ra_seconds_p25"] <= row["ra_seconds"] <= row["ra_seconds_p75"]
+            for row in rows
+        )
         summary = fig8b_web.summarize(rows)
         assert summary["largest_size"] >= rows[0]["size"]
 
