@@ -65,7 +65,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import BulkProcessingError
-from repro.bulk.planner import FloodStep, GroupedCopyStep, ResolutionPlan
+from repro.bulk.planner import FloodStep, GroupedCopyStep, ResolutionPlan, count_stages
 
 #: Compiled region kinds, in the order the compiler may emit them.
 REGION_KINDS = ("copy", "flood", "blocked_flood", "replay")
@@ -229,11 +229,15 @@ class CompiledPlan:
     def dag_stages(self) -> int:
         """Critical-path length of the plan's step DAG.
 
-        Only the integer is kept, not the :class:`~repro.bulk.planner
-        .PlanDag`: runs execute regions, so the step DAG would be dead
-        weight for as long as the plan stays cached.
+        A lowered plan carries it; a patched one counts it in one pass over
+        its steps (:func:`~repro.bulk.planner.count_stages`).  No
+        :class:`~repro.bulk.planner.PlanDag` is built: runs execute regions,
+        so the step DAG would be dead weight for as long as the plan stays
+        cached.
         """
-        return self.plan.dag().stage_count
+        if self.plan.stage_count is not None:
+            return self.plan.stage_count
+        return count_stages(self.plan.steps)
 
     def statement_count(self) -> int:
         """Statements the compiled execution issues on a capable engine."""

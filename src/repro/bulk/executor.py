@@ -40,6 +40,8 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
+from itertools import groupby
+from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -73,6 +75,10 @@ SCHEDULERS = ("replay", "compiled")
 _RUN_COUNTERS = (
     "bulk_statements", "transactions", "retries", "timed_out_statements", "faults_injected"
 )
+
+#: The key and the user of a ``(user, key, value)`` belief row.
+_ROW_KEY = itemgetter(1)
+_ROW_USER = itemgetter(0)
 
 #: Journal marker for "the explicit beliefs of this run are loaded".
 #: Region markers are plan step indices (non-negative), so -1 can never
@@ -405,24 +411,26 @@ class _PlanExecutor:
         a checkpoint run id each serving shard's load commits atomically
         with its ``JOURNAL_BELIEFS_NODE`` marker, so a resumed run that
         loads the same rows again neither duplicates nor skips them.
+
+        The checks compare one set of users per key, not row by row, and
+        the rows reach the store as given: the store stringifies each row
+        once, as it inserts it.
         """
-        rows = list(rows)
-        by_user: Dict[str, set] = {}
-        for user, key, _value in rows:
-            by_user.setdefault(str(user), set()).add(str(key))
-            self._loaded_objects.add(str(key))
-        expected = {str(user) for user in self.plan.explicit_users}
-        if expected and set(by_user) - expected:
-            raise BulkProcessingError(
-                "beliefs supplied for users outside the planned explicit set: "
-                f"{sorted(set(by_user) - expected)}"
-            )
-        for user, keys in by_user.items():
-            if keys != self._loaded_objects:
-                raise BulkProcessingError(
-                    f"bulk assumption (ii) violated: user {user} lacks beliefs for "
-                    f"{len(self._loaded_objects - keys)} objects"
-                )
+        rows = rows if isinstance(rows, list) else list(rows)
+        users_of: Dict[str, set] = {}
+        for key, group in groupby(rows, _ROW_KEY):
+            users = users_of.get(str(key))
+            if users is None:
+                users = users_of[str(key)] = set()
+            users.update(map(_ROW_USER, group))
+        self._loaded_objects.update(users_of)
+        believers = set().union(*users_of.values())
+        expected = self.plan.explicit_users
+        if (expected and not believers <= expected) or any(
+            users_of.get(key) != believers for key in self._loaded_objects
+        ):
+            # Compare by name, user by user, for the exact verdict.
+            self._check_rows(rows)
         run_id = self._checkpoint
         store = self.store
         if run_id is None:
@@ -437,6 +445,24 @@ class _PlanExecutor:
                     inserted += shard.insert_explicit_beliefs(partitions[index])
                     shard.journal_record(run_id, JOURNAL_BELIEFS_NODE)
         return inserted
+
+    def _check_rows(self, rows: List[Tuple[User, object, Value]]) -> None:
+        """Bulk assumptions (i) and (ii) by name, row by row."""
+        by_user: Dict[str, set] = {}
+        for user, key, _value in rows:
+            by_user.setdefault(str(user), set()).add(str(key))
+        expected = {str(user) for user in self.plan.explicit_users}
+        if expected and set(by_user) - expected:
+            raise BulkProcessingError(
+                "beliefs supplied for users outside the planned explicit set: "
+                f"{sorted(set(by_user) - expected)}"
+            )
+        for user, keys in by_user.items():
+            if keys != self._loaded_objects:
+                raise BulkProcessingError(
+                    f"bulk assumption (ii) violated: user {user} lacks beliefs for "
+                    f"{len(self._loaded_objects - keys)} objects"
+                )
 
     @property
     def compiled(self) -> CompiledPlan:

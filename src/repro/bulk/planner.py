@@ -8,34 +8,46 @@ Bulk resolution relies on two assumptions stated in the paper:
 
 Under those assumptions the *sequence of resolution steps* taken by
 Algorithm 1 (and Algorithm 2) depends only on the network topology and on
-*which* users have explicit beliefs — not on the actual values.  The planner
-therefore runs the closed/open bookkeeping once on the network and records
-the steps; the executor then replays each step as SQL over all objects at
-once.  Statement batching keeps the statement count a function of the
-network alone: all copies from one parent form one multi-child
-:class:`GroupedCopyStep` (one ``INSERT … SELECT`` per distinct parent), and
-a :class:`FloodStep` issues one statement per group of same-constraint
-members — for plain Algorithm-1 plans a single statement per flood step
-regardless of component size.
+*which* users have explicit beliefs — not on the actual values.  So the
+closing record Algorithm 1 keeps anyway is the plan: :func:`plan_resolution`
+lowers a :class:`~repro.core.resolution.UnionProgram` (recorded by
+:func:`~repro.core.resolution.close_union`, the loop
+:func:`~repro.core.resolution.resolve` runs too) into steps
+(:func:`lower_union`), and the executor replays each step as SQL over all
+objects at once.  A caller that already resolved the network passes the
+record of that resolution in, so the closing loop runs once per network
+state; :func:`repro.bulk.planpatch.patch_plan` lowers a record of the
+re-planned region the same way.  Statement batching keeps the statement
+count a function of the network alone: all copies from one parent form one
+multi-child :class:`GroupedCopyStep` (one ``INSERT … SELECT`` per distinct
+parent), and a :class:`FloodStep` issues one statement per group of
+same-constraint members — for plain Algorithm-1 plans a single statement
+per flood step regardless of component size.  Steps are sorted by (DAG
+stage, copies before floods, name), so equal networks plan equal step lists
+whatever order their users were built or hashed in, and the plan carries
+its DAG stage count.
 
-One loop, :func:`_plan_region`, records every plan: the fresh Algorithm-1
-plan (:func:`plan_resolution`), the Skeptic plan
-(:func:`plan_skeptic_resolution`) and the re-planned region of a patched
-plan (:func:`repro.bulk.planpatch.patch_plan`).  Like
-:mod:`repro.core.resolution`, it discovers minimal SCCs through the
-incremental condensation engine (:mod:`repro.core.sccs`), so planning itself
-is near-linear instead of recondensing per flooding pass.
+The Skeptic plan (:func:`plan_skeptic_resolution` with constraints) has its
+own loop, :func:`_plan_region`: Algorithm 2 gates copies on Type-2 users
+and blocks each flood member's ``prefNeg`` values, which a value-free
+Algorithm 1 record does not describe.  Like :mod:`repro.core.resolution`,
+both loops discover minimal SCCs through the incremental condensation
+engine (:mod:`repro.core.sccs`), so planning itself is near-linear instead
+of recondensing per flooding pass.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.beliefs import Value
 from repro.core.errors import BulkProcessingError
+from repro.core.gcpause import paused_gc
 from repro.core.network import TrustNetwork, User
+from repro.core.resolution import UnionProgram, close_union
 from repro.core.sccs import CondensationEngine
 from repro.core.skeptic import propagate_forced_negatives
 
@@ -215,13 +227,60 @@ def plan_dag(plan: ResolutionPlan) -> PlanDag:
     )
 
 
+def count_stages(steps: Sequence[ResolutionStep]) -> int:
+    """The stage count of :func:`plan_dag` in one pass, without building nodes.
+
+    A step's stage is one more than the deepest stage among the steps that
+    close its sources (0 when it reads loaded data only).  Raises the same
+    two malformed-plan errors as :func:`plan_dag`: a user closed twice, and
+    a read of a user that only the same or a later step closes.
+    """
+    #: Closed users: name -> (closing step, its stage).
+    closer: Dict[str, Tuple[int, int]] = {}
+    #: Users read before any step closed them: name -> (reading step, user).
+    early: Dict[str, Tuple[int, User]] = {}
+    stages = 0
+    for index, step in enumerate(steps):
+        reads, closes = step_io(step)
+        stage = 0
+        for user in reads:
+            name = str(user)
+            closed = closer.get(name)
+            if closed is None:
+                early.setdefault(name, (index, user))
+            elif closed[1] >= stage:
+                stage = closed[1] + 1
+        for user in closes:
+            name = str(user)
+            if name in closer:
+                raise BulkProcessingError(
+                    f"plan closes user {name!r} twice (steps {closer[name][0]} and {index})"
+                )
+            if name in early:
+                reader, read = early[name]
+                raise BulkProcessingError(
+                    f"step {reader} reads user {read!r} closed only by the "
+                    f"later step {index}; the plan order is not causal"
+                )
+            closer[name] = (index, stage)
+        stages = max(stages, stage + 1)
+    return stages
+
+
 @dataclass
 class ResolutionPlan:
-    """An ordered list of bulk-resolution steps for a fixed network."""
+    """An ordered list of bulk-resolution steps for a fixed network.
+
+    ``stage_count`` is the critical-path length of the step DAG when the
+    planner knew it while building the steps (:func:`lower_union`), and
+    ``None`` otherwise (:func:`count_stages` then counts it in one pass).
+    A caller that edits ``steps`` in place must reset it.
+    """
 
     network: TrustNetwork
     explicit_users: FrozenSet[User]
     steps: List[ResolutionStep] = field(default_factory=list)
+    stage_count: Optional[int] = field(default=None, compare=False)
 
     @property
     def copy_steps(self) -> List[GroupedCopyStep]:
@@ -249,18 +308,135 @@ class ResolutionPlan:
 def plan_resolution(
     network: TrustNetwork,
     explicit_users: Optional[Sequence[User]] = None,
+    program: Optional[UnionProgram] = None,
 ) -> ResolutionPlan:
     """Build the Algorithm-1 resolution plan for a network.
 
     ``explicit_users`` defaults to the users carrying explicit beliefs in the
     network itself; passing it explicitly supports planning against a
     template network whose per-object values live only in the store.
+
+    The plan is Algorithm 1's closing record lowered to steps
+    (:func:`lower_union`).  ``program`` is such a record when the caller
+    already holds one: the :attr:`~repro.core.resolution.ResolutionResult
+    .program` of a :func:`~repro.core.resolution.resolve` of this network in
+    its current state, whose believers are exactly the explicit users.  The
+    caller vouches for that (an engine's session hands its record out only
+    while the network version has not moved, see
+    :meth:`~repro.incremental.session.IncrementalSession.take_opening_program`).
+    Without one, the planner runs :func:`~repro.core.resolution.close_union`
+    over every user reachable from the explicit users.
     """
     users_with_beliefs = _explicit_users(network, explicit_users)
-    steps = _plan_region(
-        network, network.descendants(users_with_beliefs), set(users_with_beliefs)
-    )
-    return ResolutionPlan(network, users_with_beliefs, steps)
+    # A bounded batch computation, like resolve(): see repro.core.gcpause.
+    with paused_gc():
+        if program is None:
+            program = _close_region(
+                network,
+                network.descendants(users_with_beliefs) - users_with_beliefs,
+                users_with_beliefs,
+            )
+        steps, stages = lower_union(program)
+    return ResolutionPlan(network, users_with_beliefs, steps, stage_count=stages)
+
+
+def _close_region(
+    network: TrustNetwork, members: Iterable[User], closed: "Set[User] | FrozenSet[User]"
+) -> UnionProgram:
+    """:func:`~repro.core.resolution.close_union` over ``members``, with the
+    ``closed`` users as the boundary that can hold a belief."""
+    members = list(members)
+    index = {member: i for i, member in enumerate(members)}
+    return close_union(members, index, network.incoming_map(), closed.__contains__)
+
+
+def lower_union(program: UnionProgram) -> Tuple[List[ResolutionStep], int]:
+    """Lower a closing record to plan steps; returns ``(steps, stage count)``.
+
+    The members a record closes by copying the same preferred parent form
+    one :class:`GroupedCopyStep`, and each flood one :class:`FloodStep` with
+    its closed parents; members, children and parents are sorted by name.
+    A step's *stage* is its level in :func:`plan_dag`'s layering (0 when it
+    reads only the record's leaves, else one more than the deepest step it
+    reads from), and the steps are sorted by ``(stage, copies before
+    floods, name)``, where the name is a copy's parent or a flood's first
+    member.  That order is causal, since a step only reads users closed in
+    earlier stages, and canonical: which users copy from which and which
+    components flood is independent of the order Algorithm 1 meets them
+    in, so the plan does not depend on the member order or hash order the
+    record was built in.  The stage count is the plan DAG's
+    :attr:`~PlanDag.stage_count`.
+    """
+    members = program.members
+    m = len(members)
+    users = [*members, *program.leaves]
+    names = list(map(str, users))
+    by_name = names.__getitem__
+    closed_by = program.closed_by
+    flood_parents = program.flood_parents
+    copies: Dict[int, List[int]] = {}
+    flooded: List[List[int]] = [[] for _ in flood_parents]
+    for member, how in enumerate(closed_by):
+        if how < 0:
+            flooded[~how].append(member)
+        elif how in copies:
+            copies[how].append(member)
+        else:
+            copies[how] = [member]
+
+    # Leaves are closed before any step (stage -1).  Flood members get their
+    # flood's stage as it is lowered, in record order; a copy-closed user
+    # one more than its parent, settled by walking up the copy chain.
+    unset = -2
+    stage = [unset] * m
+    stage.extend([-1] * len(program.leaves))
+
+    def settle(node: int) -> int:
+        chain = []
+        while stage[node] == unset:
+            chain.append(node)
+            node = closed_by[node]
+            if node < 0:
+                raise BulkProcessingError(
+                    "closing record reads a flood member before its flood"
+                )
+        level = stage[node]
+        for node in reversed(chain):
+            level += 1
+            stage[node] = level
+        return level
+
+    keyed: List[Tuple[int, int, str, ResolutionStep]] = []
+    for group, parents in zip(flooded, flood_parents):
+        level = 0
+        for parent in parents:
+            closer = stage[parent]
+            if closer == unset:
+                closer = settle(parent)
+            if closer >= level:
+                level = closer + 1
+        group.sort(key=by_name)
+        for i in group:
+            stage[i] = level
+        sources = sorted(set(parents), key=by_name)
+        step = FloodStep(
+            tuple([users[i] for i in group]), tuple([users[p] for p in sources])
+        )
+        keyed.append((level, 1, names[group[0]], step))
+    for parent, children in copies.items():
+        level = stage[parent]
+        if level == unset:
+            level = settle(parent)
+        children.sort(key=by_name)
+        step = GroupedCopyStep(users[parent], tuple([users[i] for i in children]))
+        keyed.append((level + 1, 0, names[parent], step))
+    keyed.sort(key=_STEP_KEY)
+    stages = 1 + max((entry[0] for entry in keyed), default=-1)
+    return [entry[3] for entry in keyed], stages
+
+
+#: Sort key of :func:`lower_union`'s entries: (stage, kind, name).
+_STEP_KEY = itemgetter(0, 1, 2)
 
 
 def plan_skeptic_resolution(
@@ -276,6 +452,8 @@ def plan_skeptic_resolution(
     properties here, matching bulk assumption (i) that the trust structure —
     including filters — is shared across objects.  Both name users of
     ``network``; an unknown one raises :class:`BulkProcessingError`.
+    Without constraints Algorithm 2 is Algorithm 1, and so is the plan
+    (:func:`plan_resolution`).
     """
     positive = _explicit_users(network, positive_users)
     constrained = _explicit_users(network, negative_constraints)
@@ -285,22 +463,22 @@ def plan_skeptic_resolution(
             f"user {sorted(map(str, both))[0]!r} cannot have both positive "
             "beliefs and a constraint"
         )
-    pref_neg = None
-    if constrained:
-        # prefNeg propagation (phase P of Algorithm 2), worklist-driven.
-        pref_neg = {user: set() for user in network.users}
-        children_pref: Dict[User, List[User]] = {}
-        for user, parent in network.preferred_parent_map().items():
-            if parent is not None:
-                children_pref.setdefault(parent, []).append(user)
-        for user, values in negative_constraints.items():
-            pref_neg[user].update(values)
-        propagate_forced_negatives(
-            pref_neg,
-            list(negative_constraints),
-            lambda parent: children_pref.get(parent, ()),
-            positive,
-        )
+    if not constrained:
+        return plan_resolution(network, positive)
+    # prefNeg propagation (phase P of Algorithm 2), worklist-driven.
+    pref_neg: Dict[User, Set[Value]] = {user: set() for user in network.users}
+    children_pref: Dict[User, List[User]] = {}
+    for user, parent in network.preferred_parent_map().items():
+        if parent is not None:
+            children_pref.setdefault(parent, []).append(user)
+    for user, values in negative_constraints.items():
+        pref_neg[user].update(values)
+    propagate_forced_negatives(
+        pref_neg,
+        list(negative_constraints),
+        lambda parent: children_pref.get(parent, ()),
+        positive,
+    )
     steps = _plan_region(
         network, network.descendants(positive | constrained), set(positive), pref_neg
     )
@@ -311,24 +489,24 @@ def _plan_region(
     network: TrustNetwork,
     region: Set[User],
     closed: Set[User],
-    pref_neg: Optional[Dict[User, Set[Value]]] = None,
+    pref_neg: Dict[User, Set[Value]],
 ) -> List[ResolutionStep]:
-    """Algorithm 1's closing loop over ``region``: the one planning loop.
+    """Algorithm 2's closing loop over ``region``: the Skeptic planner.
 
-    ``closed`` holds the users whose rows are final before the first step:
-    the explicit users, and for a patched plan also the users its kept
-    steps close.  The loop grows it in place.  Every other ``region`` user
-    receives exactly one copy or flood step, in Algorithm 1's order: Step-1
-    copies drain in lexicographic order before the condensation engine
-    yields the next minimal component to flood.  Preferred parents are
-    chosen among the ``region`` and initially ``closed`` users only.
+    ``closed`` holds the users whose rows are final before the first step
+    (the positive users); the loop grows it in place.  Every other
+    ``region`` user receives exactly one copy or flood step, in Algorithm
+    1's order: Step-1 copies drain in lexicographic order before the
+    condensation engine yields the next minimal component to flood.
+    Preferred parents are chosen among the ``region`` and initially
+    ``closed`` users only.
 
-    With ``pref_neg`` the loop is Algorithm 2's: only *Type-2* users — the
-    initially closed ones and those that received values — feed a copy or
-    push their preferred children, a flood's members turn Type 2 when one
-    of its parents is, and each flood step carries its members' ``prefNeg``
-    values as blocked.  A component fed solely by negative-only users thus
-    stays empty, exactly as in Algorithm 2.
+    Only *Type-2* users — the initially closed ones and those that received
+    values — feed a copy or push their preferred children, a flood's
+    members turn Type 2 when one of its parents is, and each flood step
+    carries its members' ``prefNeg`` values as blocked.  A component fed
+    solely by negative-only users thus stays empty, exactly as in
+    Algorithm 2.
     """
     open_nodes = region - closed
     if not open_nodes:
@@ -353,8 +531,8 @@ def _plan_region(
                 successors[parent_id].append(i)
     engine = CondensationEngine(range(len(order)), successors, len(order))
 
-    # Users whose rows may feed a copy: every closed user for Algorithm 1.
-    sources = closed if pref_neg is None else set(closed)
+    # Users whose rows may feed a copy (Type 2).
+    sources = set(closed)
     heap: List[Tuple[str, User]] = [
         (str(child), child)
         for parent, children in children_pref.items()
@@ -395,17 +573,15 @@ def _plan_region(
             },
             key=str,
         )
-        blocked: Tuple[Tuple[User, Tuple[Value, ...]], ...] = ()
-        if pref_neg is not None:
-            blocked = tuple(
-                (member, tuple(sorted(pref_neg[member], key=str)))
-                for member in members
-                if pref_neg[member]
-            )
+        blocked = tuple(
+            (member, tuple(sorted(pref_neg[member], key=str)))
+            for member in members
+            if pref_neg[member]
+        )
         steps.append(FloodStep(tuple(members), tuple(parents), blocked))
         closed.update(members)
         open_nodes.difference_update(members)
-        fed = sources is closed or any(parent in sources for parent in parents)
+        fed = any(parent in sources for parent in parents)
         if fed:
             sources.update(members)
         for member in members:

@@ -24,22 +24,26 @@ re-plan, but not proportional to the region alone.  The steps:
    inside or entirely outside the region — any mutation of an
    intra-component edge touches its child — so flood steps never straddle
    the boundary.
-3. The region is re-planned by the planner's one closing loop
-   (:func:`repro.bulk.planner._plan_region`, the loop behind
-   :func:`~repro.bulk.planner.plan_resolution` too): the users the kept
-   steps close and the explicit users are closed from the start, and the
-   loop runs over the region's reachable users only.
-4. The new region steps are appended after the kept steps.  This is causal:
-   a kept step never reads a region user (a user read by an outside step
-   would make that step's closer a region descendant — contradiction), and
-   a region step reads either boundary users (closed by kept steps or the
-   load) or region users closed earlier in the appended segment.
+3. The region is re-planned as a fresh plan is: Algorithm 1's closing
+   loop (:func:`repro.core.resolution.close_union`) runs over the region's
+   reachable users that are not closed yet, with the users the kept steps
+   close and the explicit users as its closed boundary, and its record is
+   lowered to steps (:func:`repro.bulk.planner.lower_union`, the lowering
+   behind :func:`~repro.bulk.planner.plan_resolution`).
+4. The new region steps, in the lowering's (stage, copies before floods,
+   name) order, are appended after the kept steps.  This is causal: a kept
+   step never reads a region user (a user read by an outside step would
+   make that step's closer a region descendant — contradiction), and a
+   region step reads either boundary users (closed by kept steps or the
+   load) or region users closed in an earlier stage of the appended
+   segment.
 
 The patched plan's step *order* (and copy grouping across the boundary)
 can differ from a fresh re-plan's, but replaying a plan DAG in any
 dependency-satisfied order produces the byte-identical relation, so the
 patched and fresh plans are interchangeable — the property the test suite
-locks on randomized delta streams.
+locks on randomized delta streams.  A patched plan carries no stage count;
+:func:`~repro.bulk.planner.count_stages` counts it in one pass.
 
 **Several batches, one patch.**  :class:`repro.engine.ResolutionEngine`
 defers patches across batches: it unions the touched and removed sets of
@@ -90,8 +94,9 @@ from repro.bulk.planner import (
     GroupedCopyStep,
     ResolutionPlan,
     ResolutionStep,
+    _close_region,
     _explicit_users,
-    _plan_region,
+    lower_union,
     step_io,
 )
 
@@ -242,7 +247,9 @@ def patch_plan(
                 stack.append(child)
 
     closed.update(region_reachable & new_explicit)
-    added = _plan_region(network, region_reachable, closed)
+    added, _stages = lower_union(
+        _close_region(network, region_reachable - closed, closed)
+    )
 
     patched = ResolutionPlan(
         network=network,

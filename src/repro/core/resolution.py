@@ -30,7 +30,10 @@ once over every user reachable from a positive belief, with the believers
 as the boundary, and evaluates the program; the delta resolver
 (:mod:`repro.incremental.resolver`) runs it over one SCC, with the SCC's
 external parents as the boundary, and keeps the program to evaluate for
-later recomputes and for other keys.
+later recomputes and for other keys.  The bulk planner
+(:mod:`repro.bulk.planner`) lowers a program to its SQL plan: the one
+:func:`resolve` keeps on its result (:attr:`ResolutionResult.program`), or
+one it records itself.
 
 Complexity
 ----------
@@ -85,9 +88,15 @@ class ResolutionResult:
     access from a factory (``lineage_factory``) — :func:`resolve` uses the
     latter so workloads that never trace lineage skip materializing one
     pointer set per (user, value) pair.
+
+    ``program`` is the value-free :class:`UnionProgram` that closed every
+    user reachable from ``explicit_users`` (set by :func:`resolve`, ``None``
+    otherwise).  It is the bulk plan of the same network and explicit set
+    (:func:`repro.bulk.planner.plan_resolution` lowers it), which is how an
+    engine session plans without running Algorithm 1 a second time.
     """
 
-    __slots__ = ("possible", "explicit_users", "_lineage", "_lineage_factory")
+    __slots__ = ("possible", "explicit_users", "program", "_lineage", "_lineage_factory")
 
     def __init__(
         self,
@@ -99,9 +108,11 @@ class ResolutionResult:
         lineage_factory: Optional[
             Callable[[], Dict[Tuple[User, Value], FrozenSet[Optional[User]]]]
         ] = None,
+        program: Optional["UnionProgram"] = None,
     ) -> None:
         self.possible = possible
         self.explicit_users = explicit_users
+        self.program = program
         self._lineage = lineage_pointers
         self._lineage_factory = lineage_factory
 
@@ -246,7 +257,7 @@ def _resolve_impl(network: TrustNetwork) -> ResolutionResult:
                 stack.append(child)
     members = list(index)
 
-    program = close_union(members, index, network.incoming_map(), explicit)
+    program = close_union(members, index, network.incoming_map(), explicit.get)
     values = program.node_values([explicit[leaf] for leaf in program.leaves])
 
     # Unreachable users share one empty set; lineage pointers are derived
@@ -270,6 +281,7 @@ def _resolve_impl(network: TrustNetwork) -> ResolutionResult:
         possible=possible,
         explicit_users=frozenset(explicit),
         lineage_factory=materialize_lineage,
+        program=program,
     )
 
 
@@ -374,23 +386,29 @@ def close_union(
     members: Sequence[User],
     index: Mapping[User, int],
     incoming: Mapping[User, Sequence[TrustMapping]],
-    boundary: Mapping[User, FrozenSet[Value]],
+    reachable: Callable[[User], object],
 ) -> UnionProgram:
     """Algorithm 1's closing loop over ``members``, recorded as a program.
 
     Shared by :func:`resolve` (every user reachable from a belief, over the
-    explicit users) and the delta resolver (one SCC's members, over their
-    external parents); ``index`` maps each member to its position in
-    ``members``.  Every parent of a member is either a member or an
-    external parent whose ``boundary`` set is final.  An external parent
-    with an empty (or no) set can never hold a belief, so its edges are
-    dropped and preferred parents are re-derived on the surviving edges
-    (Definition 2.4, condition 3).  The loop then drains one Step-1
-    worklist and one :class:`~repro.core.sccs.CondensationEngine`: Step 1
-    copies a closed preferred parent, Step 2 floods a minimal SCC of the
-    open members.  It reads which external parents are reachable, never
-    their values, so the returned program serves any boundary with the
-    same reachability.
+    explicit users), the delta resolver (one SCC's members, over their
+    external parents) and the bulk planner (a fresh plan's users, or a
+    patched plan's region, over the users closed before them; see
+    :func:`repro.bulk.planner.lower_union`); ``index`` maps each member to
+    its position in ``members``.  Every parent of a member is either a
+    member or an external parent that is closed, with a final possible
+    set.  ``reachable(parent)`` is truthy when that set is non-empty (the
+    callers pass their value map's ``get``, or a closed set's
+    ``__contains__``).  An external parent with an empty set can never hold
+    a belief, so its edges are dropped and preferred parents are
+    re-derived on the surviving edges (Definition 2.4, condition 3).  The
+    loop then drains one Step-1 worklist and one
+    :class:`~repro.core.sccs.CondensationEngine`: Step 1 copies a closed
+    preferred parent, Step 2 floods a minimal SCC of the open members.  It
+    reads which external parents are reachable, never their values, so the
+    returned program serves any boundary with the same reachability.
+    Members may have more than two parents (the planner also plans
+    non-binary networks); the binary case keeps its two flat parent arrays.
     """
     # Int ids: members 0..m-1, then the reachable external parents (the
     # program's leaves, closed from the start) in discovery order.
@@ -405,11 +423,13 @@ def close_union(
     parent_b = [-1] * m
     children_pref: List[List[int]] = [[] for _ in range(m)]
     successors: List[List[int]] = [[] for _ in range(m)]
+    # The surviving parents of members with more than two in-edges.
+    wide: Dict[int, Tuple[int, ...]] = {}
 
     def external(parent: User) -> int:
         node = externals.get(parent)
         if node is None:
-            if boundary.get(parent):
+            if reachable(parent):
                 node = m + len(leaves)
                 leaves.append(parent)
                 children_pref.append([])
@@ -420,6 +440,24 @@ def close_union(
 
     for i, member in enumerate(members):
         edges = incoming[member]
+        if len(edges) > 2:
+            ranked: List[Tuple[int, int]] = []
+            for edge in edges:
+                parent = index_get(edge.parent, -1)
+                if parent < 0:
+                    parent = external(edge.parent)
+                else:
+                    successors[parent].append(i)
+                if parent >= 0:
+                    ranked.append((edge.priority, parent))
+            if ranked:
+                top = max(ranked)[0]
+                best = [parent for priority, parent in ranked if priority == top]
+                if len(best) == 1:
+                    preferred[i] = best[0]
+                    children_pref[best[0]].append(i)
+                wide[i] = tuple(parent for _priority, parent in ranked)
+            continue
         first = edges[0]
         p_first = index_get(first.parent, -1)
         if p_first < 0:
@@ -500,6 +538,10 @@ def close_union(
             for parent in (parent_a[node], parent_b[node])
             if parent >= 0 and closed[parent]
         )
+        if wide:
+            parents += tuple(
+                parent for node in scc for parent in wide.get(node, ()) if closed[parent]
+            )
         sources = {node_of[parent] for parent in parents}
         if len(sources) == 1:
             (flood,) = sources

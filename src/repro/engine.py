@@ -52,6 +52,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.beliefs import Value
@@ -330,7 +331,11 @@ class ResolutionEngine:
         plan up to date: ``patched``.  A network whose version counters
         moved outside :meth:`apply` — someone mutated it directly — or a
         patch the patcher refuses (Skeptic plans, uncovered regions)
-        re-plans from scratch: ``fresh``.  Otherwise ``cached``.
+        re-plans from scratch: ``fresh``.  Otherwise ``cached``.  The first
+        fresh plan lowers the closing record of the session's open
+        (:meth:`IncrementalSession.take_opening_program`) while the network
+        is still at the version it was recorded at, so a cold open and
+        first materialize run Algorithm 1's closing loop once.
         """
         version = self.network.version
         if self._plan is not None and self._plan_version == version:
@@ -338,7 +343,9 @@ class ResolutionEngine:
                 return "cached"
             if self._patch_pending():
                 return "patched"
-        self._plan = plan_resolution(self.network)
+        self._plan = plan_resolution(
+            self.network, program=self._session.take_opening_program()
+        )
         self._compiled = None
         self._dag = None
         self._plan_version = version
@@ -559,22 +566,23 @@ class ResolutionEngine:
                     compile_span.tag(regions=len(compiled_plan.regions))
             else:
                 compiled_plan = None
-            plan_users = {str(user) for user in self._plan.explicit_users}
+            plan_users = self._plan.explicit_users
             with tracer.span("engine.load_beliefs") as load_span:
-                rows: List[Tuple[str, str, str]] = []
+                # One set comparison per key; the store stringifies the
+                # rows as it inserts them.
+                rows: List[Tuple[User, str, Value]] = []
                 for key in self._session.keys:
                     beliefs = self._session.resolver(key).beliefs
-                    users = {str(user) for user in beliefs}
-                    if users != plan_users:
-                        raise BulkProcessingError(
-                            f"key {key!r} violates bulk assumption (ii): its "
-                            f"belief users {sorted(users)} differ from the "
-                            f"planned explicit set {sorted(plan_users)}"
-                        )
-                    rows.extend(
-                        (str(user), key, str(value))
-                        for user, value in beliefs.items()
-                    )
+                    if beliefs.keys() != plan_users:
+                        users = {str(user) for user in beliefs}
+                        planned = {str(user) for user in plan_users}
+                        if users != planned:
+                            raise BulkProcessingError(
+                                f"key {key!r} violates bulk assumption (ii): its "
+                                f"belief users {sorted(users)} differ from the "
+                                f"planned explicit set {sorted(planned)}"
+                            )
+                    rows.extend(zip(beliefs, repeat(key), beliefs.values()))
                 load_span.tag(rows=len(rows))
             if not resume:
                 self.store.clear()

@@ -62,7 +62,19 @@ preferred parents are re-derived on the surviving edges.
 from __future__ import annotations
 
 import heapq
-from typing import Container, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Container,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.beliefs import Value
 from repro.core.errors import NetworkError
@@ -404,6 +416,18 @@ class DeltaWalk:
         )
 
 
+class OpeningRecord(NamedTuple):
+    """Algorithm 1's closing record from the ``resolve()`` that opened a resolver.
+
+    ``program`` closed every user reachable from the network's positive
+    believers while the network stood at ``version``; it describes the
+    network only as long as the version has not moved.
+    """
+
+    version: Tuple[int, int]
+    program: UnionProgram
+
+
 class DeltaResolver(DeltaWalk):
     """Maintain ``poss`` for one belief assignment under a delta stream.
 
@@ -425,7 +449,15 @@ class DeltaResolver(DeltaWalk):
     values, one entry per network user, empty for unreachable users) —
     exactly the ``possible`` attribute of a
     :class:`~repro.core.resolution.ResolutionResult`.
+
+    :attr:`opening` is the closing record of the ``resolve()`` that opened
+    the resolver, when its believers are the network's own positive
+    believers (``None`` otherwise): the bulk plan of the network as it was
+    opened (:func:`repro.bulk.planner.plan_resolution` lowers it).  An
+    :class:`~repro.incremental.session.IncrementalSession` takes it over.
     """
+
+    opening: Optional["OpeningRecord"] = None
 
     def __init__(
         self,
@@ -447,7 +479,10 @@ class DeltaResolver(DeltaWalk):
         # resolver owns it; otherwise resolve the shared structure under
         # this resolver's beliefs, without copying it.
         source = network if self._owns_beliefs else network._with_beliefs(self.beliefs)
-        self.possible: Dict[User, FrozenSet[Value]] = dict(resolve(source).possible)
+        result = resolve(source)
+        self.possible: Dict[User, FrozenSet[Value]] = dict(result.possible)
+        if self._owns_beliefs:
+            self.opening = OpeningRecord(network.version, result.program)
 
     @classmethod
     def for_keys(
@@ -483,12 +518,17 @@ class DeltaResolver(DeltaWalk):
             groups.setdefault(frozenset(positive), []).append((key, positive))
 
         network.condensation()
+        network_believers = frozenset(_positive_beliefs(network))
         resolvers: Dict[str, DeltaResolver] = dict.fromkeys(beliefs_by_key)
         for believers, members in groups.items():
             order = tuple(believers)
-            sources = resolve(
+            result = resolve(
                 network._with_beliefs({user: i for i, user in enumerate(order)})
-            ).possible
+            )
+            sources = result.possible
+            opening = None
+            if believers == network_believers:
+                opening = OpeningRecord(network.version, result.program)
             # Preferred copies alias their parent's set, so a network has
             # far fewer distinct source sets than users.
             distinct = {id(source): source for source in sources.values()}
@@ -505,6 +545,7 @@ class DeltaResolver(DeltaWalk):
                 resolver.possible = {
                     user: decoded[id(source)] for user, source in sources.items()
                 }
+                resolver.opening = opening
                 resolvers[key] = resolver
         return resolvers
 
@@ -605,6 +646,6 @@ class DeltaResolver(DeltaWalk):
         # in-edge, and binary networks put beliefs on roots only), so the
         # external parents are the closed boundary.
         index = {member: i for i, member in enumerate(members)}
-        program = programs[cid] = close_union(members, index, incoming, possible)
+        program = programs[cid] = close_union(members, index, incoming, possible.get)
         values = program.node_values(list(map(possible.get, program.leaves)))
         return [values[node] for node in program.reads], ()

@@ -47,6 +47,7 @@ from repro.core.errors import (
 )
 from repro.core.gcpause import paused_gc
 from repro.core.network import TrustNetwork, User
+from repro.core.resolution import UnionProgram
 from repro.bulk.store import PossStore, ShardedPossStore
 from repro.obs.trace import NULL_TRACER
 from repro.incremental.coalesce import coalesce as coalesce_deltas
@@ -59,7 +60,7 @@ from repro.incremental.deltas import (
     is_structural,
     row_diff,
 )
-from repro.incremental.resolver import DeltaResolver
+from repro.incremental.resolver import DeltaResolver, OpeningRecord
 
 _EMPTY: FrozenSet[Value] = frozenset()
 
@@ -184,6 +185,13 @@ class IncrementalSession:
                 network, {str(key): overrides.get(key, base_beliefs) for key in keys}
             )
         self._default_key = str(keys[0])
+        #: The closing record of the resolve() that opened the session (see
+        #: :meth:`take_opening_program`), taken over from the resolvers.
+        self._opening: Optional[OpeningRecord] = None
+        for resolver in self._resolvers.values():
+            if self._opening is None:
+                self._opening = resolver.opening
+            resolver.opening = None
         #: Row-diff fragments owed to quarantined shards, in apply order:
         #: ``shard index -> [(deleted rows, inserted rows), ...]``.  Replayed
         #: (or superseded by a slice rebuild) by :meth:`recover_shard`.
@@ -236,6 +244,24 @@ class IncrementalSession:
             for user, values in resolver.possible.items()
             for value in values
         )
+
+    def take_opening_program(self) -> Optional[UnionProgram]:
+        """Algorithm 1's closing record from the session's open, handed out once.
+
+        The :class:`~repro.core.resolution.UnionProgram` of the
+        ``resolve()`` that opened the session over the network's own
+        positive believers (the default key's, or the believer group's
+        whose believers they are): the bulk plan of the network as opened
+        (:func:`repro.bulk.planner.plan_resolution` lowers it).  ``None``
+        when no open resolved over those believers, when the record was
+        taken already, or when the network version moved since, so the
+        record is stale.  The session forgets the record either way, and
+        the first apply that moves the network drops it too.
+        """
+        record, self._opening = self._opening, None
+        if record is None or record.version != self.network.version:
+            return None
+        return record.program
 
     # ------------------------------------------------------------------ #
     # loading                                                             #
@@ -516,6 +542,8 @@ class IncrementalSession:
         serving shards.  Either way the serving shards converge to the
         exact post-batch state.
         """
+        if self._opening is not None and self._opening.version != self.network.version:
+            self._opening = None  # the network moved past the open
         net: Dict[Tuple[str, User], RowChange] = {}
         for key, log in logs:
             for change in log.changes:

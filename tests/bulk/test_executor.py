@@ -97,6 +97,72 @@ class TestBulkResolver:
         resolver.store.close()
 
 
+def _row_by_row_verdict(batches, expected):
+    """Bulk assumptions (i)/(ii) checked row by row, batch after batch: the
+    verdict a belief load must reach, as the error message or ``None``."""
+    loaded = set()
+    for rows in batches:
+        by_user = {}
+        for user, key, _value in rows:
+            by_user.setdefault(str(user), set()).add(str(key))
+            loaded.add(str(key))
+        if expected and set(by_user) - expected:
+            return (
+                "beliefs supplied for users outside the planned explicit set: "
+                f"{sorted(set(by_user) - expected)}"
+            )
+        for user, keys in by_user.items():
+            if keys != loaded:
+                return (
+                    f"bulk assumption (ii) violated: user {user} lacks beliefs for "
+                    f"{len(loaded - keys)} objects"
+                )
+    return None
+
+
+class TestBeliefLoadChecks:
+    """The per-key set checks reach the row-by-row verdict, message and all."""
+
+    def test_random_loads_match_the_row_by_row_verdict(self):
+        import random
+
+        rng = random.Random(7)
+        tn = TrustNetwork()
+        for child, parent in (("c", "a"), ("c", "b"), ("d", "c"), ("e", 1)):
+            tn.add_trust(child, parent, priority=1 if parent != "b" else 2)
+        verdicts = set()
+        for _ in range(400):
+            resolver = BulkResolver(tn, explicit_users=["a", "b", 1])
+            batches = []
+            for _batch in range(rng.randint(1, 2)):
+                rows = [
+                    (user, key, rng.choice("vw"))
+                    for key in rng.sample(["k0", "k1", "k2", 3], rng.randint(1, 3))
+                    for user in ("a", "b", 1, "1", "d")
+                    if rng.random() < (0.9 if user != "d" else 0.05)
+                ]
+                rng.shuffle(rows)
+                batches.append(rows)
+            expected = _row_by_row_verdict(batches, {"a", "b", "1"})
+            verdicts.add(expected is None)
+            try:
+                for rows in batches:
+                    resolver.load_beliefs(rows)
+            except BulkProcessingError as error:
+                assert str(error) == expected
+            else:
+                assert expected is None
+                loaded = sorted(
+                    (str(u), str(k), str(v)) for rows in batches for u, k, v in rows
+                )
+                stored = sorted(
+                    (row.user, row.key, row.value) for row in resolver.store.possible_table()
+                )
+                assert stored == loaded
+            resolver.store.close()
+        assert verdicts == {True, False}
+
+
 class TestGroupedCopies:
     """Copies from one parent always run as one multi-child statement."""
 

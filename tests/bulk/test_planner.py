@@ -203,14 +203,27 @@ class TestPlanIdentity:
             assert plan_resolution(rebuilt, explicit).steps == fresh.steps
 
     def test_plans_do_not_depend_on_the_hash_seed(self):
-        """Flood order follows sorted names, not set iteration order."""
+        """Step order follows sorted names, not set iteration order.
+
+        That holds for the plan an engine lowers from its open's record
+        too: a multi-key open numbers each believer group's users in
+        frozenset order, and the plan's steps name the checkpoint journal.
+        """
         script = (
             "import zlib\n"
             "from tests.bulk.test_planner import _gadget_ring\n"
             "from repro.bulk.planner import plan_resolution, plan_skeptic_resolution\n"
+            "from repro.engine import ResolutionEngine\n"
+            "from repro.workloads.powerlaw import WebWorkloadConfig, web_trust_network\n"
             "ring = _gadget_ring(8)\n"
             "plans = (plan_resolution(ring), plan_skeptic_resolution(ring, ['s'], {'m0': ['w']}))\n"
             "print([zlib.crc32(repr(plan.steps).encode()) for plan in plans])\n"
+            "web = web_trust_network(WebWorkloadConfig(n_domains=150, seed=3))\n"
+            "believers = sorted((u for u in web.users if web.has_explicit_belief(u)), key=str)\n"
+            "keys = ('k0', 'k1', 'k2')\n"
+            "beliefs = {k: {u: f'{k}{i % 2}' for i, u in enumerate(believers)} for k in keys}\n"
+            "engine = ResolutionEngine.open(web, keys=keys, beliefs_by_key=beliefs)\n"
+            "print(repr(engine.plan.steps), engine._run_id())\n"
         )
         root = Path(__file__).resolve().parents[2]
         outputs = set()

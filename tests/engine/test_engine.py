@@ -442,17 +442,23 @@ class TestDeferredPlanMaintenance:
 
 @pytest.fixture
 def plan_derivations(monkeypatch):
-    """Count the lowerings of a plan to its step DAG."""
+    """Count the derivations of a plan's stage count from its steps.
+
+    A lowered plan carries its count, so a fresh plan derives nothing; a
+    patched one counts its stages in one pass (``count_stages``).  Neither
+    builds the step DAG (``plan_dag``).
+    """
+    import repro.bulk.compile as compile_module
     import repro.bulk.planner as planner_module
 
-    calls = {"plan_dag": 0}
-    original = planner_module.plan_dag
+    calls = {"plan_dag": 0, "count_stages": 0}
+    for module, name in ((planner_module, "plan_dag"), (compile_module, "count_stages")):
 
-    def counted(*args, **kwargs):
-        calls["plan_dag"] += 1
-        return original(*args, **kwargs)
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(planner_module, "plan_dag", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -468,7 +474,7 @@ class TestWarmMaterialize:
             reports = [engine.materialize(compiled=True) for _ in range(4)]
             engine.store._connection.set_trace_callback(None)
             assert [report.plan_source for report in reports] == ["fresh"] + ["cached"] * 3
-            assert plan_derivations == {"plan_dag": 1}
+            assert plan_derivations == {"plan_dag": 0, "count_stages": 0}
             assert len({(r.dag_stages, r.statements_saved) for r in reports}) == 1
             assert reports[0].dag_stages > 0
             # No post-run conflict scan (or any other aggregate) runs.
@@ -490,7 +496,8 @@ class TestWarmMaterialize:
                 "cached",
             ]
             assert plan_derivations == {
-                name: count + 1 for name, count in counts.items()
+                "plan_dag": counts["plan_dag"],
+                "count_stages": counts["count_stages"] + 1,
             }
             # The splice keeps the old regions, so it may issue more
             # statements than a fresh compilation; what it derives from the
