@@ -21,10 +21,12 @@ how the plan is lowered to regions:
 Without a checkpoint the whole run is **one transaction** (per shard): a
 mid-run :class:`~repro.core.errors.BulkProcessingError` rolls the relation
 back to its pre-run state (the loaded explicit beliefs commit separately
-and survive).  With a checkpoint run id each region commits its own
-transaction together with its ``POSS_JOURNAL`` marker — the plan index of
-the region's last step, which for a one-step replay region is the step's
-own index — and a resumed run skips the regions the journal holds.
+and survive; :meth:`_PlanExecutor.load_beliefs` copies them from the
+store's ``BELIEF`` relation).  With a checkpoint run id each region
+commits its own transaction together with its ``POSS_JOURNAL`` marker —
+the plan index of the region's last step, which for a one-step replay
+region is the step's own index — and a resumed run skips the regions the
+journal holds.
 
 The loop runs once per serving shard of ``store.shards``; a single
 :class:`~repro.bulk.store.PossStore` is its own one shard.  Each shard of
@@ -100,6 +102,8 @@ class BulkRunReport:
     store's physical design and engine.
     """
 
+    #: Objects whose belief rows were handed to ``load_beliefs`` (a load
+    #: that copies the store's ``BELIEF`` relation as it stands counts none).
     objects: int
     statements: int
     rows_inserted: int
@@ -403,20 +407,53 @@ class _PlanExecutor:
         report.trace = tracer
         return report
 
-    def load_beliefs(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
-        """Load the explicit beliefs; verifies bulk assumptions (i) and (ii).
+    def load_beliefs(
+        self, rows: Optional[Iterable[Tuple[User, object, Value]]] = None
+    ) -> int:
+        """Load the explicit beliefs into ``POSS``; returns the rows loaded.
 
-        Every row must belong to a user of the plan's explicit set, and
-        every such user must hold a belief for every loaded object.  Under
-        a checkpoint run id each serving shard's load commits atomically
-        with its ``JOURNAL_BELIEFS_NODE`` marker, so a resumed run that
-        loads the same rows again neither duplicates nor skips them.
-
+        Given ``rows``, verifies bulk assumptions (i) and (ii): every row
+        must belong to a user of the plan's explicit set, and every such
+        user must hold a belief for every loaded object.  The rows then
+        replace the store's ``BELIEF`` relation, which is copied into
+        ``POSS`` (:meth:`~repro.bulk.store.PossStore.insert_explicit_beliefs`).
         The checks compare one set of users per key, not row by row, and
         the rows reach the store as given: the store stringifies each row
         once, as it inserts it.
+
+        Without ``rows``, ``BELIEF`` is copied as it stands, with one
+        ``INSERT … SELECT`` per shard.  Its rows are not read back, so the
+        caller vouches for the assumptions and the report counts no
+        objects: :class:`~repro.engine.ResolutionEngine` does, because it
+        compares its session's believers with the plan at every
+        ``materialize`` and its session keeps ``BELIEF`` equal to them.
+
+        Under a checkpoint run id each serving shard's load commits
+        atomically with its ``JOURNAL_BELIEFS_NODE`` marker, so a resumed
+        run that loads again neither duplicates nor skips the beliefs.
         """
-        rows = rows if isinstance(rows, list) else list(rows)
+        if rows is not None:
+            rows = rows if isinstance(rows, list) else list(rows)
+            self._check_assumptions(rows)
+        run_id = self._checkpoint
+        store = self.store
+        if run_id is None:
+            return store.insert_explicit_beliefs(rows)
+        inserted = 0
+        partitions = None if rows is None else store.spec.partition_rows(rows)
+        for index, shard in enumerate(store.shards):
+            if index in store.degraded_shards:
+                continue
+            if JOURNAL_BELIEFS_NODE not in shard.journal_completed(run_id):
+                with shard.transaction():
+                    inserted += shard.insert_explicit_beliefs(
+                        None if partitions is None else partitions[index]
+                    )
+                    shard.journal_record(run_id, JOURNAL_BELIEFS_NODE)
+        return inserted
+
+    def _check_assumptions(self, rows: List[Tuple[User, object, Value]]) -> None:
+        """Bulk assumptions (i) and (ii), one set of users per key."""
         users_of: Dict[str, set] = {}
         for key, group in groupby(rows, _ROW_KEY):
             users = users_of.get(str(key))
@@ -431,20 +468,6 @@ class _PlanExecutor:
         ):
             # Compare by name, user by user, for the exact verdict.
             self._check_rows(rows)
-        run_id = self._checkpoint
-        store = self.store
-        if run_id is None:
-            return store.insert_explicit_beliefs(rows)
-        inserted = 0
-        partitions = store.spec.partition_rows(rows)
-        for index, shard in enumerate(store.shards):
-            if index in store.degraded_shards:
-                continue
-            if JOURNAL_BELIEFS_NODE not in shard.journal_completed(run_id):
-                with shard.transaction():
-                    inserted += shard.insert_explicit_beliefs(partitions[index])
-                    shard.journal_record(run_id, JOURNAL_BELIEFS_NODE)
-        return inserted
 
     def _check_rows(self, rows: List[Tuple[User, object, Value]]) -> None:
         """Bulk assumptions (i) and (ii) by name, row by row."""

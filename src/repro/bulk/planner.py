@@ -101,6 +101,8 @@ class FloodStep:
         """
         if not self.parents or not self.members:
             return 0
+        if not self.blocked:
+            return 1  # every Algorithm 1 flood: one group, nothing blocked
         blocked = self.blocked_map()
         groups = {blocked.get(str(member), ()) for member in self.members}
         return sum(2 if rejected else 1 for rejected in groups)

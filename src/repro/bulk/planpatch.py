@@ -10,9 +10,11 @@ to the *affected region*; the rest makes three passes over the whole old
 plan — the scan for blocked flood steps, the kept/dropped partition
 (step 2) and the closed set built from every kept step's outputs — so one
 patch costs ``O(|plan| + region)``.  Re-prioritizing one edge of the
-12k-user oscillator network (a 2-user region, 2,999 kept steps) takes
-7.5 ms (median of 9, Python 3.11 on a 2-vCPU Xeon VM): cheaper than a full
-re-plan, but not proportional to the region alone.  The steps:
+12k-user oscillator network (a 2-user region, 3,000 steps) took 6.0 to
+11.3 ms (the medians of 9 patches in each of three processes, Python 3.11
+on a 2-vCPU Xeon VM; the spread is between processes, not patches):
+cheaper than a full re-plan, but not proportional to the region alone.
+The steps:
 
 1. The affected region is the set of descendants of the touched users in
    the (already mutated) network — the same successor-closed dirty region

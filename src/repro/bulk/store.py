@@ -23,6 +23,19 @@ per plan region, each committing the region's rows together with its
 leaves only whole, journaled regions visible and a re-run resumes from
 them.
 
+Explicit beliefs live in their own relation, ``BELIEF(X, K, V)``, next to
+``POSS``: the per-object values the explicit users publish, the source
+data ``POSS`` is derived from.  Loading beliefs
+(:meth:`PossStore.insert_explicit_beliefs`) copies ``BELIEF`` into
+``POSS`` with one ``INSERT … SELECT``; a load handed rows first replaces
+``BELIEF`` with them, a load without rows copies it as it stands.  A
+:class:`~repro.incremental.session.IncrementalSession` keeps ``BELIEF``
+equal to its explicit beliefs: its load replaces it, each apply writes the
+slots its belief changes touched (:meth:`PossStore.update_beliefs`) in the
+transaction of the ``POSS`` diff, and its recovery paths replace it again.
+So an engine rewrites ``BELIEF`` at its first ``materialize`` (or when it
+lost track of it) and every later ``materialize`` only copies it.
+
 Fault tolerance lives at two seams of this class.  Every statement passes
 through the single :meth:`PossStore._run_statement` funnel, where raw
 driver exceptions are classified through the backend
@@ -176,6 +189,13 @@ class PossStore:
             "CREATE TABLE IF NOT EXISTS POSS "
             "(X TEXT NOT NULL, K TEXT NOT NULL, V TEXT NOT NULL)"
         )
+        # The explicit beliefs POSS is loaded from; a session's apply
+        # rewrites single (X, K) slots of it.
+        self._execute(
+            "CREATE TABLE IF NOT EXISTS BELIEF "
+            "(X TEXT NOT NULL, K TEXT NOT NULL, V TEXT NOT NULL)"
+        )
+        self._execute("CREATE INDEX IF NOT EXISTS BELIEF_XK ON BELIEF (X, K)")
         # The checkpoint journal: which plan regions a named run has committed.
         self._execute(
             "CREATE TABLE IF NOT EXISTS POSS_JOURNAL "
@@ -634,24 +654,73 @@ class PossStore:
         self.close()
 
     def clear(self) -> None:
-        """Delete every row."""
+        """Delete every row of ``POSS`` (``BELIEF`` keeps its rows)."""
         self._execute("DELETE FROM POSS")
         self._commit()
 
     # ------------------------------------------------------------------ #
-    # loading                                                              #
+    # loading, and the BELIEF relation                                     #
     # ------------------------------------------------------------------ #
 
     def insert_explicit_beliefs(
-        self, rows: Iterable[Tuple[User, object, Value]]
+        self, rows: Optional[Iterable[Tuple[User, object, Value]]] = None
     ) -> int:
-        """Bulk-load explicit beliefs as ``(user, key, value)`` triples.
+        """Load the explicit beliefs into ``POSS``; returns the rows loaded.
 
-        This is the durable source data of Section 4 (the per-object values
-        the two explicit users publish); unlike the resolution statements it
-        commits immediately, so a later rolled-back run leaves it in place.
+        ``rows`` of ``(user, key, value)`` triples first replace
+        ``BELIEF``, the durable source data of Section 4 (the per-object
+        values the explicit users publish).  Without ``rows`` nothing is
+        written to ``BELIEF``: it is loaded as it stands, which is how a
+        warm ``materialize`` loads the beliefs its session kept in step.
+        Either way one ``INSERT … SELECT`` copies ``BELIEF`` into ``POSS``.
+        Outside a run transaction the load commits at once, so a later
+        rolled-back run leaves it in place.
         """
-        return self._insert_row_batch(rows)
+        if rows is not None:
+            self._write_beliefs(rows, replace=True)
+        cursor = self._execute("INSERT INTO POSS (X, K, V) SELECT X, K, V FROM BELIEF")
+        self._commit()
+        return max(cursor.rowcount, 0)
+
+    def replace_beliefs(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
+        """Make ``BELIEF`` hold exactly ``rows``; returns their number."""
+        written = self._write_beliefs(rows, replace=True)
+        self._commit()
+        return written
+
+    def update_beliefs(
+        self,
+        slots: Iterable[Tuple[User, object]],
+        rows: Iterable[Tuple[User, object, Value]] = (),
+    ) -> None:
+        """Rewrite ``BELIEF`` slots: drop every row of each ``(user, key)``
+        in ``slots``, then insert ``rows`` (the slots' current beliefs).
+
+        Rewriting a slot that already holds its current belief leaves it
+        as it was, so the write is idempotent.
+        """
+        data = [(str(user), str(key)) for user, key in slots]
+        if data:
+            self._executemany("DELETE FROM BELIEF WHERE X = ? AND K = ?", data)
+        self._write_beliefs(rows)
+        self._commit()
+
+    def _write_beliefs(
+        self, rows: Iterable[Tuple[User, object, Value]], replace: bool = False
+    ) -> int:
+        """Insert ``rows`` into ``BELIEF`` (after emptying it on ``replace``);
+        the caller commits."""
+        if replace:
+            self._execute("DELETE FROM BELIEF")
+        data = [(str(user), str(key), str(value)) for user, key, value in rows]
+        if data:
+            self._executemany("INSERT INTO BELIEF (X, K, V) VALUES (?, ?, ?)", data)
+        return len(data)
+
+    def belief_table(self) -> List[PossRow]:
+        """Every row of ``BELIEF``, duplicates kept (as :meth:`possible_table`)."""
+        cursor = self._execute("SELECT X, K, V FROM BELIEF")
+        return [PossRow(*row) for row in cursor.fetchall()]
 
     # ------------------------------------------------------------------ #
     # the delta statements of the incremental engine                       #
@@ -727,18 +796,12 @@ class PossStore:
         to seed a store from an in-memory resolution result).  One
         ``executemany`` batch counts as one delta statement.
         """
-        inserted = self._insert_row_batch(rows)
-        if inserted:
-            self._count_delta()
-        return inserted
-
-    def _insert_row_batch(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
-        """Shared ``executemany`` behind every plain row insert."""
         data = [(str(user), str(key), str(value)) for user, key, value in rows]
         if not data:
             return 0
         self._executemany("INSERT INTO POSS (X, K, V) VALUES (?, ?, ?)", data)
         self._commit()
+        self._count_delta()
         return len(data)
 
     # ------------------------------------------------------------------ #
@@ -1029,6 +1092,7 @@ def _sorted_keys(keys: Iterable[object]) -> Tuple[str, ...]:
 #: capabilities cover every shard: every shard runs every region statement.
 _READS = {
     "possible_table": lambda parts: [row for part in parts for row in part],
+    "belief_table": lambda parts: [row for part in parts for row in part],
     "certain_snapshot": lambda parts: {k: v for part in parts for k, v in part.items()},
     "conflict_count": sum,
     "row_count": sum,
@@ -1299,11 +1363,43 @@ class ShardedPossStore:
                 total += call(shard) or 0
         return total
 
+    def _per_shard(self, rows, write) -> int:
+        """Run ``write(shard, part)`` on every serving shard, ``part`` being
+        the rows it owns (``None`` for every shard when ``rows`` is)."""
+        parts = None if rows is None else self.partition(rows)
+        total = 0
+        for index, shard in enumerate(self.shards):
+            if index not in self._degraded:
+                part = None if parts is None else parts[index]
+                with self._shard_errors(index, (row[1] for row in part or ())):
+                    total += write(shard, part)
+        return total
+
     def insert_explicit_beliefs(
-        self, rows: Iterable[Tuple[User, object, Value]]
+        self, rows: Optional[Iterable[Tuple[User, object, Value]]] = None
     ) -> int:
-        """Bulk-load explicit beliefs, each row on its key's shard."""
-        return self._scatter(rows, PossStore.insert_explicit_beliefs)
+        """Load the beliefs on every serving shard, ``rows`` routed by key
+        (a shard owning none of them has its ``BELIEF`` emptied)."""
+        return self._per_shard(
+            rows, lambda shard, part: shard.insert_explicit_beliefs(part)
+        )
+
+    def replace_beliefs(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
+        """Make each serving shard's ``BELIEF`` hold the ``rows`` it owns."""
+        return self._per_shard(rows, PossStore.replace_beliefs)
+
+    def update_beliefs(
+        self,
+        slots: Iterable[Tuple[User, object]],
+        rows: Iterable[Tuple[User, object, Value]] = (),
+    ) -> None:
+        """Rewrite ``BELIEF`` slots, each on its key's shard."""
+        parts = zip(self.partition(slots), self.partition(rows))
+        for index, (slot_part, row_part) in enumerate(parts):
+            if slot_part or row_part:
+                keys = [entry[1] for entry in slot_part + row_part]
+                with self._shard_errors(index, keys):
+                    self.shards[index].update_beliefs(slot_part, row_part)
 
     def insert_rows(self, rows: Iterable[Tuple[User, object, Value]]) -> int:
         """Delta INSERT, each row on its key's shard."""

@@ -76,15 +76,15 @@ MODES = ("auto", "memory", "store")
 #: :meth:`ResolutionEngine.apply` patches the deferred changes itself once
 #: the pending users reach 1/32 of the network's users.  Deferring longer
 #: is cheaper.  In the session benchmark's traced run (``benchmarks/session``,
-#: seed 7, 200-apply round trips, 2-vCPU host) this bound makes ``apply``
-#: patch 18 times per round trip on objects-bulk, 4 times on web-session
-#: and never on cycles-stream.  Objects-bulk's batches only change
-#: believers' values, so its patches return the plan unchanged: 1.7 ms of
-#: 0.61 s ``engine.apply``.  Web-session's 4 re-plan structural regions:
-#: 0.12 s of 0.97 s.  The bound stays because the benchmark's smoke test
-#: requires ``patch_plan`` to run inside a traced verb, and its traced run
-#: has no ``materialize`` after its applies: at 1/16 its 80-user
-#: cycles-stream run (4 pending users) would never patch.
+#: ``--seed 7 --seconds 10 --trace 1``, 200-apply round trips, 2-vCPU host)
+#: this bound makes ``apply`` patch 18 times per round trip on objects-bulk,
+#: 4 times on web-session and never on cycles-stream.  Objects-bulk's
+#: batches only change believers' values, so its patches return the plan
+#: unchanged: 1.6 ms of 0.40 s ``engine.apply``.  Web-session's 4 re-plan
+#: structural regions: 0.049 s of 0.63 s.  The bound stays because the
+#: benchmark's smoke test requires ``patch_plan`` to run inside a traced
+#: verb, and its traced run has no ``materialize`` after its applies: at
+#: 1/16 its 80-user cycles-stream run (4 pending users) would never patch.
 _DEFERRAL_DIVISOR = 32
 
 __all__ = ["MODES", "EngineReport", "ResolutionEngine"]
@@ -508,10 +508,20 @@ class ResolutionEngine:
     ) -> EngineReport:
         """Execute the cached plan against the store (the Section 4 path).
 
-        Clears the relation, bulk-loads every key's explicit beliefs and
+        Clears the relation, loads every key's explicit beliefs and
         replays the plan step by step — on every shard of a sharded store
         — inside one (per-shard) transaction.  After this, :meth:`query`
         in ``auto`` mode reads from the relation.
+
+        The beliefs come from the store's ``BELIEF`` relation.  The first
+        materialize of an engine, and any after its session lost track of
+        ``BELIEF`` (an apply that raised before its flush, a reconnect;
+        see :attr:`IncrementalSession.beliefs_stored`), replaces it with
+        the session's beliefs and copies it into ``POSS``; every other one
+        only copies it, with one ``INSERT … SELECT``, because each
+        :meth:`apply` rewrote the belief slots it changed in its own
+        transaction.  Either way each key's believers are first compared
+        with the plan's explicit users (bulk assumption (ii)).
 
         With ``checkpoint=True`` the run journals one checkpoint per plan
         region (one transaction per region, recorded in the store's
@@ -567,12 +577,16 @@ class ResolutionEngine:
             else:
                 compiled_plan = None
             plan_users = self._plan.explicit_users
+            session = self._session
             with tracer.span("engine.load_beliefs") as load_span:
-                # One set comparison per key; the store stringifies the
-                # rows as it inserts them.
-                rows: List[Tuple[User, str, Value]] = []
-                for key in self._session.keys:
-                    beliefs = self._session.resolver(key).beliefs
+                # One set comparison per key.  Rows are only built when
+                # BELIEF must be rewritten; the store stringifies them as it
+                # inserts them.
+                rows: Optional[List[Tuple[User, str, Value]]] = (
+                    None if session.beliefs_stored else []
+                )
+                for key in session.keys:
+                    beliefs = session.resolver(key).beliefs
                     if beliefs.keys() != plan_users:
                         users = {str(user) for user in beliefs}
                         planned = {str(user) for user in plan_users}
@@ -582,8 +596,9 @@ class ResolutionEngine:
                                 f"belief users {sorted(users)} differ from the "
                                 f"planned explicit set {sorted(planned)}"
                             )
-                    rows.extend(zip(beliefs, repeat(key), beliefs.values()))
-                load_span.tag(rows=len(rows))
+                    if rows is not None:
+                        rows.extend(zip(beliefs, repeat(key), beliefs.values()))
+                load_span.tag(rows=0 if rows is None else len(rows), stored=rows is None)
             if not resume:
                 self.store.clear()
                 self.store.journal_clear()
@@ -604,6 +619,9 @@ class ResolutionEngine:
                 tracer=tracer if tracer.enabled else None,
             )
             executor.load_beliefs(rows)
+            if rows is not None and not resume:
+                # A resumed load may have been skipped by its journal marker.
+                session.beliefs_stored = True
             bulk = executor.run()
         except BaseException:
             if run_span is not None:

@@ -720,7 +720,7 @@ def summarize_fault_sweep(rows: Sequence[Dict[str, object]]) -> Dict[str, object
 
 def run_crash_resume_demo(
     n_objects: int = 1_000,
-    crash_at: int = 14,
+    crash_at: int = 18,
     seed: int = 11,
 ) -> Dict[str, object]:
     """Crash a checkpointed run mid-plan, then resume it.

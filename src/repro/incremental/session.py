@@ -13,6 +13,17 @@ in a user's possible set move
 shard on partitioned stores, via the same :meth:`transaction` surface the
 bulk executor uses), so a mid-apply failure leaves the relation untouched.
 
+The store's ``BELIEF`` relation is kept equal to the session's explicit
+beliefs (one ``(user, key, value)`` row per positive belief, see
+:meth:`IncrementalSession.belief_rows`): :meth:`IncrementalSession.load`
+replaces it, each flush rewrites the ``(user, key)`` slots whose belief the
+batch changed inside the transaction of the ``POSS`` diff, and
+:meth:`~IncrementalSession.resync` and
+:meth:`~IncrementalSession.recover_shard` replace it along with ``POSS``.
+:attr:`~IncrementalSession.beliefs_stored` says whether it is in step, so
+an engine's warm ``materialize`` can load beliefs from it with one
+``INSERT … SELECT``.
+
 Sessions follow the bulk assumptions of Section 4: the trust structure is
 shared by every object key, while explicit beliefs vary per key.  One
 :class:`~repro.incremental.resolver.DeltaResolver` per key maintains that
@@ -54,9 +65,11 @@ from repro.incremental.coalesce import coalesce as coalesce_deltas
 from repro.incremental.deltas import (
     Delta,
     DeltaLog,
+    RemoveBelief,
     RemoveUser,
     Row,
     RowChange,
+    SetBelief,
     is_structural,
     row_diff,
 )
@@ -196,6 +209,9 @@ class IncrementalSession:
         #: ``shard index -> [(deleted rows, inserted rows), ...]``.  Replayed
         #: (or superseded by a slice rebuild) by :meth:`recover_shard`.
         self._pending: Dict[int, List[Tuple[List[Row], List[Row]]]] = {}
+        #: ``store.reconnects`` when ``BELIEF`` was last known to hold the
+        #: session's beliefs, or ``None`` (see :attr:`beliefs_stored`).
+        self._beliefs_at: Optional[int] = None
         self._tracer = NULL_TRACER
         if autoload:
             self.load()
@@ -245,6 +261,32 @@ class IncrementalSession:
             for value in values
         )
 
+    def belief_rows(self) -> List[Tuple[str, str, str]]:
+        """The session's explicit beliefs as ``BELIEF`` rows (sorted)."""
+        return sorted(
+            (str(user), key, str(value))
+            for key, resolver in self._resolvers.items()
+            for user, value in resolver.beliefs.items()
+        )
+
+    @property
+    def beliefs_stored(self) -> bool:
+        """Whether the store's ``BELIEF`` relation holds the session's beliefs.
+
+        True once :meth:`load` or :meth:`resync` wrote them (or a caller
+        that loaded them itself, the engine's ``materialize``, set it), for
+        as long as every apply flushed.  An apply that raised before its
+        flush, a failed recovery or a reconnect of any shard (an in-memory
+        database comes back empty) makes it false; a quarantined shard's
+        slice is :meth:`recover_shard`'s to repair.  While it is false the
+        flush leaves ``BELIEF`` alone.
+        """
+        return self._beliefs_at is not None and self._beliefs_at == self.store.reconnects
+
+    @beliefs_stored.setter
+    def beliefs_stored(self, stored: bool) -> None:
+        self._beliefs_at = self.store.reconnects if stored else None
+
     def take_opening_program(self) -> Optional[UnionProgram]:
         """Algorithm 1's closing record from the session's open, handed out once.
 
@@ -268,8 +310,12 @@ class IncrementalSession:
     # ------------------------------------------------------------------ #
 
     def load(self) -> int:
-        """Load the current resolution of every key into the store."""
-        return self.store.insert_rows(self.rows())
+        """Load the current resolution of every key into the store, and
+        make ``BELIEF`` hold the session's beliefs."""
+        loaded = self.store.insert_rows(self.rows())
+        self.store.replace_beliefs(self.belief_rows())
+        self.beliefs_stored = True
+        return loaded
 
     # ------------------------------------------------------------------ #
     # applying deltas                                                     #
@@ -293,6 +339,7 @@ class IncrementalSession:
             raise BulkProcessingError("apply() needs at least one delta")
         started = time.perf_counter()
         logs: List[Tuple[str, DeltaLog]] = []
+        before = self._beliefs_before(deltas)
         try:
             with paused_gc():
                 for delta in deltas:
@@ -321,10 +368,13 @@ class IncrementalSession:
             # (interrupt, resolver crash) may have left mid-delta state and
             # propagates without a flush — resync() is the recovery path.
             if logs:
-                self._flush(logs, len(deltas), started)
+                self._flush(logs, before, len(deltas), started)
+            raise
+        except BaseException:
+            self.beliefs_stored = False
             raise
 
-        return self._flush(logs, len(deltas), started)
+        return self._flush(logs, before, len(deltas), started)
 
     def apply_batch(self, *deltas: Delta, coalesce: bool = True) -> DeltaApplyReport:
         """Apply a batch of deltas with coalescing and one recompute per key.
@@ -412,6 +462,7 @@ class IncrementalSession:
         logs: List[Tuple[str, DeltaLog]] = []
         structural_touched: Dict[int, Tuple[User, ...]] = {}
         fresh = self._fresh_users(ops)
+        before = self._beliefs_before(ops)
         try:
             with paused_gc():
                 first = True
@@ -470,9 +521,12 @@ class IncrementalSession:
                 resolver.rebuild()
             self.resync()
             raise
+        except BaseException:
+            self.beliefs_stored = False
+            raise
 
         with tracer.span("session.flush") as flush_span:
-            report = self._flush(logs, len(ops), started, original_count)
+            report = self._flush(logs, before, len(ops), started, original_count)
             flush_span.tag(
                 rows_deleted=report.rows_deleted,
                 rows_inserted=report.rows_inserted,
@@ -515,9 +569,30 @@ class IncrementalSession:
             for resolver in self._resolvers.values():
                 resolver.ensure_user(user)
 
+    def _beliefs_before(self, deltas: Sequence[Delta]) -> Dict[Tuple[str, User], Value]:
+        """The beliefs ``deltas`` may change, as ``(key, user) -> value``
+        (``None``: no belief) before they run; empty while ``BELIEF`` is not
+        :attr:`beliefs_stored`, which the flush then leaves alone."""
+        if not self.beliefs_stored:
+            return {}
+        before: Dict[Tuple[str, User], Value] = {}
+        for delta in deltas:
+            if isinstance(delta, RemoveUser):
+                keys: Sequence[str] = tuple(self._resolvers)
+            elif isinstance(delta, (SetBelief, RemoveBelief)):
+                keys = (self._key_of(delta),)
+            else:
+                continue
+            for key in keys:
+                resolver = self._resolvers.get(key)
+                if resolver is not None and (key, delta.user) not in before:
+                    before[key, delta.user] = resolver.beliefs.get(delta.user)
+        return before
+
     def _flush(
         self,
         logs: List[Tuple[str, DeltaLog]],
+        beliefs_before: Dict[Tuple[str, User], Value],
         deltas: int,
         started: float,
         coalesced_from: int = 0,
@@ -530,6 +605,12 @@ class IncrementalSession:
         one, and :func:`~repro.incremental.deltas.row_diff` turns that pair
         into the rows that vanished and appeared, so a batch that
         round-trips a user back to its old rows touches nothing.
+
+        While :attr:`beliefs_stored`, the same transaction rewrites the
+        ``BELIEF`` slots of the batch's belief changes: each ``(key,
+        user)`` named by a ``SetBelief``, ``RemoveBelief`` or
+        ``RemoveUser`` whose belief differs from ``beliefs_before``.  The
+        apply still makes one commit.
 
         Crash consistency: the in-memory resolvers already hold the
         post-batch state when this runs, so a backend failure here never
@@ -567,18 +648,21 @@ class IncrementalSession:
         deletes, inserts = row_diff(changed)
         deletes.sort()
         inserts.sort()
+        slots, beliefs = self._belief_diff(beliefs_before)
 
         store = self.store
         statements_before = store.delta_statements
         transactions_before = store.transactions
         rows_deleted = rows_inserted = 0
         recovered = rewrite = False
-        while deletes or inserts:
+        while deletes or inserts or slots:
             try:
                 with store.transaction():
                     rows_deleted, rows_inserted = _write_rows(
                         store, deletes, inserts, idempotent=rewrite
                     )
+                    if slots:
+                        store.update_beliefs(slots, beliefs)
                 break
             except ShardUnavailable as error:
                 # One shard of a partitioned store is out (it is now
@@ -588,6 +672,9 @@ class IncrementalSession:
                 # rewrite is idempotent.
                 lost_deletes, deletes = _split(deletes, store.spec, error.shard)
                 lost_inserts, inserts = _split(inserts, store.spec, error.shard)
+                # The shard's BELIEF slots are rewritten by recover_shard.
+                slots = _split(slots, store.spec, error.shard)[1]
+                beliefs = _split(beliefs, store.spec, error.shard)[1]
                 if lost_deletes or lost_inserts:
                     self._pending.setdefault(error.shard, []).append(
                         (lost_deletes, lost_inserts)
@@ -605,6 +692,9 @@ class IncrementalSession:
                 rows_deleted, rows_inserted = len(deletes), len(inserts)
                 recovered = True
                 break
+            except BaseException:
+                self.beliefs_stored = False
+                raise
         return DeltaApplyReport(
             deltas=deltas,
             keys=len(self._resolvers),
@@ -622,6 +712,21 @@ class IncrementalSession:
             recovered=recovered,
             logs=tuple(logs),
         )
+
+    def _belief_diff(
+        self, beliefs_before: Dict[Tuple[str, User], Value]
+    ) -> Tuple[List[Tuple[str, str]], List[Row]]:
+        """The ``BELIEF`` slots a flush rewrites, as ``(str(user), key)``,
+        and the rows they hold now: those whose belief moved."""
+        slots: List[Tuple[str, str]] = []
+        beliefs: List[Row] = []
+        for (key, user), old in beliefs_before.items():
+            value = self._resolvers[key].beliefs.get(user)
+            if value != old:
+                slots.append((str(user), key))
+                if value is not None:
+                    beliefs.append((str(user), key, str(value)))
+        return sorted(slots), sorted(beliefs)
 
     def pending_shards(self) -> Tuple[int, ...]:
         """Shard indices with queued row-change fragments, sorted.
@@ -641,21 +746,26 @@ class IncrementalSession:
         shard's slice against the in-memory state — a shard that lost its
         data entirely (an in-memory backend that reconnected, a restored
         stale snapshot) fails the check and gets its slice rebuilt from the
-        resolvers instead.  Returns the number of rows the healed slice
-        holds.
+        resolvers instead.  The shard's ``BELIEF`` slice, which the flushes
+        it missed did not queue, is replaced in the replay's transaction.
+        Returns the number of rows the healed slice holds.
         """
         store = self.store
         if not isinstance(store, ShardedPossStore):
             raise BulkProcessingError(
                 "recover_shard() needs a ShardedPossStore-backed session"
             )
+        stored = self.beliefs_stored
         store.heal(index)
         shard = store.shards[index]
         pending = self._pending.pop(index, [])
-        if pending:
-            with shard.transaction():
-                for frag_deletes, frag_inserts in pending:
-                    _write_rows(shard, frag_deletes, frag_inserts, idempotent=True)
+        with shard.transaction():
+            for frag_deletes, frag_inserts in pending:
+                _write_rows(shard, frag_deletes, frag_inserts, idempotent=True)
+            shard.replace_beliefs(store.spec.partition_rows(self.belief_rows())[index])
+        # A heal that reconnected moved store.reconnects; the other shards
+        # kept their BELIEF in step, and this one now is.
+        self.beliefs_stored = stored
         expected = store.spec.partition_rows(self.rows())[index]
         session_keys = set(self._resolvers)
         actual = sorted(
@@ -679,16 +789,21 @@ class IncrementalSession:
         The recovery path for a failed store transaction (the one case
         where the relation can fall behind the resolvers): every serving
         shard's rows of the maintained keys are deleted and reloaded from
-        the resolvers, in one transaction.  A quarantined shard's slice is
+        the resolvers, and their ``BELIEF`` is replaced by the session's
+        beliefs, in one transaction.  A quarantined shard's slice is
         :meth:`recover_shard`'s job; the returned row count covers the
         serving shards only.
         """
         store = self.store
         slices = store.spec.partition_rows(self.rows())
+        belief_slices = store.spec.partition_rows(self.belief_rows())
+        self.beliefs_stored = False
         with store.transaction():
             for index, shard in enumerate(store.shards):
                 if index not in store.degraded_shards:
                     self._rebuild_slice(index, shard.users(), slices[index])
+                    shard.replace_beliefs(belief_slices[index])
+        self.beliefs_stored = True
         return store.row_count()
 
     def _rebuild_slice(self, index: int, users, rows: List[Row]) -> None:

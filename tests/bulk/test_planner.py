@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.bulk.planner import (
+    FloodStep,
     GroupedCopyStep,
     ResolutionPlan,
     plan_resolution,
@@ -123,6 +124,50 @@ class TestSkepticPlan:
                 positive_users=["x3", "x4"],
                 negative_constraints={"nobody": ["v"]},
             )
+
+
+def _grouped_statement_count(step):
+    """``FloodStep.statement_count()`` by its grouping definition: one
+    statement per group of members with equal blocked values, two for a
+    group that blocks any; none without members or closed parents."""
+    if not step.parents or not step.members:
+        return 0
+    blocked = step.blocked_map()
+    groups = {blocked.get(str(member), ()) for member in step.members}
+    return sum(2 if rejected else 1 for rejected in groups)
+
+
+class TestFloodStatementCount:
+    """The unblocked fast path counts what the grouping definition counts."""
+
+    def test_plain_plans(self):
+        networks = (
+            oscillators(40),
+            web_trust_network(WebWorkloadConfig(n_domains=200, seed=5)),
+            _gadget_ring(5),
+        )
+        floods = [step for n in networks for step in plan_resolution(n).flood_steps]
+        assert floods and not any(step.blocked for step in floods)
+        for step in floods:
+            assert step.statement_count() == _grouped_statement_count(step) == 1
+
+    def test_skeptic_plans(self):
+        chain, constraints = skeptic_chain_network(24)
+        plan = plan_skeptic_resolution(chain, BELIEF_USERS, constraints)
+        floods = plan.flood_steps
+        assert any(step.blocked for step in floods)
+        for step in floods:
+            assert step.statement_count() == _grouped_statement_count(step)
+
+    def test_degenerate_floods(self):
+        flood = FloodStep(members=("x",), parents=())
+        assert flood.statement_count() == _grouped_statement_count(flood) == 0
+        flood = FloodStep(members=(), parents=("p",))
+        assert flood.statement_count() == _grouped_statement_count(flood) == 0
+        flood = FloodStep(members=("x", "y"), parents=("p",), blocked=(("x", ()),))
+        assert flood.statement_count() == _grouped_statement_count(flood) == 1
+        flood = FloodStep(members=("x", "y"), parents=("p",), blocked=(("x", ("a",)),))
+        assert flood.statement_count() == _grouped_statement_count(flood) == 3
 
 
 def _identity_networks():

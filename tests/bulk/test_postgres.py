@@ -297,3 +297,47 @@ class TestPostgresEngine:
         assert serialized_relation(pg_store) == expected
         engine.materialize()
         assert serialized_relation(pg_store) == expected
+
+    @pytest.mark.parametrize("sharded", (False, True))
+    def test_warm_materialize_loads_the_belief_relation(
+        self, pg_store, serialized_relation, sharded
+    ):
+        """A cold materialize writes ``BELIEF``, a belief apply rewrites its
+        slot in the flush's transaction, and the warm materialize copies
+        it with one ``INSERT … SELECT`` per shard: the relation equals a
+        fresh load of the in-memory state."""
+        from repro.engine import ResolutionEngine
+
+        tn = TrustNetwork()
+        tn.add_trust("b", "a", priority=1)
+        tn.add_trust("c", "b", priority=1)
+        tn.add_trust("c", "e", priority=2)
+        tn.set_explicit_belief("a", "v")
+        tn.set_explicit_belief("e", "x")
+        keys = ("k0", "k1", "k4")
+        if sharded:
+            backends = [pg_backend(f"repro_belief_shard{i}") for i in range(2)]
+            store = ShardedPossStore(ShardSpec.hashed(2), backends=backends)
+            store.clear()
+        else:
+            store = pg_store
+        beliefs = {key: {"a": "v", "e": f"x-{key}"} for key in keys}
+        engine = ResolutionEngine.open(tn, store=store, keys=keys, beliefs_by_key=beliefs)
+        assert engine.materialize(compiled=True).bulk.objects == len(keys)
+        report = engine.apply(SetBelief("e", "y", key="k1"), SetBelief("a", "w", key="k4"))
+        assert report.transactions == (2 if sharded else 1)
+        session = engine._session
+        assert session.beliefs_stored
+        stored = sorted((r.user, r.key, r.value) for r in store.belief_table())
+        assert stored == session.belief_rows()
+        fresh = PossStore()
+        fresh.insert_rows(session.rows())
+        expected = serialized_relation(fresh)
+        fresh.close()
+        assert serialized_relation(store) == expected
+        warm = engine.materialize(compiled=True)
+        assert warm.bulk.objects == 0  # copied from BELIEF, not handed rows
+        assert serialized_relation(store) == expected
+        if sharded:
+            store.clear()
+            store.close()

@@ -105,7 +105,7 @@ class TestCheckpointedRun:
 
         # Enough statements to die mid-plan, after some nodes committed.
         backend = fault_backend(
-            [ScriptedFault("execute", 12, kind="unavailable")], max_faults=1
+            [ScriptedFault("execute", 16, kind="unavailable")], max_faults=1
         )
         store = PossStore(backend=backend)
         crashing = BulkResolver(
@@ -137,7 +137,7 @@ class TestCheckpointedRun:
         expected = serialized_relation(plain.store)
         plain.store.close()
 
-        for crash_at in (6, 9, 14, 20):
+        for crash_at in (8, 13, 18, 24):
             backend = fault_backend(
                 [ScriptedFault("execute", crash_at, kind="unavailable")],
                 max_faults=1,
@@ -254,7 +254,7 @@ class TestEngineCheckpointResume:
         plain.close()
 
         saw_skip = False
-        for crash_at in range(8, 20):
+        for crash_at in range(10, 24):
             backend = FaultInjectingBackend(
                 SqliteFileBackend(str(tmp_path / f"crash{crash_at}.db")),
                 FaultPolicy(

@@ -161,7 +161,7 @@ class TestCrashAndResumeAtRegionBoundaries:
 
         saw_skip = False
         saw_crash = False
-        for crash_at in range(2, 24):
+        for crash_at in range(2, 28):
             backend = FaultInjectingBackend(
                 SqliteFileBackend(str(tmp_path / f"crash{crash_at}.db")),
                 FaultPolicy(
@@ -243,7 +243,7 @@ class TestCrashAndResumeAtRegionBoundaries:
         plain.close()
 
         saw_skip = False
-        for crash_at in range(2, 24):
+        for crash_at in range(2, 28):
             backend = FaultInjectingBackend(
                 SqliteFileBackend(str(tmp_path / f"eng{crash_at}.db")),
                 FaultPolicy(
@@ -428,7 +428,7 @@ class TestSkepticBlockedFloodChaos:
         twin.store.close()
 
         saw_crash = False
-        for crash_at in range(3, 18):
+        for crash_at in range(3, 22):
             backend = FaultInjectingBackend(
                 SqliteFileBackend(str(tmp_path / f"sk{crash_at}.db")),
                 FaultPolicy(
@@ -503,7 +503,7 @@ class TestConcurrentCheckpointedRecovery:
         healthy.close()
 
         saw_quarantine = False
-        for crash_at in range(3, 16):
+        for crash_at in range(3, 20):
             backends = [
                 FaultInjectingBackend(
                     SqliteFileBackend(str(tmp_path / f"rec{crash_at}-{i}.db")),
@@ -591,7 +591,7 @@ class TestHardFaultNeverLeavesAPartialRun:
 
         saw_death = False
         saw_completion = False
-        for crash_at in range(0, 40, 2):
+        for crash_at in range(0, 44, 2):
             policy = FaultPolicy(
                 schedule=[
                     ScriptedFault(site="execute", index=crash_at, kind="unavailable")

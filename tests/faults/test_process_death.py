@@ -5,7 +5,9 @@ process opens a file-backed engine, materializes, applies one batch and then
 kills itself with ``SIGKILL`` while its connection is still open: no
 ``close()``, no checkpoint of the write-ahead log, no interpreter shutdown.
 The parent reopens a store on the same file and compares the relation, as a
-multiset, with a fresh ``resolve()`` of the network the batch produced.
+multiset, with a fresh ``resolve()`` of the network the batch produced, and
+the ``BELIEF`` relation with that network's beliefs: the batch changes and
+removes a belief, and its flush rewrote those slots in the same commit.
 
 A second child kills itself in the middle of a checkpointed compiled
 materialize, right after its k-th journal marker (inside that region's
@@ -104,12 +106,23 @@ def test_committed_apply_survives_sigkill(tmp_path):
         for user, values in resolve(mutated_network()).possible.items()
         for value in values
     )
+    beliefs = Counter(
+        (str(user), "k0", str(belief.positive_value))
+        for user, belief in mutated_network().explicit_beliefs.items()
+        if belief.positive_value is not None
+    )
     with PossStore(backend=SqliteFileBackend(path)) as reopened:
         survived = Counter(
             (row.user, row.key, row.value) for row in reopened.possible_table()
         )
+        stored_beliefs = Counter(
+            (row.user, row.key, row.value) for row in reopened.belief_table()
+        )
     assert seen_by_child == expected
     assert survived == expected
+    assert ("c0.x3", "k0", "z") in stored_beliefs
+    assert not [row for row in stored_beliefs if row[0] == "c1.x4"]
+    assert stored_beliefs == beliefs
 
 
 #: A web graph whose compiled plan has three regions, so a checkpointed

@@ -31,6 +31,11 @@ def chain_network() -> TrustNetwork:
     return tn
 
 
+def stored_beliefs(store):
+    """The serving shards' ``BELIEF`` rows, as sorted triples."""
+    return sorted((row.user, row.key, row.value) for row in store.belief_table())
+
+
 def loaded_store() -> ShardedPossStore:
     store = ShardedPossStore(2)
     store.insert_explicit_beliefs(
@@ -210,11 +215,13 @@ class TestSessionDegradedFlush:
         """One rule recovers every flush failure.  An unavailable shard of a
         partitioned store is quarantined with its fragment queued; any
         other failure, and every failure of a single store, resyncs the
-        serving shards.  Either way they hold exactly ``session.rows()``."""
-        # The last shard's second executemany (the load is its first) is
-        # the flush's DELETE batch; nothing retries it.
+        serving shards.  Either way they hold exactly ``session.rows()``,
+        and their ``BELIEF`` exactly the session's beliefs."""
+        # The last shard's third executemany (the load's POSS and BELIEF
+        # inserts are the first two) is the flush's DELETE batch; nothing
+        # retries it.
         last = None if shards == 1 else shards - 1
-        policy = FaultPolicy(schedule=[ScriptedFault("executemany", 1, last, kind)])
+        policy = FaultPolicy(schedule=[ScriptedFault("executemany", 2, last, kind)])
         backends = [
             FaultInjectingBackend(SqliteMemoryBackend(), policy, shard=index)
             for index in ((None,) if shards == 1 else range(shards))
@@ -236,9 +243,20 @@ class TestSessionDegradedFlush:
         expected = [row for row in session.rows() if row[1] in serving]
         stored = [(row.user, row.key, row.value) for row in store.possible_table()]
         assert sorted(stored) == expected
+        assert stored_beliefs(store) == [
+            row for row in session.belief_rows() if row[1] in serving
+        ]
+        assert session.beliefs_stored
         if kind == "unavailable" and shards > 1:
             assert store.degraded_shards == (last,)
             assert session.pending_shards() == (last,)
+            policy.schedule = ()
+            session.recover_shard(last)
+            assert store.degraded_shards == ()
+            assert sorted(
+                (row.user, row.key, row.value) for row in store.possible_table()
+            ) == session.rows()
+            assert stored_beliefs(store) == session.belief_rows()
         else:
             assert store.degraded_shards == ()
         session.close()
@@ -278,6 +296,12 @@ class TestEngineRecover:
         assert recover.rows_inserted > 0
         assert serialized_relation(engine.store) == expected
         assert engine.query("copy", "k0") == frozenset({"z"})
+        # Both shards' BELIEF are in step again, so a warm materialize,
+        # which only copies it, rebuilds the clean relation.
+        assert stored_beliefs(engine.store) == engine._session.belief_rows()
+        assert stored_beliefs(engine.store) == stored_beliefs(clean.store)
+        assert engine.materialize().bulk.objects == 0
+        assert serialized_relation(engine.store) == expected
         engine.close()
         clean.close()
 

@@ -61,12 +61,13 @@ class TestRetryPolicyData:
 
 class TestStatementRetries:
     def test_transient_faults_are_absorbed(self):
-        # Schema setup consumes execute calls #0-#4; the copy statement is
-        # call #5 and its two retries are #6 and #7.
+        # Schema setup consumes execute calls #0-#6 and the belief load
+        # #7-#8 (it empties BELIEF, then copies it into POSS); the copy
+        # statement is call #9 and its two retries are #10 and #11.
         policy = FaultPolicy(
             schedule=[
-                ScriptedFault("execute", 5),
-                ScriptedFault("execute", 6),
+                ScriptedFault("execute", 9),
+                ScriptedFault("execute", 10),
             ]
         )
         store = faulty_store(policy, FAST)
@@ -89,7 +90,7 @@ class TestStatementRetries:
         assert store.retries == FAST.max_attempts - 1
 
     def test_no_retry_policy_fails_fast(self):
-        policy = FaultPolicy(schedule=[ScriptedFault("execute", 5)])
+        policy = FaultPolicy(schedule=[ScriptedFault("execute", 9)])
         store = faulty_store(policy, RetryPolicy.none())
         store.insert_explicit_beliefs([("a", "k0", "v")])
         with pytest.raises(TransientBackendError):
