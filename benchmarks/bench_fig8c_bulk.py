@@ -86,40 +86,6 @@ def test_fig8c_statement_counts(bench_json_records):
     resolver.store.close()
 
 
-def test_fig8c_index_strategy_sweep(bench_json_records, bench_report_lines):
-    """The covering-index experiment (ROADMAP item): physical design changes
-    the running time, never the statement count or transaction count."""
-    sweep = fig8c_bulk.run_index_sweep(object_counts=OBJECT_COUNTS)
-    summary = fig8c_bulk.summarize_index_sweep(sweep)
-    assert summary["statements_independent_of_objects"], summary
-    assert summary["one_transaction_per_run"], summary
-    bench_report_lines.append(
-        "Figure 8c — index-strategy sweep (one transaction per run)"
-    )
-    bench_report_lines.append(
-        format_table(
-            sweep,
-            columns=[
-                "index_strategy",
-                "objects",
-                "seconds",
-                "statements",
-                "transactions",
-            ],
-        )
-    )
-    bench_report_lines.append(f"summary: {summary}")
-    for row in sweep:
-        record_scenario(
-            bench_json_records,
-            f"fig8c_bulk/index={row['index_strategy']}/objects={row['objects']}",
-            seconds=row["seconds"],
-            statements=row["statements"],
-            transactions=row["transactions"],
-            copy_seconds=round(row["copy_seconds"], 6),
-        )
-
-
 def test_fig8c_shard_sweep(bench_json_records, bench_report_lines):
     """The shard experiment: the identical plan runs on every shard of a
     key-partitioned store, so statements-per-shard stays at the unsharded

@@ -43,7 +43,7 @@ def main(n_objects: int = 5_000) -> None:
     )
     print(
         f"Execution: {report.statements} statements in {report.transactions} transaction "
-        f"on {report.backend} [{report.index_strategy} indexes]; "
+        f"on {report.backend}; "
         f"copy phase {report.phase_seconds['copy']:.3f}s, "
         f"flood phase {report.phase_seconds['flood']:.3f}s"
     )

@@ -33,13 +33,8 @@ The package splits the bulk path into these layers:
 """
 
 from repro.bulk.backends import (
-    BASELINE_INDEXES,
-    COVERING_INDEX,
     DEFAULT_MAX_BIND_PARAMS,
-    INDEX_STRATEGIES,
-    NO_INDEXES,
     DbApiBackend,
-    IndexStrategy,
     ShardSpec,
     SqlBackend,
     SqliteFileBackend,
@@ -74,11 +69,9 @@ from repro.bulk.sql import SqlDialect, resolve_dialect, sqlite_dialect
 from repro.bulk.store import BOTTOM_VALUE, PossRow, PossStore, ShardedPossStore
 
 __all__ = [
-    "BASELINE_INDEXES",
     "BOTTOM_VALUE",
     "BulkResolver",
     "BulkRunReport",
-    "COVERING_INDEX",
     "CompiledPlan",
     "CompiledRegion",
     "DEFAULT_MAX_BIND_PARAMS",
@@ -86,9 +79,6 @@ __all__ = [
     "DbApiBackend",
     "FloodStep",
     "GroupedCopyStep",
-    "INDEX_STRATEGIES",
-    "IndexStrategy",
-    "NO_INDEXES",
     "PlanDag",
     "PlanPatch",
     "PossRow",

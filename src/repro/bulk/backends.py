@@ -16,22 +16,23 @@ that the store is not welded to one driver:
   ship the bulk path to a client/server engine (the ROADMAP's sharded /
   multi-engine north star) without touching planner or executor.
 
-Alongside the connection backends, :class:`IndexStrategy` makes the physical
-schema a configuration instead of a fork: the Figure 8c covering-index
-variant (one index serving the ``WHERE X = ?`` probes *and* the ``K, V``
-projection, the default) differs from the seed's baseline only in which
-``CREATE INDEX`` statements run at setup.
+The physical design is fixed, not configured: ``POSS`` and ``BELIEF`` are
+keyed by ``(X, K, V)``, so the key's one b-tree serves every ``X`` and
+``(X, K)`` lookup the store issues.  On sqlite the tables are ``WITHOUT
+ROWID`` (:attr:`SqlBackend.supports_without_rowid`), so that b-tree *is* the
+table and each row is stored once.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import sqlite3
 import zlib
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, ContextManager, Optional, Tuple
 
 from repro.core.errors import (
     BackendError,
@@ -128,107 +129,6 @@ class ShardSpec:
         for row in rows:
             partitions[self.shard_of(row[1])].append(row)
         return partitions
-
-# --------------------------------------------------------------------------- #
-# index strategies                                                             #
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class IndexStrategy:
-    """A physical-design choice for the ``POSS(X, K, V)`` relation.
-
-    ``create_statements`` are executed once when the store initializes its
-    schema (after ``CREATE TABLE``); they must be idempotent
-    (``IF NOT EXISTS``) so that reopening an on-disk database works.
-    ``index_names`` lists the indexes the statements create; the store uses
-    it to *drop* indexes left behind by a different strategy when an
-    existing database is reopened, so the physical design always matches
-    the declared strategy.  The Figure 8c sweep in
-    :mod:`repro.experiments.fig8c_bulk` compares the strategies below at a
-    fixed plan, demonstrating that the *statement count* is a property of
-    the plan (independent of physical design) while the *running time* is
-    not.
-    """
-
-    name: str
-    create_statements: Tuple[str, ...]
-    index_names: Tuple[str, ...] = ()
-    description: str = ""
-
-
-#: The seed's physical design: a probe index on ``X`` plus a composite index.
-#: Kept selectable for the Figure 8c index sweep.
-BASELINE_INDEXES = IndexStrategy(
-    name="baseline",
-    create_statements=(
-        "CREATE INDEX IF NOT EXISTS POSS_X ON POSS (X)",
-        "CREATE INDEX IF NOT EXISTS POSS_XKV ON POSS (X, K, V)",
-    ),
-    index_names=("POSS_X", "POSS_XKV"),
-    description="probe index on X plus composite (X, K, V) index",
-)
-
-#: One covering index: serves the X probes and projects (K, V) without
-#: touching the base table — the Figure 8c covering-index experiment, and
-#: the default physical design.
-COVERING_INDEX = IndexStrategy(
-    name="covering",
-    create_statements=(
-        "CREATE INDEX IF NOT EXISTS POSS_COVER ON POSS (X, K, V)",
-    ),
-    index_names=("POSS_COVER",),
-    description="single covering index on (X, K, V)",
-)
-
-#: No secondary indexes: every bulk statement scans the heap.  The lower
-#: bound for insert cost and the upper bound for probe cost.
-NO_INDEXES = IndexStrategy(
-    name="none",
-    create_statements=(),
-    index_names=(),
-    description="heap only, no secondary indexes",
-)
-
-#: Registry of the shipped strategies, keyed by name (CLI / sweep entry point).
-INDEX_STRATEGIES: Dict[str, IndexStrategy] = {
-    strategy.name: strategy
-    for strategy in (BASELINE_INDEXES, COVERING_INDEX, NO_INDEXES)
-}
-
-#: Every index name any shipped strategy may have created; reopening a
-#: database under one strategy drops the others' leftovers from this set.
-ALL_INDEX_NAMES: Tuple[str, ...] = tuple(
-    sorted(
-        {
-            name
-            for strategy in INDEX_STRATEGIES.values()
-            for name in strategy.index_names
-        }
-    )
-)
-
-
-def resolve_index_strategy(strategy: "IndexStrategy | str | None") -> IndexStrategy:
-    """Normalize a strategy argument (name, object, or ``None``) to an object.
-
-    ``None`` selects :data:`COVERING_INDEX`: every store statement filters
-    on ``X`` or ``(X, K)``, which the one ``(X, K, V)`` index serves as a
-    covering probe, so the ``baseline`` strategy's extra ``X`` index only
-    adds a third b-tree to every row written.
-    """
-    if strategy is None:
-        return COVERING_INDEX
-    if isinstance(strategy, IndexStrategy):
-        return strategy
-    try:
-        return INDEX_STRATEGIES[strategy]
-    except KeyError:
-        raise BulkProcessingError(
-            f"unknown index strategy {strategy!r}; "
-            f"known strategies: {sorted(INDEX_STRATEGIES)}"
-        ) from None
-
 
 # --------------------------------------------------------------------------- #
 # error classification                                                         #
@@ -355,6 +255,11 @@ class SqlBackend:
     #: to sequential replay.
     supports_concurrent_replay: bool = False
 
+    #: Whether the engine stores a table in its primary key's b-tree
+    #: (sqlite's ``WITHOUT ROWID``).  The store then creates ``POSS`` and
+    #: ``BELIEF`` that way; other engines get a plain ``PRIMARY KEY``.
+    supports_without_rowid: bool = False
+
     #: Per-instance memo for :attr:`max_bind_params` (``None`` = unprobed).
     _probed_bind_params: Optional[int] = None
 
@@ -404,6 +309,15 @@ class SqlBackend:
         """Open and return a DB-API 2.0 connection."""
         raise NotImplementedError
 
+    def schema_setup(self) -> ContextManager[None]:
+        """Context the store creates its schema in (a no-op here).
+
+        A fault-injecting wrapper overrides it to let the schema statements
+        through unseen, so scripted faults count from the first statement
+        after them.
+        """
+        return contextlib.nullcontext()
+
     def render(self, sql: str) -> str:
         """Translate canonical ``?``-placeholder SQL to the engine's dialect."""
         return sql
@@ -427,6 +341,7 @@ class SqliteMemoryBackend(SqlBackend):
     """An in-memory ``sqlite3`` database (the default, used by benchmarks)."""
 
     name = "sqlite-memory"
+    supports_without_rowid = True
 
     @property
     def compiled_dialect(self) -> "SqlDialect | None":
@@ -469,6 +384,7 @@ class SqliteFileBackend(SqlBackend):
 
     name = "sqlite-file"
     supports_concurrent_replay = True
+    supports_without_rowid = True
 
     def __init__(self, path: str) -> None:
         if not path or path == ":memory:":

@@ -98,8 +98,7 @@ class BulkRunReport:
     splits the run into the Step-1 copy phase and the Step-2 flood phase of
     Algorithm 1, ``transactions`` counts transactions committed during the
     run (1 per store without a checkpoint — the one-transaction-per-run
-    model of Section 4), and ``index_strategy`` / ``backend`` name the
-    store's physical design and engine.
+    model of Section 4), and ``backend`` names the store's engine.
     """
 
     #: Objects whose belief rows were handed to ``load_beliefs`` (a load
@@ -110,7 +109,6 @@ class BulkRunReport:
     elapsed_seconds: float
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     transactions: int = 1
-    index_strategy: str = "covering"
     backend: str = "sqlite-memory"
     #: Number of data partitions the run executed over (1 = unsharded).
     shards: int = 1
@@ -349,6 +347,8 @@ class _PlanExecutor:
         self.network = network
         self.store = store if store is not None else PossStore()
         self._loaded_objects: set = set()
+        #: Every ``(user, key, value)`` loaded so far, by name.
+        self._loaded_rows: set = set()
         self._scheduler = scheduler
         self._checkpoint = checkpoint
         self._compiled_plan = compiled_plan
@@ -412,14 +412,18 @@ class _PlanExecutor:
     ) -> int:
         """Load the explicit beliefs into ``POSS``; returns the rows loaded.
 
-        Given ``rows``, verifies bulk assumptions (i) and (ii): every row
-        must belong to a user of the plan's explicit set, and every such
-        user must hold a belief for every loaded object.  The rows then
-        replace the store's ``BELIEF`` relation, which is copied into
-        ``POSS`` (:meth:`~repro.bulk.store.PossStore.insert_explicit_beliefs`).
-        The checks compare one set of users per key, not row by row, and
-        the rows reach the store as given: the store stringifies each row
-        once, as it inserts it.
+        Given ``rows``, first rejects a ``(user, key, value)`` that repeats,
+        by name (``1`` and ``"1"`` are one user), within ``rows`` or
+        against an earlier load: the store keys its rows by name, so it
+        would refuse the second copy.  It then verifies bulk assumptions
+        (i) and (ii): every row must belong to a user of the plan's
+        explicit set, and every such user must hold a belief for every
+        loaded object.  Nothing is written unless every check passes.  The
+        rows then replace the store's ``BELIEF`` relation, which is copied
+        into ``POSS``
+        (:meth:`~repro.bulk.store.PossStore.insert_explicit_beliefs`).  The
+        assumption checks compare one set of users per key, not row by row,
+        and the rows reach the store as given.
 
         Without ``rows``, ``BELIEF`` is copied as it stands, with one
         ``INSERT … SELECT`` per shard.  Its rows are not read back, so the
@@ -434,7 +438,9 @@ class _PlanExecutor:
         """
         if rows is not None:
             rows = rows if isinstance(rows, list) else list(rows)
+            names = self._check_distinct(rows)
             self._check_assumptions(rows)
+            self._loaded_rows |= names
         run_id = self._checkpoint
         store = self.store
         if run_id is None:
@@ -451,6 +457,22 @@ class _PlanExecutor:
                     )
                     shard.journal_record(run_id, JOURNAL_BELIEFS_NODE)
         return inserted
+
+    def _check_distinct(self, rows: List[Tuple[User, object, Value]]) -> set:
+        """The rows by name; raises if one repeats a row loaded before it."""
+        names = {(str(user), str(key), str(value)) for user, key, value in rows}
+        if len(names) < len(rows) or not names.isdisjoint(self._loaded_rows):
+            # Walk the rows in order for the exact verdict.
+            seen = set(self._loaded_rows)
+            for user, key, value in rows:
+                row = (str(user), str(key), str(value))
+                if row in seen:
+                    raise BulkProcessingError(
+                        f"belief row {row} is loaded twice (rows are "
+                        f"compared by name)"
+                    )
+                seen.add(row)
+        return names
 
     def _check_assumptions(self, rows: List[Tuple[User, object, Value]]) -> None:
         """Bulk assumptions (i) and (ii), one set of users per key."""
@@ -616,7 +638,6 @@ class _PlanExecutor:
             elapsed_seconds=elapsed,
             phase_seconds=clock.seconds(),
             transactions=counted["transactions"],
-            index_strategy=store.shards[0].index_strategy.name,
             backend=store.backend_name,
             shards=len(store.shards),
             per_shard_seconds={

@@ -5,11 +5,11 @@ database from Python: one round trip per plan step.  Compiled execution
 (:mod:`repro.bulk.compile`) pushes whole plan regions *into* the engine —
 one flat ``INSERT … SELECT`` per region of copy steps, one per stage of
 independent floods — each joining a ``VALUES`` list of compile-time pairs
-against the indexed ``POSS`` relation.  No statement recurses or sorts
-through a window: everything that depends only on the plan (each copy
-child's frontier ancestor) is computed once by the compiler, and the
-floods de-duplicate with ``SELECT DISTINCT`` exactly as the replay floods
-do.
+against ``POSS`` by a prefix of its ``(X, K, V)`` key.  No statement
+recurses or sorts through a window: everything that depends only on the
+plan (each copy child's frontier ancestor) is computed once by the
+compiler, and the floods de-duplicate with ``SELECT DISTINCT`` exactly as
+the replay floods do.
 
 A :class:`SqlDialect` renders those statements in the store's canonical
 ``qmark`` placeholder style (the backend's :meth:`~repro.bulk.backends
@@ -59,13 +59,14 @@ class SqlDialect:
         only ever duplicates its parent's rows, so every child ends up with
         exactly the rows of its frontier ancestor.  The compiler resolves
         that ancestor once per region, so the statement is one ``VALUES``
-        list joined against ``POSS`` through its ``X`` index: one row per
-        child, two bound parameters per edge, and no recursion (a
+        list joined against ``POSS`` through the ``X`` prefix of its
+        ``(X, K, V)`` key: one row per child, two bound parameters per
+        edge, and no recursion (a
         recursive CTE over the edge ``VALUES`` re-scans them once per queue
-        row, ``O(edges²)`` on sqlite).  The plain join preserves row
-        multiplicities exactly as the replay copies do (they are not
-        ``DISTINCT`` either), so the compiled region is byte-identical to
-        replaying its steps one statement at a time.
+        row, ``O(edges²)`` on sqlite).  Each child closes once, so the
+        plain join writes each of its rows once, as the replay copies do
+        (they are not ``DISTINCT`` either), and the compiled region is
+        byte-identical to replaying its steps one statement at a time.
         """
         if not ancestors:
             raise BulkProcessingError("a copy region needs at least one edge")

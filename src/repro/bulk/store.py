@@ -69,12 +69,9 @@ from repro.core.errors import (
 )
 from repro.core.network import User
 from repro.bulk.backends import (
-    ALL_INDEX_NAMES,
     DEFAULT_MAX_BIND_PARAMS,
-    IndexStrategy,
     ShardSpec,
     SqlBackend,
-    resolve_index_strategy,
     sqlite_backend,
 )
 # NOTE: only the leaf modules (policy, retry) are imported here —
@@ -98,6 +95,16 @@ class PossRow:
     value: str
 
 
+def _is_nested_begin(error: BackendError) -> bool:
+    """Whether a failed ``BEGIN`` only met an already open transaction
+    (sqlite: "cannot start a transaction within a transaction").
+
+    Only a plain :class:`~repro.core.errors.BackendError` qualifies: a
+    transient, timed-out or unavailable one is a real failure.
+    """
+    return type(error) is BackendError and "within a transaction" in str(error)
+
+
 class PossStore:
     """The ``POSS(X, K, V)`` relation behind a pluggable SQL backend.
 
@@ -110,10 +117,6 @@ class PossStore:
         ``backend`` is given.
     backend:
         A :class:`~repro.bulk.backends.SqlBackend`; overrides ``path``.
-    index_strategy:
-        An :class:`~repro.bulk.backends.IndexStrategy` (or its name) fixing
-        the physical design of the relation; defaults to the single
-        ``covering`` index.  See the Figure 8c index sweep.
     retry_policy:
         The :class:`~repro.faults.retry.RetryPolicy` the statement funnel
         runs under; defaults to :meth:`RetryPolicy.default` (six attempts,
@@ -130,7 +133,6 @@ class PossStore:
         self,
         path: str = ":memory:",
         backend: Optional[SqlBackend] = None,
-        index_strategy: "IndexStrategy | str | None" = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self._backend = backend if backend is not None else sqlite_backend(path)
@@ -140,7 +142,6 @@ class PossStore:
 
             if not isinstance(self._backend, FaultInjectingBackend):
                 self._backend = FaultInjectingBackend(self._backend, env_policy)
-        self._index_strategy = resolve_index_strategy(index_strategy)
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy.default()
         )
@@ -184,33 +185,30 @@ class PossStore:
             raise self._classify(error, default=BackendUnavailable) from error
 
     def _ensure_schema(self) -> None:
-        """Create (idempotently) the relation, journal and declared indexes."""
-        self._execute(
-            "CREATE TABLE IF NOT EXISTS POSS "
-            "(X TEXT NOT NULL, K TEXT NOT NULL, V TEXT NOT NULL)"
-        )
-        # The explicit beliefs POSS is loaded from; a session's apply
-        # rewrites single (X, K) slots of it.
-        self._execute(
-            "CREATE TABLE IF NOT EXISTS BELIEF "
-            "(X TEXT NOT NULL, K TEXT NOT NULL, V TEXT NOT NULL)"
-        )
-        self._execute("CREATE INDEX IF NOT EXISTS BELIEF_XK ON BELIEF (X, K)")
-        # The checkpoint journal: which plan regions a named run has committed.
-        self._execute(
-            "CREATE TABLE IF NOT EXISTS POSS_JOURNAL "
-            "(RUN TEXT NOT NULL, NODE INTEGER NOT NULL)"
-        )
-        # Reconcile the physical design: an on-disk database may carry
-        # indexes from a previous strategy; drop anything this strategy
-        # does not declare so reports never misattribute timings.
-        declared = set(self._index_strategy.index_names)
-        for index_name in ALL_INDEX_NAMES:
-            if index_name not in declared:
-                self._execute(f"DROP INDEX IF EXISTS {index_name}")
-        for statement in self._index_strategy.create_statements:
-            self._execute(statement)
-        self._commit()
+        """Create (idempotently) ``POSS``, ``BELIEF`` and the journal.
+
+        ``POSS`` and the explicit beliefs it is loaded from, ``BELIEF``, are
+        sets keyed by ``(X, K, V)``: the key's b-tree serves every ``X`` and
+        ``(X, K)`` lookup, and a row written twice fails.  Where the backend
+        can (sqlite), the tables are ``WITHOUT ROWID``, so that b-tree is
+        the table itself.  ``IF NOT EXISTS`` leaves a file written under an
+        older layout as it is: still correct, only slower.
+        """
+        clustered = " WITHOUT ROWID" if self._backend.supports_without_rowid else ""
+        with self._backend.schema_setup():
+            for table in ("POSS", "BELIEF"):
+                self._execute(
+                    f"CREATE TABLE IF NOT EXISTS {table} "
+                    "(X TEXT NOT NULL, K TEXT NOT NULL, V TEXT NOT NULL, "
+                    f"PRIMARY KEY (X, K, V)){clustered}"
+                )
+            # The checkpoint journal: which plan regions a named run has
+            # committed.
+            self._execute(
+                "CREATE TABLE IF NOT EXISTS POSS_JOURNAL "
+                "(RUN TEXT NOT NULL, NODE INTEGER NOT NULL)"
+            )
+            self._commit()
 
     # ------------------------------------------------------------------ #
     # plumbing                                                            #
@@ -245,10 +243,11 @@ class PossStore:
         :class:`~repro.core.errors.StatementTimeout`; everything else
         propagates classified on the first failure.  Retrying whole
         statements is safe here: a statement that failed rolled back
-        atomically, so a retry never writes a row twice.  That matters,
-        because duplicate ``POSS`` rows are not invisible:
-        :meth:`possible_table` returns every stored row, and the delta
-        flush's row diff assumes each row is stored once.
+        atomically, so a retry never writes a row twice.  A statement that
+        would store a row twice fails anyway: ``POSS`` and ``BELIEF`` are
+        keyed by ``(X, K, V)``, and the key violation is a non-retryable
+        :class:`~repro.core.errors.BackendError`, not a silent duplicate
+        under the delta flush's row diff.
 
         When a tracer is installed the funnel emits a ``statement`` span
         (tagged with the SQL op, bind-param count and shard) wrapping one
@@ -415,11 +414,6 @@ class PossStore:
         return self._backend.name
 
     @property
-    def index_strategy(self) -> IndexStrategy:
-        """The physical-design strategy the relation was created with."""
-        return self._index_strategy
-
-    @property
     def supports_concurrent_replay(self) -> bool:
         """Whether this store's connection may be driven from a worker thread."""
         return self._backend.supports_concurrent_replay
@@ -483,11 +477,13 @@ class PossStore:
         # rollback() would silently be a no-op and the pre-run state could
         # not be restored.  Drivers that already opened an implicit
         # transaction reject the extra BEGIN — that is fine, the statements
-        # below then join the driver-managed transaction.
+        # below then join the driver-managed transaction.  Any other
+        # failure (a lost connection, a timeout) fails the run.
         try:
             self._execute("BEGIN")
-        except Exception:
-            pass
+        except BackendError as error:
+            if not _is_nested_begin(error):
+                raise
         self._in_transaction = True
         try:
             yield self
@@ -718,7 +714,7 @@ class PossStore:
         return len(data)
 
     def belief_table(self) -> List[PossRow]:
-        """Every row of ``BELIEF``, duplicates kept (as :meth:`possible_table`)."""
+        """Every row of ``BELIEF``."""
         cursor = self._execute("SELECT X, K, V FROM BELIEF")
         return [PossRow(*row) for row in cursor.fetchall()]
 
@@ -1044,9 +1040,10 @@ class PossStore:
     def possible_table(self) -> List[PossRow]:
         """The full content of the relation: every stored row.
 
-        Duplicates are kept, so an equivalence check built on this (the
-        test suites' serialized relations, :meth:`IncrementalSession
-        .recover_shard`'s slice check) sees a row that was written twice.
+        The ``(X, K, V)`` key makes the rows a set, so the equivalence
+        checks built on this (the test suites' serialized relations,
+        :meth:`IncrementalSession.recover_shard`'s slice check) compare
+        exactly what is stored.
         """
         cursor = self._execute("SELECT X, K, V FROM POSS")
         return [PossRow(*row) for row in cursor.fetchall()]
@@ -1136,15 +1133,14 @@ class ShardedPossStore:
 
     ``spec`` is a :class:`~repro.bulk.backends.ShardSpec` or ``n`` for
     ``ShardSpec.hashed(n)``; ``backends`` optionally places each shard
-    (default: private in-memory sqlite databases); ``index_strategy`` and
-    ``retry_policy`` apply to every shard.
+    (default: private in-memory sqlite databases); ``retry_policy``
+    applies to every shard.
     """
 
     def __init__(
         self,
         spec: "ShardSpec | int" = 2,
         backends: Optional[Sequence[SqlBackend]] = None,
-        index_strategy: "IndexStrategy | str | None" = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         if isinstance(spec, int):
@@ -1158,7 +1154,6 @@ class ShardedPossStore:
         self.shards: Tuple[PossStore, ...] = tuple(
             PossStore(
                 backend=None if backends is None else backends[index],
-                index_strategy=index_strategy,
                 retry_policy=retry_policy,
             )
             for index in range(spec.count)
@@ -1333,15 +1328,17 @@ class ShardedPossStore:
 
     @contextlib.contextmanager
     def _shard_transaction(self, index: int, shard: PossStore):
-        """``shard.transaction()``, tagging only the shard's own commit
-        failure (a run error belongs to whichever shard raised it)."""
-        committing = False
+        """``shard.transaction()``, tagging only the shard's own ``BEGIN``
+        and commit failures (a run error belongs to whichever shard raised
+        it)."""
+        running = False
         try:
             with shard.transaction():
+                running = True
                 yield
-                committing = True
+                running = False
         except BackendUnavailable as error:
-            if not committing or isinstance(error, ShardUnavailable):
+            if running or isinstance(error, ShardUnavailable):
                 raise
             raise self._lost(index, error) from error
 

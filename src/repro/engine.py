@@ -600,6 +600,9 @@ class ResolutionEngine:
                         rows.extend(zip(beliefs, repeat(key), beliefs.values()))
                 load_span.tag(rows=0 if rows is None else len(rows), stored=rows is None)
             if not resume:
+                # Until the run commits, POSS holds no whole relation for
+                # an apply to keep in step.
+                session.loaded = False
                 self.store.clear()
                 self.store.journal_clear()
             run_id = self._run_id() if checkpoint else None
@@ -623,6 +626,7 @@ class ResolutionEngine:
                 # A resumed load may have been skipped by its journal marker.
                 session.beliefs_stored = True
             bulk = executor.run()
+            session.loaded = True
         except BaseException:
             if run_span is not None:
                 run_span.tag(outcome="error")

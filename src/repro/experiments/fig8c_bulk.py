@@ -9,13 +9,8 @@ conflict; resolving each object separately with the logic-program baseline is
 exponential in the number of conflicting objects' combined program and serves
 as the contrast series for small object counts.
 
-Besides the headline sweep, :func:`run_index_sweep` compares the store's
-physical-design variants (see :mod:`repro.bulk.backends`): the statement
-count is a property of the *plan* and therefore identical for every strategy
-and every object count, while the running time shifts with the chosen
-indexes — the covering-index experiment the ROADMAP called for.
-:func:`run_shard_sweep` scales the *data* side instead: the same plan is
-replayed on every shard of a key-partitioned store
+Besides the headline sweep, :func:`run_shard_sweep` scales the *data*
+side: the same plan is replayed on every shard of a key-partitioned store
 (:class:`~repro.bulk.store.ShardedPossStore`), so the per-shard
 statement count stays at the unsharded plan's count while each shard only
 touches its slice of the objects.  :func:`run_compiled_sweep` measures
@@ -38,7 +33,6 @@ re-running only the unfinished plan steps.
 CLI::
 
     python -m repro.experiments.fig8c_bulk [--quick] [--objects N [N ...]]
-                                           [--sweep-indexes]
                                            [--shards N [N ...]]
                                            [--sweep-compiled] [--skeptic]
                                            [--faults P] [--fault-seed N]
@@ -63,12 +57,7 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.bulk.backends import (
-    DbApiBackend,
-    SqliteFileBackend,
-    SqliteMemoryBackend,
-    resolve_index_strategy,
-)
+from repro.bulk.backends import DbApiBackend, SqliteFileBackend, SqliteMemoryBackend
 from repro.bulk.executor import (
     BulkResolver,
     BulkRunReport,
@@ -97,18 +86,10 @@ from repro.workloads.bulkload import (
 )
 
 
-def _bulk_report(
-    n_objects: int, seed: int, index_strategy: Optional[str] = None
-) -> BulkRunReport:
-    """One bulk run over the Figure 19 network, returning its full report.
-
-    ``index_strategy=None`` takes the store's default physical design.
-    """
-    network = figure19_network()
-    store = PossStore(index_strategy=index_strategy)
-    resolver = BulkResolver(network, store=store, explicit_users=BELIEF_USERS)
-    rows = generate_objects(n_objects, seed=seed)
-    resolver.load_beliefs(rows)
+def _bulk_report(n_objects: int, seed: int) -> BulkRunReport:
+    """One bulk run over the Figure 19 network, returning its full report."""
+    resolver = BulkResolver(figure19_network(), explicit_users=BELIEF_USERS)
+    resolver.load_beliefs(generate_objects(n_objects, seed=seed))
     report = resolver.run()
     resolver.store.close()
     return report
@@ -187,56 +168,6 @@ def summarize(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
         "bulk_log_log_slope": round(slope, 2) if len(points) > 1 else None,
         "bulk_linear_in_objects": len(points) > 1 and slope < 1.4,
         "largest_object_count": max((row["objects"] for row in rows), default=0),
-    }
-
-
-def run_index_sweep(
-    object_counts: Sequence[int] = (100, 1_000, 10_000),
-    strategies: Sequence[str] = ("baseline", "covering", "none"),
-    seed: int = 11,
-) -> List[Dict[str, object]]:
-    """The covering-index experiment: strategies × object counts.
-
-    Every run executes in one transaction; the rows record per-run timing,
-    the copy phase's share, statement and transaction
-    counts so the invariants are visible in ``BENCH_resolution.json``:
-    ``statements`` is identical across the whole sweep (it depends only on
-    the plan), while ``seconds`` varies with the physical design.
-    """
-    rows: List[Dict[str, object]] = []
-    for name in strategies:
-        strategy = resolve_index_strategy(name).name
-        for count in object_counts:
-            report = _bulk_report(count, seed, index_strategy=strategy)
-            rows.append(
-                {
-                    "index_strategy": strategy,
-                    "objects": count,
-                    "seconds": report.elapsed_seconds,
-                    "copy_seconds": report.phase_seconds.get("copy", 0.0),
-                    "statements": report.statements,
-                    "transactions": report.transactions,
-                    "rows_inserted": report.rows_inserted,
-                }
-            )
-    return rows
-
-
-def summarize_index_sweep(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Invariants of the index sweep: fixed statements, one transaction."""
-    statements = {row["statements"] for row in rows}
-    transactions = {row["transactions"] for row in rows}
-    by_strategy: Dict[str, float] = {}
-    for row in rows:
-        by_strategy[row["index_strategy"]] = (
-            by_strategy.get(row["index_strategy"], 0.0) + row["seconds"]
-        )
-    fastest = min(by_strategy, key=by_strategy.get) if by_strategy else None
-    return {
-        "statement_counts_observed": sorted(statements),
-        "statements_independent_of_objects": len(statements) == 1,
-        "one_transaction_per_run": transactions == {1},
-        "fastest_strategy": fastest,
     }
 
 
@@ -720,7 +651,7 @@ def summarize_fault_sweep(rows: Sequence[Dict[str, object]]) -> Dict[str, object
 
 def run_crash_resume_demo(
     n_objects: int = 1_000,
-    crash_at: int = 18,
+    crash_at: int = 11,
     seed: int = 11,
 ) -> Dict[str, object]:
     """Crash a checkpointed run mid-plan, then resume it.
@@ -820,11 +751,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         help="small sweep for smoke runs (overridden by --objects)",
     )
     parser.add_argument(
-        "--sweep-indexes",
-        action="store_true",
-        help="also run the covering-index strategy sweep",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         nargs="+",
@@ -915,28 +841,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             )
         )
         report(f"summary: {summarize(rows)}")
-
-    if args.sweep_indexes:
-        sweep = run_index_sweep(object_counts=counts, seed=args.seed)
-        document["index_sweep"] = {
-            "rows": sweep,
-            "summary": summarize_index_sweep(sweep),
-        }
-        if not args.json:
-            report("\nFigure 8c — index-strategy sweep (1 txn/run)")
-            report(
-                format_table(
-                    sweep,
-                    columns=[
-                        "index_strategy",
-                        "objects",
-                        "seconds",
-                        "statements",
-                        "transactions",
-                    ],
-                )
-            )
-            report(f"summary: {summarize_index_sweep(sweep)}")
 
     if args.shards:
         sweep = run_shard_sweep(

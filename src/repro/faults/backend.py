@@ -8,6 +8,11 @@ half-applies a statement, which keeps the chaos suite's byte-identity
 oracle honest (the real store state is exactly what the successful calls
 produced).
 
+Scripted fault indexes count from the first statement after the store's
+schema: the store runs its schema statements (and their commit) inside
+:meth:`FaultInjectingBackend.schema_setup`, which the policy never sees, so
+adding or removing a schema statement moves no fault index.
+
 When the owning store has a tracer installed (``PossStore`` propagates it
 onto the wrapper's ``tracer`` attribute), every injected fault is recorded
 as an instant ``fault`` event tagged with its site/shard/kind and counted
@@ -17,7 +22,8 @@ attached after construction still observes the proxies already handed out.
 
 from __future__ import annotations
 
-from typing import Optional
+import contextlib
+from typing import Iterator, Optional
 
 from repro.bulk.backends import SqlBackend
 from repro.faults.policy import FaultPolicy
@@ -81,9 +87,22 @@ class FaultInjectingBackend(SqlBackend):
         self.policy = policy
         self.shard = shard
         self.tracer = NULL_TRACER
+        self._in_schema_setup = False
+
+    @contextlib.contextmanager
+    def schema_setup(self) -> Iterator[None]:
+        """Run the store's schema statements past the policy (see the
+        module docstring)."""
+        self._in_schema_setup = True
+        try:
+            yield
+        finally:
+            self._in_schema_setup = False
 
     def _check(self, site: str) -> None:
         """Consult the policy; trace the fault when one is injected."""
+        if self._in_schema_setup:
+            return
         try:
             self.policy.check(site, self.shard)
         except Exception as error:
@@ -106,6 +125,10 @@ class FaultInjectingBackend(SqlBackend):
     @property
     def supports_concurrent_replay(self) -> bool:
         return self.inner.supports_concurrent_replay
+
+    @property
+    def supports_without_rowid(self) -> bool:
+        return self.inner.supports_without_rowid
 
     @property
     def max_bind_params(self) -> int:

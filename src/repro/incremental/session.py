@@ -212,6 +212,10 @@ class IncrementalSession:
         #: ``store.reconnects`` when ``BELIEF`` was last known to hold the
         #: session's beliefs, or ``None`` (see :attr:`beliefs_stored`).
         self._beliefs_at: Optional[int] = None
+        #: Whether ``POSS`` holds the session's relation: set by
+        #: :meth:`load` and :meth:`resync` (or a caller that loaded it, the
+        #: engine's ``materialize``).  Until then the flush writes nothing.
+        self.loaded = False
         self._tracer = NULL_TRACER
         if autoload:
             self.load()
@@ -315,6 +319,7 @@ class IncrementalSession:
         loaded = self.store.insert_rows(self.rows())
         self.store.replace_beliefs(self.belief_rows())
         self.beliefs_stored = True
+        self.loaded = True
         return loaded
 
     # ------------------------------------------------------------------ #
@@ -519,7 +524,8 @@ class IncrementalSession:
             # reconcile the relation to it.
             for resolver in self._resolvers.values():
                 resolver.rebuild()
-            self.resync()
+            if self.loaded:
+                self.resync()
             raise
         except BaseException:
             self.beliefs_stored = False
@@ -649,6 +655,12 @@ class IncrementalSession:
         deletes.sort()
         inserts.sort()
         slots, beliefs = self._belief_diff(beliefs_before)
+        if not self.loaded:
+            # Nothing to keep in step: whoever loads the store writes the
+            # relation whole, and BELIEF with it.
+            if slots:
+                self.beliefs_stored = False
+            deletes = inserts = slots = []
 
         store = self.store
         statements_before = store.delta_statements
@@ -804,6 +816,7 @@ class IncrementalSession:
                     self._rebuild_slice(index, shard.users(), slices[index])
                     shard.replace_beliefs(belief_slices[index])
         self.beliefs_stored = True
+        self.loaded = True
         return store.row_count()
 
     def _rebuild_slice(self, index: int, users, rows: List[Row]) -> None:

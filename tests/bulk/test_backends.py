@@ -1,4 +1,4 @@
-"""Tests for the pluggable SQL backends and index strategies."""
+"""Tests for the pluggable SQL backends and the physical design."""
 
 from __future__ import annotations
 
@@ -7,20 +7,16 @@ import sqlite3
 import pytest
 
 from repro.bulk.backends import (
-    BASELINE_INDEXES,
-    COVERING_INDEX,
     DEFAULT_MAX_BIND_PARAMS,
-    INDEX_STRATEGIES,
-    NO_INDEXES,
     DbApiBackend,
     SqliteFileBackend,
     SqliteMemoryBackend,
     probe_max_bind_params,
-    resolve_index_strategy,
     sqlite_backend,
     sqlite_max_bind_params,
 )
-from repro.bulk.store import PossStore
+from repro.bulk.store import PossRow, PossStore
+from repro.faults.retry import RetryPolicy
 from repro.core.errors import (
     BackendError,
     BackendUnavailable,
@@ -29,70 +25,66 @@ from repro.core.errors import (
 )
 
 
-class TestIndexStrategies:
-    def test_registry_contains_the_shipped_strategies(self):
-        assert set(INDEX_STRATEGIES) == {"baseline", "covering", "none"}
+def schema_objects(store, kind):
+    """Names of the ``kind`` objects (``table``/``index``) of a sqlite store."""
+    cursor = store._connection.execute(
+        "SELECT name, tbl_name, sql FROM sqlite_master WHERE type = ?", (kind,)
+    )
+    return {row[0]: (row[1], row[2]) for row in cursor.fetchall()}
 
-    def test_resolve_by_name_object_and_default(self):
-        assert resolve_index_strategy("covering") is COVERING_INDEX
-        assert resolve_index_strategy(NO_INDEXES) is NO_INDEXES
-        assert resolve_index_strategy(None) is COVERING_INDEX
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(BulkProcessingError):
-            resolve_index_strategy("btree-of-dreams")
+class TestPhysicalDesign:
+    """``POSS`` and ``BELIEF`` are clustered on their ``(X, K, V)`` key."""
 
-    @pytest.mark.parametrize("name", sorted(INDEX_STRATEGIES))
-    def test_store_creates_the_declared_indexes(self, name):
-        with PossStore(index_strategy=name) as store:
-            cursor = store._connection.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'index' "
-                "AND name LIKE 'POSS%'"
-            )
-            created = {row[0] for row in cursor.fetchall()}
-            assert created == set(INDEX_STRATEGIES[name].index_names)
-            assert store.index_strategy.name == name
+    @pytest.mark.parametrize("path", (":memory:", "file"))
+    def test_relations_are_keyed_tables_without_indexes(self, path, tmp_path):
+        path = path if path == ":memory:" else str(tmp_path / "poss.db")
+        with PossStore(path=path) as store:
+            tables = schema_objects(store, "table")
+            for table in ("POSS", "BELIEF"):
+                sql = tables[table][1]
+                assert "PRIMARY KEY (X, K, V)" in sql
+                assert sql.endswith("WITHOUT ROWID")
+            indexed = {table for table, _sql in schema_objects(store, "index").values()}
+            assert not indexed & {"POSS", "BELIEF"}
 
-    def test_reopening_with_a_different_strategy_drops_stale_indexes(self, tmp_path):
-        def poss_indexes(store):
-            cursor = store._connection.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'index' "
-                "AND name LIKE 'POSS%'"
-            )
-            return {row[0] for row in cursor.fetchall()}
+    def test_dbapi_backend_gets_a_plain_primary_key(self):
+        connection = FakeConnection()
+        PossStore(backend=DbApiBackend(lambda: connection))
+        created = [sql for sql, _ in connection.statements if sql.startswith("CREATE")]
+        keyed = [sql for sql in created if "PRIMARY KEY (X, K, V)" in sql]
+        assert len(keyed) == 2
+        assert not any("WITHOUT ROWID" in sql for sql in created)
+        assert not any("INDEX" in sql for sql in created)
 
-        path = str(tmp_path / "poss.db")
-        with PossStore(path=path, index_strategy="baseline"):
-            pass
-        with PossStore(path=path, index_strategy="none") as store:
-            assert poss_indexes(store) == set()
-        with PossStore(path=path, index_strategy="covering") as store:
-            assert poss_indexes(store) == {"POSS_COVER"}
-
-        # The upgrade path: a store created under the old default
-        # (``baseline``) and reopened with the new one keeps its rows and
-        # answers, on the single covering index.
-        upgraded = str(tmp_path / "upgraded.db")
-        with PossStore(path=upgraded, index_strategy="baseline") as store:
-            store.insert_explicit_beliefs([("z", "k1", "v"), ("z", "k2", "w")])
+    def test_file_with_the_old_heap_layout_keeps_it_and_answers(self, tmp_path):
+        """No migration: a file written with a heap ``POSS`` and its covering
+        index opens as it is and answers the same."""
+        path = str(tmp_path / "old.db")
+        connection = sqlite3.connect(path)
+        connection.executescript(
+            "CREATE TABLE POSS (X TEXT NOT NULL, K TEXT NOT NULL, V TEXT NOT NULL);"
+            "CREATE INDEX POSS_COVER ON POSS (X, K, V);"
+            "INSERT INTO POSS VALUES ('z', 'k1', 'v'), ('z', 'k2', 'w');"
+        )
+        connection.close()
+        with PossStore(path=path) as store:
+            assert "POSS_COVER" in schema_objects(store, "index")
+            assert "WITHOUT ROWID" not in schema_objects(store, "table")["POSS"][1]
             store.copy_to_children("z", ["x", "y"])
-            assert poss_indexes(store) == set(BASELINE_INDEXES.index_names)
-            before = sorted(store.possible_table())
-        with PossStore(path=upgraded) as store:
-            assert poss_indexes(store) == {"POSS_COVER"}
-            assert store.index_strategy is COVERING_INDEX
             assert store.row_count() == 6
-            assert sorted(store.possible_table()) == before
             assert store.possible_values("x", "k1") == frozenset({"v"})
             assert store.possible_values("y", "k2") == frozenset({"w"})
 
-    @pytest.mark.parametrize("name", sorted(INDEX_STRATEGIES))
-    def test_bulk_statements_work_under_every_strategy(self, name):
-        with PossStore(index_strategy=name) as store:
-            store.insert_explicit_beliefs([("z", "k1", "v"), ("z", "k2", "w")])
-            store.copy_to_children("z", ["x", "y"])
-            assert store.possible_values("x", "k1") == frozenset({"v"})
-            assert store.possible_values("y", "k2") == frozenset({"w"})
+    def test_a_row_stored_twice_is_rejected(self):
+        with PossStore(retry_policy=RetryPolicy.none()) as store:
+            store.insert_rows([("a", "k1", "v")])
+            with pytest.raises(BackendError) as excinfo:
+                store.insert_rows([("a", "k1", "v")])
+            assert not isinstance(excinfo.value, TransientBackendError)
+            with pytest.raises(BackendError):
+                store.replace_beliefs([("a", "k1", "v"), ("a", "k1", "v")])
+            assert store.possible_table() == [PossRow("a", "k1", "v")]
 
 
 class TestSqliteBackends:

@@ -99,9 +99,20 @@ class TestBulkResolver:
 
 def _row_by_row_verdict(batches, expected):
     """Bulk assumptions (i)/(ii) checked row by row, batch after batch: the
-    verdict a belief load must reach, as the error message or ``None``."""
+    verdict a belief load must reach, as the error message or ``None``.
+
+    First of all a batch may not repeat a ``(user, key, value)`` by name,
+    within itself or against an earlier batch (users ``1`` and ``"1"``
+    collide)."""
     loaded = set()
+    stored = set()
     for rows in batches:
+        seen = set(stored)
+        for user, key, value in rows:
+            row = (str(user), str(key), str(value))
+            if row in seen:
+                return f"belief row {row} is loaded twice (rows are compared by name)"
+            seen.add(row)
         by_user = {}
         for user, key, _value in rows:
             by_user.setdefault(str(user), set()).add(str(key))
@@ -117,34 +128,57 @@ def _row_by_row_verdict(batches, expected):
                     f"bulk assumption (ii) violated: user {user} lacks beliefs for "
                     f"{len(loaded - keys)} objects"
                 )
+        stored = seen
     return None
 
 
 class TestBeliefLoadChecks:
-    """The per-key set checks reach the row-by-row verdict, message and all."""
+    """The repeat check and the per-key set checks reach the row-by-row
+    verdict, message and all."""
 
     def test_random_loads_match_the_row_by_row_verdict(self):
+        outcomes = self._random_loads(
+            users=("a", "b", 1, "1", "d"), values=lambda _batch: "vw"
+        )
+        verdicts = [verdict for _batches, verdict in outcomes]
+        assert {verdict is None for verdict in verdicts} == {True, False}
+        assert any(verdict and "loaded twice" in verdict for verdict in verdicts)
+
+    def test_random_batches_without_repeats_match_the_row_by_row_verdict(self):
+        """Each batch draws its own values, so a second batch gets past the
+        repeat check to the per-key checks against the first."""
+        outcomes = self._random_loads(
+            users=("a", "b", "1", "d"), values=lambda batch: (f"v{batch}", f"w{batch}")
+        )
+        assert {batches for batches, verdict in outcomes if verdict is None} == {1, 2}
+        assert {batches for batches, verdict in outcomes if verdict} == {1, 2}
+
+    @staticmethod
+    def _random_loads(users, values):
+        """Load 400 random one- or two-batch belief sets, each into a fresh
+        resolver, and check each outcome against the row-by-row verdict.
+        Returns ``(batch count, verdict)`` per load."""
         import random
 
         rng = random.Random(7)
         tn = TrustNetwork()
         for child, parent in (("c", "a"), ("c", "b"), ("d", "c"), ("e", 1)):
             tn.add_trust(child, parent, priority=1 if parent != "b" else 2)
-        verdicts = set()
+        verdicts = []
         for _ in range(400):
             resolver = BulkResolver(tn, explicit_users=["a", "b", 1])
             batches = []
-            for _batch in range(rng.randint(1, 2)):
+            for batch in range(rng.randint(1, 2)):
                 rows = [
-                    (user, key, rng.choice("vw"))
+                    (user, key, rng.choice(values(batch)))
                     for key in rng.sample(["k0", "k1", "k2", 3], rng.randint(1, 3))
-                    for user in ("a", "b", 1, "1", "d")
+                    for user in users
                     if rng.random() < (0.9 if user != "d" else 0.05)
                 ]
                 rng.shuffle(rows)
                 batches.append(rows)
             expected = _row_by_row_verdict(batches, {"a", "b", "1"})
-            verdicts.add(expected is None)
+            verdicts.append((len(batches), expected))
             try:
                 for rows in batches:
                     resolver.load_beliefs(rows)
@@ -160,7 +194,7 @@ class TestBeliefLoadChecks:
                 )
                 assert stored == loaded
             resolver.store.close()
-        assert verdicts == {True, False}
+        return verdicts
 
 
 class TestGroupedCopies:

@@ -7,7 +7,13 @@ import re
 import pytest
 
 from repro.bulk.store import BOTTOM_VALUE, PossRow, PossStore
-from repro.core.errors import BulkProcessingError, ShardUnavailable
+from repro.core.errors import (
+    BackendError,
+    BulkProcessingError,
+    ShardUnavailable,
+    TransientBackendError,
+)
+from repro.faults.retry import RetryPolicy
 
 
 @pytest.fixture
@@ -107,9 +113,17 @@ class TestAggregates:
         assert store.certain_values("a", "k2") == frozenset()
 
     def test_possible_table_keeps_every_stored_row(self, store):
-        """The equivalence oracles read this: a duplicate must stay visible."""
-        store.insert_explicit_beliefs([("a", "k1", "v"), ("a", "k1", "v")])
-        assert store.possible_table() == [PossRow("a", "k1", "v")] * 2
+        """The equivalence oracles read this: a duplicate cannot hide in it,
+        because the store refuses to write one."""
+        store.retry_policy = RetryPolicy.none()
+        with pytest.raises(BackendError) as excinfo:
+            store.insert_explicit_beliefs([("a", "k1", "v"), ("a", "k1", "v")])
+        assert not isinstance(excinfo.value, TransientBackendError)
+        store.insert_explicit_beliefs([("a", "k1", "v"), ("a", "k2", "v")])
+        assert sorted(store.possible_table()) == [
+            PossRow("a", "k1", "v"),
+            PossRow("a", "k2", "v"),
+        ]
         assert store.possible_values("a", "k1") == frozenset({"v"})
 
 
@@ -234,17 +248,17 @@ _PER_USER_STATEMENTS = {
 
 
 class TestPlanShape:
-    """Under the default physical design no per-user statement scans POSS.
+    """No per-user statement scans POSS.
 
     Every such statement filters on ``X`` or ``(X, K)``, so each of its
-    reads of ``POSS`` must be a search of the ``(X, K, V)`` index (a
-    covering search for reads; the deletes search the same index for the
-    rowids they remove).  A schema change that turns one of these probes
-    into a table scan fails here rather than only as a slower benchmark.
+    reads of ``POSS`` must be a search of the ``(X, K, V)`` primary key,
+    the b-tree that holds the rows of the ``WITHOUT ROWID`` table.  A
+    schema change that turns one of these probes into a table scan fails
+    here rather than only as a slower benchmark.
     """
 
     @pytest.mark.parametrize("name", sorted(_PER_USER_STATEMENTS))
-    def test_statement_searches_the_covering_index(self, name, store, monkeypatch):
+    def test_statement_searches_the_primary_key(self, name, store, monkeypatch):
         store.insert_explicit_beliefs(
             [("z", "k1", "v"), ("z", "k2", "w"), ("q", "k1", "u"), ("q", "k2", "u")]
         )
@@ -270,9 +284,7 @@ class TestPlanShape:
             searches = [
                 line
                 for line in plan
-                if re.match(r"SEARCH \w+ USING (COVERING )?INDEX POSS_COVER \(X=", line)
+                if re.match(r"SEARCH \w+ USING PRIMARY KEY \(X=", line)
             ]
             assert len(searches) == reads, (sql, plan)
             assert not any(line.startswith("SCAN POSS") for line in plan), plan
-            if not sql.startswith("DELETE"):
-                assert all("COVERING INDEX" in line for line in searches), plan

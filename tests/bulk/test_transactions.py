@@ -199,17 +199,16 @@ class TestRollbackUnderPipelining:
 
 
 class TestReportConfiguration:
-    def test_report_names_backend_strategy_and_phases(self, loaded_resolver):
+    def test_report_names_backend_and_phases(self, loaded_resolver):
         report = loaded_resolver.run()
         assert report.backend == "sqlite-memory"
-        assert report.index_strategy == "covering"
         assert set(report.phase_seconds) == {"copy", "flood"}
         assert all(value >= 0.0 for value in report.phase_seconds.values())
         # Phase timings partition the statement work of the run.
         assert sum(report.phase_seconds.values()) <= report.elapsed_seconds
 
-    def test_report_reflects_custom_store_configuration(self):
-        store = PossStore(index_strategy="baseline")
+    def test_report_reflects_custom_store_configuration(self, tmp_path):
+        store = PossStore(path=str(tmp_path / "poss.db"))
         resolver = BulkResolver(
             figure19_network(),
             store=store,
@@ -217,5 +216,5 @@ class TestReportConfiguration:
         )
         resolver.load_beliefs(generate_objects(5, seed=1))
         report = resolver.run()
-        assert report.index_strategy == "baseline"
+        assert report.backend == "sqlite-file"
         store.close()

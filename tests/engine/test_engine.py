@@ -26,6 +26,7 @@ from repro.core.beliefs import BeliefSet
 from repro.core.errors import BulkProcessingError, NetworkError
 from repro.engine import EngineReport
 from repro.incremental import AddTrust, RemoveTrust, RemoveUser, SetBelief
+from repro.workloads.oscillators import oscillator_network
 from repro.workloads.updates import generate_update_stream
 
 
@@ -209,6 +210,49 @@ class TestQueryModes:
             assert engine.query("c") == frozenset()  # nothing materialized
             engine.materialize()
             assert engine.query("c") == frozenset({"v"})
+
+
+class TestApplyBeforeMaterialize:
+    """Until the first materialize the store holds no relation to keep in
+    step, so an apply writes nothing to it."""
+
+    @staticmethod
+    def _stored(store, table):
+        rows = store.possible_table() if table == "POSS" else store.belief_table()
+        return sorted((row.user, row.key, row.value) for row in rows)
+
+    @pytest.mark.parametrize("shards", (None, 2))
+    def test_apply_writes_nothing_and_materialize_loads_it_all(self, shards):
+        with ResolutionEngine.open(
+            oscillator_network(3), shards=shards, mode="store", keys=("k0", "k1")
+        ) as engine:
+            report = engine.apply(SetBelief("c0.x3", "z"), SetBelief("c1.x3", "y", key="k1"))
+            assert report.users_changed > 0
+            assert (report.statements, report.transactions) == (0, 0)
+            assert engine.store.row_count() == 0
+            assert engine.store.belief_table() == []
+            assert engine.query("c0.x1") == frozenset()  # nothing materialized
+            engine.materialize()
+            session = engine._session
+            assert self._stored(engine.store, "POSS") == session.rows()
+            assert self._stored(engine.store, "BELIEF") == session.belief_rows()
+            assert "z" in engine.query("c0.x1")
+            # From here on every apply keeps both relations in step.
+            engine.apply(SetBelief("c0.x3", "w"))
+            assert self._stored(engine.store, "POSS") == session.rows()
+            assert self._stored(engine.store, "BELIEF") == session.belief_rows()
+
+    def test_a_failed_materialize_stops_the_applies_until_the_next_one(self):
+        with ResolutionEngine.open(oscillator_network(3)) as engine:
+            engine.materialize()
+            engine.plan.steps.append("not-a-step")
+            with pytest.raises(BulkProcessingError):
+                engine.materialize()
+            engine.plan.steps.remove("not-a-step")
+            # The run rolled back to the loaded beliefs: no whole relation.
+            assert engine.apply(SetBelief("c0.x3", "z")).statements == 0
+            engine.materialize()
+            assert self._stored(engine.store, "POSS") == engine._session.rows()
 
 
 class TestPlanMaintenance:

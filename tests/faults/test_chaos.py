@@ -167,7 +167,7 @@ class TestCrashResumeChaos:
         expected = serialized_relation(clean.store)
         clean.store.close()
 
-        for crash_at in (8, 14, 18):
+        for crash_at in (1, 7, 11):
             run_id = f"chaos-{shards}-{crash_at}"
             policy = FaultPolicy(
                 schedule=[

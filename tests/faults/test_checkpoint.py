@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import BackendUnavailable
+from repro.core.errors import BackendUnavailable, StatementTimeout
 from repro.core.network import TrustNetwork
 from repro.faults import FaultInjectingBackend, FaultPolicy, RetryPolicy, ScriptedFault
 from repro.bulk.backends import SqliteFileBackend, SqliteMemoryBackend
@@ -105,7 +105,7 @@ class TestCheckpointedRun:
 
         # Enough statements to die mid-plan, after some nodes committed.
         backend = fault_backend(
-            [ScriptedFault("execute", 16, kind="unavailable")], max_faults=1
+            [ScriptedFault("execute", 9, kind="unavailable")], max_faults=1
         )
         store = PossStore(backend=backend)
         crashing = BulkResolver(
@@ -137,7 +137,7 @@ class TestCheckpointedRun:
         expected = serialized_relation(plain.store)
         plain.store.close()
 
-        for crash_at in (8, 13, 18, 24):
+        for crash_at in (1, 6, 11, 17):
             backend = fault_backend(
                 [ScriptedFault("execute", crash_at, kind="unavailable")],
                 max_faults=1,
@@ -147,8 +147,9 @@ class TestCheckpointedRun:
             crashing = BulkResolver(
                 network, store=store, explicit_users=BELIEF_USERS, checkpoint=run_id
             )
-            crashing.load_beliefs(objects)
             try:
+                # The first crash point is the BEGIN of the belief load.
+                crashing.load_beliefs(objects)
                 crashing.run()
             except BackendUnavailable:
                 resumed = BulkResolver(
@@ -161,6 +162,65 @@ class TestCheckpointedRun:
                 resumed.run()
             assert serialized_relation(store) == expected, crash_at
             store.close()
+
+
+class TestFaultOnBegin:
+    """A region transaction's ``BEGIN`` fails like any other statement.
+
+    Fault indexes count from the first statement after the schema, so on
+    this checkpointed Figure 19 run execute #10 is the ``BEGIN`` of the
+    second region (after the belief load's transaction, the health check,
+    the journal read and the first region's transaction)."""
+
+    REGION_BEGIN = 10
+
+    def _run(self, kind, retry_policy=None):
+        backend = fault_backend([ScriptedFault("execute", self.REGION_BEGIN, kind=kind)])
+        store = PossStore(backend=backend, retry_policy=retry_policy)
+        resolver = BulkResolver(
+            figure19_network(), store=store, explicit_users=BELIEF_USERS, checkpoint=RUN
+        )
+        resolver.load_beliefs(generate_objects(4, seed=7))
+        return store, resolver
+
+    @pytest.mark.parametrize(
+        "kind, error", (("unavailable", BackendUnavailable), ("timeout", StatementTimeout))
+    )
+    def test_a_classified_failure_stops_the_run(self, kind, error, serialized_relation):
+        store, resolver = self._run(kind)
+        with pytest.raises(error):
+            resolver.run()
+        assert not store.in_transaction
+        # Only the beliefs and the first region committed.
+        assert store.journal_completed(RUN) == {JOURNAL_BELIEFS_NODE, 0}
+        resumed = BulkResolver(
+            figure19_network(), store=store, explicit_users=BELIEF_USERS, checkpoint=RUN
+        )
+        resumed.load_beliefs(generate_objects(4, seed=7))
+        assert resumed.run().nodes_skipped == 1
+        plain = BulkResolver(figure19_network(), explicit_users=BELIEF_USERS)
+        plain.load_beliefs(generate_objects(4, seed=7))
+        plain.run()
+        assert serialized_relation(store) == serialized_relation(plain.store)
+
+    def test_a_transient_failure_is_retried(self):
+        store, resolver = self._run(
+            "transient", RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0)
+        )
+        report = resolver.run()
+        assert report.retries == 1
+        assert report.faults_injected == 1
+        assert report.nodes_skipped == 0
+
+    def test_a_begin_inside_an_open_transaction_joins_it(self):
+        """sqlite rejects a ``BEGIN`` while a transaction is open; that
+        rejection alone is swallowed, and the run joins the transaction."""
+        with PossStore() as store:
+            # The driver opens a transaction implicitly before this insert.
+            store._connection.execute("INSERT INTO POSS VALUES ('a', 'k', 'v')")
+            with store.transaction():
+                store.insert_rows([("b", "k", "v")])
+            assert store.row_count() == 2
 
 
 class TestShardedCheckpoint:
@@ -254,7 +314,7 @@ class TestEngineCheckpointResume:
         plain.close()
 
         saw_skip = False
-        for crash_at in range(10, 24):
+        for crash_at in range(3, 17):
             backend = FaultInjectingBackend(
                 SqliteFileBackend(str(tmp_path / f"crash{crash_at}.db")),
                 FaultPolicy(

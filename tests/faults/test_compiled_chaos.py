@@ -161,7 +161,7 @@ class TestCrashAndResumeAtRegionBoundaries:
 
         saw_skip = False
         saw_crash = False
-        for crash_at in range(2, 28):
+        for crash_at in range(0, 21):
             backend = FaultInjectingBackend(
                 SqliteFileBackend(str(tmp_path / f"crash{crash_at}.db")),
                 FaultPolicy(
@@ -171,10 +171,7 @@ class TestCrashAndResumeAtRegionBoundaries:
                     max_faults=1,
                 ),
             )
-            try:
-                store = PossStore(backend=backend)
-            except BackendUnavailable:
-                continue  # the crash hit schema setup, not the run
+            store = PossStore(backend=backend)
             run_id = f"{RUN}-{crash_at}"
             crashing = BulkResolver(
                 network,
@@ -243,7 +240,7 @@ class TestCrashAndResumeAtRegionBoundaries:
         plain.close()
 
         saw_skip = False
-        for crash_at in range(2, 28):
+        for crash_at in range(0, 21):
             backend = FaultInjectingBackend(
                 SqliteFileBackend(str(tmp_path / f"eng{crash_at}.db")),
                 FaultPolicy(
@@ -253,11 +250,8 @@ class TestCrashAndResumeAtRegionBoundaries:
                     max_faults=1,
                 ),
             )
-            try:
-                store = PossStore(backend=backend)
-                engine = ResolutionEngine(tn.copy(), store=store)
-            except BackendUnavailable:
-                continue  # the crash hit schema setup, not the run
+            store = PossStore(backend=backend)
+            engine = ResolutionEngine(tn.copy(), store=store)
             try:
                 engine.materialize(compiled=True, checkpoint=True)
             except BackendUnavailable:
@@ -428,7 +422,7 @@ class TestSkepticBlockedFloodChaos:
         twin.store.close()
 
         saw_crash = False
-        for crash_at in range(3, 22):
+        for crash_at in range(0, 15):
             backend = FaultInjectingBackend(
                 SqliteFileBackend(str(tmp_path / f"sk{crash_at}.db")),
                 FaultPolicy(
@@ -438,10 +432,7 @@ class TestSkepticBlockedFloodChaos:
                     max_faults=1,
                 ),
             )
-            try:
-                store = PossStore(backend=backend)
-            except BackendUnavailable:
-                continue
+            store = PossStore(backend=backend)
             run_id = f"skeptic-{crash_at}"
             crashing = SkepticBulkResolver(
                 network,
@@ -503,7 +494,7 @@ class TestConcurrentCheckpointedRecovery:
         healthy.close()
 
         saw_quarantine = False
-        for crash_at in range(3, 20):
+        for crash_at in range(0, 13):
             backends = [
                 FaultInjectingBackend(
                     SqliteFileBackend(str(tmp_path / f"rec{crash_at}-{i}.db")),
@@ -521,10 +512,7 @@ class TestConcurrentCheckpointedRecovery:
                 )
                 for i in range(2)
             ]
-            try:
-                store = ShardedPossStore(2, backends=backends)
-            except BackendUnavailable:
-                continue
+            store = ShardedPossStore(2, backends=backends)
             run_id = f"recover-{crash_at}"
             crashing = BulkResolver(
                 network,
@@ -591,7 +579,7 @@ class TestHardFaultNeverLeavesAPartialRun:
 
         saw_death = False
         saw_completion = False
-        for crash_at in range(0, 44, 2):
+        for crash_at in range(1, 37, 2):
             policy = FaultPolicy(
                 schedule=[
                     ScriptedFault(site="execute", index=crash_at, kind="unavailable")
@@ -614,8 +602,8 @@ class TestHardFaultNeverLeavesAPartialRun:
                 )
                 resolver.load_beliefs(rows)
             except BackendUnavailable:
-                # The fault fired while creating the schema or loading the
-                # beliefs: no run started, not this scenario's subject.
+                # The fault fired while loading the beliefs: no run
+                # started, not this scenario's subject.
                 continue
             before = sorted(store.possible_table())
             try:

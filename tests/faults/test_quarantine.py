@@ -10,7 +10,12 @@ from __future__ import annotations
 import pytest
 
 from repro.bulk.backends import SqliteMemoryBackend
-from repro.core.errors import BulkProcessingError, ShardUnavailable
+from repro.core.errors import (
+    BackendError,
+    BulkProcessingError,
+    ShardUnavailable,
+    TransientBackendError,
+)
 from repro.core.network import TrustNetwork
 from repro.bulk.store import PossStore, ShardedPossStore
 from repro.engine import ResolutionEngine
@@ -191,16 +196,21 @@ class TestSessionDegradedFlush:
         faulted.close()
         clean.close()
 
-    def test_recover_shard_rebuilds_a_slice_holding_a_row_twice(
+    def test_recover_shard_rebuilds_a_slice_holding_a_stale_row(
         self, serialized_relation
     ):
-        """A shard that holds one of its rows twice is out of sync: the
-        slice check and the byte oracle both see the duplicate, and the
-        rebuild leaves the row stored once."""
+        """A shard cannot hold one of its rows twice: the store rejects the
+        second copy, and no retry repeats it.  A shard holding a row the
+        session does not is out of sync: the slice check and the byte
+        oracle both see it, and the rebuild removes it."""
         faulted, clean = self._twin_sessions()
         shard = faulted.store.shards[1]
         row = shard.possible_table()[0]
-        shard.insert_rows([(row.user, row.key, row.value)])
+        with pytest.raises(BackendError) as excinfo:
+            shard.insert_rows([(row.user, row.key, row.value)])
+        assert not isinstance(excinfo.value, TransientBackendError)
+        assert shard.retries == 0
+        shard.insert_rows([(row.user, row.key, "stale")])
         assert shard.row_count() == clean.store.shards[1].row_count() + 1
         assert serialized_relation(faulted.store) != serialized_relation(clean.store)
         faulted.store.quarantine(1)

@@ -61,13 +61,14 @@ class TestRetryPolicyData:
 
 class TestStatementRetries:
     def test_transient_faults_are_absorbed(self):
-        # Schema setup consumes execute calls #0-#6 and the belief load
-        # #7-#8 (it empties BELIEF, then copies it into POSS); the copy
-        # statement is call #9 and its two retries are #10 and #11.
+        # Fault indexes count from the first statement after the schema:
+        # the belief load is execute calls #0-#1 (it empties BELIEF, then
+        # copies it into POSS); the copy statement is call #2 and its two
+        # retries are #3 and #4.
         policy = FaultPolicy(
             schedule=[
-                ScriptedFault("execute", 9),
-                ScriptedFault("execute", 10),
+                ScriptedFault("execute", 2),
+                ScriptedFault("execute", 3),
             ]
         )
         store = faulty_store(policy, FAST)
@@ -90,7 +91,7 @@ class TestStatementRetries:
         assert store.retries == FAST.max_attempts - 1
 
     def test_no_retry_policy_fails_fast(self):
-        policy = FaultPolicy(schedule=[ScriptedFault("execute", 9)])
+        policy = FaultPolicy(schedule=[ScriptedFault("execute", 2)])
         store = faulty_store(policy, RetryPolicy.none())
         store.insert_explicit_beliefs([("a", "k0", "v")])
         with pytest.raises(TransientBackendError):

@@ -62,11 +62,9 @@ def test_belief_constructors_are_exported():
 #: The locked surface of repro.bulk: removing or renaming any of these is a
 #: breaking change and must be deliberate (update this list in the same PR).
 BULK_API = [
-    "BASELINE_INDEXES",
     "BOTTOM_VALUE",
     "BulkResolver",
     "BulkRunReport",
-    "COVERING_INDEX",
     "CompiledPlan",
     "CompiledRegion",
     "DEFAULT_MAX_BIND_PARAMS",
@@ -74,9 +72,6 @@ BULK_API = [
     "DbApiBackend",
     "FloodStep",
     "GroupedCopyStep",
-    "INDEX_STRATEGIES",
-    "IndexStrategy",
-    "NO_INDEXES",
     "PlanDag",
     "PlanPatch",
     "PossRow",
